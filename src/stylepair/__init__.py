@@ -9,12 +9,10 @@ end without any real data.
 """
 
 from .embedcore import (
-    ClipSpan,
     EmbeddingSet,
     cosine_sim,
     load_embeddings,
     normalize,
-    pool_clips,
     save_embeddings,
     sim_matrix,
 )
@@ -44,7 +42,6 @@ from .trainer import (
 
 __all__ = [
     "AdapterModel",
-    "ClipSpan",
     "EmbeddingSet",
     "GeneratedPairSet",
     "NegativeQueue",
@@ -69,7 +66,6 @@ __all__ = [
     "match_topk_report",
     "normalize",
     "plan_epoch",
-    "pool_clips",
     "rank_queries",
     "report",
     "save_embeddings",

@@ -1,9 +1,9 @@
 """Command-line pipeline driver.
 
 One subcommand per stage (synth, match, stylize, filter, train, eval,
-sweep) plus `pipeline`, which composes them end to end and compares the
-trained adapter against the zero-shot baseline (and in-style against
-mixed scheduling when more than one style is present).
+sweep) plus `pipeline`, which runs the same stage functions end to end and
+compares the trained adapter against the zero-shot baseline (and in-style
+against mixed scheduling when more than one style is present).
 
 Logs are line-oriented key=value on stderr; machine-readable results go
 to stdout or files. Exit codes: 0 success, 1 runtime failure, 2
@@ -15,11 +15,12 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import evaluator, matcher, styler, synthgen, trainer
-from .embedcore import load_embeddings, save_embeddings
+from .embedcore import EmbeddingSet, load_embeddings, save_embeddings
 from .errors import ConfigInvalid, StylePairError
 from .synthgen import SynthConfig, dataset_paths
 
@@ -46,6 +47,21 @@ def _add_synth_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--style-strength", type=float, default=0.8)
     parser.add_argument("--cross-modal-noise", type=float, default=0.1)
     parser.add_argument("--held-out-fraction", type=float, default=0.25)
+
+
+def _add_match_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--order", choices=[matcher.ORDER_QUERY_ID, matcher.ORDER_GLOBAL_GREEDY],
+                        default=matcher.ORDER_QUERY_ID)
+    parser.add_argument("--shortlist-k", type=int, default=matcher.DEFAULT_SHORTLIST_K)
+
+
+def _add_stylize_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--ridge-lambda", type=float, default=styler.DEFAULT_RIDGE_LAMBDA)
+    parser.add_argument("--noise-sigma", type=float, default=styler.DEFAULT_NOISE_SIGMA)
+
+
+def _add_filter_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--threshold", type=float, default=styler.DEFAULT_THRESHOLD)
 
 
 def _add_train_options(parser: argparse.ArgumentParser) -> None:
@@ -79,16 +95,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = add_parser("synth", help="generate the seeded synthetic benchmark")
     p.add_argument("--out", required=True, help="output directory")
     _add_synth_options(p)
-    _add_common(p)
 
     p = add_parser("match", help="exclusive pseudo-matching of queries to pool clips")
     p.add_argument("--queries", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True, help="pseudo-pair JSONL path")
-    p.add_argument("--order", choices=[matcher.ORDER_QUERY_ID, matcher.ORDER_GLOBAL_GREEDY],
-                   default=matcher.ORDER_QUERY_ID)
-    p.add_argument("--shortlist-k", type=int, default=matcher.DEFAULT_SHORTLIST_K)
-    _add_common(p)
+    _add_match_options(p)
 
     p = add_parser("stylize", help="fit the style map and caption the whole pool")
     p.add_argument("--queries", required=True)
@@ -96,17 +108,14 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True, help="pseudo-pair JSONL from `match`")
     p.add_argument("--style-out", required=True, help="style transform output path")
     p.add_argument("--styled-out", required=True, help="styled caption embeddings path")
-    p.add_argument("--ridge-lambda", type=float, default=styler.DEFAULT_RIDGE_LAMBDA)
-    p.add_argument("--noise-sigma", type=float, default=styler.DEFAULT_NOISE_SIGMA)
+    _add_stylize_options(p)
     p.add_argument("--tag", default="")
-    _add_common(p)
 
     p = add_parser("filter", help="keep styled captions similar to their own clip")
     p.add_argument("--styled", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True, help="generated-pair JSONL path")
-    p.add_argument("--threshold", type=float, default=styler.DEFAULT_THRESHOLD)
-    _add_common(p)
+    _add_filter_options(p)
 
     p = add_parser("sweep", help="retention counts over a threshold grid")
     p.add_argument("--styled", required=True)
@@ -114,7 +123,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--thresholds", default=DEFAULT_SWEEP_GRID,
                    help="comma-separated ascending thresholds")
     p.add_argument("--out", help="optional JSON output path")
-    _add_common(p)
 
     p = add_parser("train", help="train adapter heads on generated pairs")
     p.add_argument("--pool", required=True)
@@ -127,7 +135,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[trainer.MODE_IN_STYLE, trainer.MODE_MIXED],
                    default=trainer.MODE_IN_STYLE)
     _add_train_options(p)
-    _add_common(p)
 
     p = add_parser("eval", help="recall and median-rank retrieval report")
     p.add_argument("--captions", required=True)
@@ -139,23 +146,19 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional JSON output path")
     p.add_argument("--no-ranks", action="store_true", help="omit per-query ranks")
     p.add_argument("--ranks-csv", help="optional per-query rank CSV path")
-    _add_common(p)
 
     p = add_parser("pipeline", help="run every stage end to end and compare")
     p.add_argument("--workdir", required=True)
     p.add_argument("--data-dir", help="reuse an existing dataset directory")
-    p.add_argument("--threshold", type=float, default=styler.DEFAULT_THRESHOLD)
-    p.add_argument("--order", choices=[matcher.ORDER_QUERY_ID, matcher.ORDER_GLOBAL_GREEDY],
-                   default=matcher.ORDER_QUERY_ID)
-    p.add_argument("--shortlist-k", type=int, default=matcher.DEFAULT_SHORTLIST_K)
-    p.add_argument("--ridge-lambda", type=float, default=styler.DEFAULT_RIDGE_LAMBDA)
-    p.add_argument("--noise-sigma", type=float, default=styler.DEFAULT_NOISE_SIGMA)
+    _add_filter_options(p)
+    _add_match_options(p)
+    _add_stylize_options(p)
     _add_synth_options(p)
     _add_train_options(p)
-    _add_common(p)
 
-    if defaults:
-        for target in created:
+    for target in created:
+        _add_common(target)
+        if defaults:
             target.set_defaults(**defaults)
     return parser
 
@@ -192,60 +195,122 @@ def _synth_config(args) -> SynthConfig:
     )
 
 
+def _emit_json(payload: dict, path: str | None) -> None:
+    """Print `payload` as sorted, indented JSON, and also write it to `path` if given."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if path:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
+    print(text)
+
+
+# ---- stages: one function each, shared by the subcommands and `pipeline` ----
+
+
+def match_stage(args, queries, pool, out, query_set, clip_set) -> matcher.PseudoPairSet:
+    pairs = matcher.match_exclusive(
+        queries, pool, order=args.order,
+        shortlist_k=args.shortlist_k, threads=_threads(args),
+    )
+    pairs.query_set = query_set
+    pairs.clip_set = clip_set
+    matcher.write_pseudo_pairs(pairs, out)
+    log.info("stage=match pairs=%d mean_sim=%.4f policy=%s",
+             len(pairs), float(pairs.sims.mean()), args.order)
+    return pairs
+
+
+def stylize_stage(args, queries, pool, pseudo, style_out, styled_out, tag) -> EmbeddingSet:
+    style = styler.fit_style(
+        pseudo, queries, pool,
+        ridge_lambda=args.ridge_lambda,
+        noise_sigma=args.noise_sigma,
+        style_tag=tag,
+    )
+    styler.save_style(style, style_out)
+    styled = styler.generate_styled(pool, style, seed=args.seed, threads=_threads(args))
+    save_embeddings(styled, styled_out)
+    log.info("stage=stylize tag=%s styled=%d", tag, styled.count)
+    return styled
+
+
+def filter_stage(args, styled, pool, out, tag) -> styler.GeneratedPairSet:
+    gen = styler.filter_pairs(styled, pool, args.threshold)
+    gen.style_tag = tag
+    if len(gen) == 0:
+        log.warning("stage=filter warning=empty_generated_pair_set tag=%s threshold=%g",
+                    tag, args.threshold)
+    styler.write_generated_pairs(gen, out)
+    return gen
+
+
+def train_stage(args, pool, gen_sets, styled_sets, runs):
+    """Train one fresh adapter per (mode, adapter path, loss-log path or None) in `runs`."""
+    texts, videos = trainer.build_training_arrays(gen_sets, styled_sets, pool)
+    config = trainer.TrainConfig(
+        learning_rate=args.learning_rate,
+        momentum=args.momentum,
+        queue_capacity=args.queue_capacity,
+    )
+    results = []
+    for mode, out, loss_log in runs:
+        model = trainer.init_adapter(dim=pool.dim, tau=args.tau)
+        model, rows = trainer.train_epochs(
+            model, gen_sets, texts, videos,
+            mode=mode, epochs=args.epochs,
+            batch_size=args.batch_size, config=config, seed=args.seed,
+        )
+        trainer.save_adapter(model, out)
+        if loss_log:
+            trainer.write_loss_log(rows, loss_log)
+        log.info("stage=train mode=%s steps=%d first_loss=%.6f last_loss=%.6f",
+                 mode, len(rows), rows[0].loss if rows else float("nan"),
+                 rows[-1].loss if rows else float("nan"))
+        results.append((model, rows))
+    return results
+
+
+def eval_stage(args, captions, candidates, truth, model=None,
+               ranks_csv=None) -> evaluator.RetrievalReport:
+    ranks = evaluator.rank_queries(captions, candidates, truth,
+                                   model=model, threads=_threads(args))
+    rep = evaluator.report(ranks)
+    if ranks_csv:
+        evaluator.write_ranks_csv(rep, ranks_csv)
+    return rep
+
+
+# ---- subcommands: load the inputs, then run the stage ----
+
+
 def cmd_synth(args) -> int:
     cfg = _synth_config(args)
     ds = synthgen.generate(cfg)
     paths = synthgen.write_dataset(ds, args.out)
     log.info("stage=synth styles=%d queries_per_style=%d pool=%d seed=%d",
              cfg.n_styles, cfg.queries_per_style, cfg.pool_size, cfg.seed)
-    for key in ("queries", "test_captions"):
-        for path in paths[key]:
-            log.info("stage=synth wrote=%s", os.path.basename(path))
-    for key in ("pool", "test_clips", "truth", "latent"):
-        log.info("stage=synth wrote=%s", os.path.basename(paths[key]))
+    for path in [*paths["queries"], *paths["test_captions"],
+                 *(paths[key] for key in ("pool", "test_clips", "truth", "latent"))]:
+        log.info("stage=synth wrote=%s", os.path.basename(path))
     return 0
 
 
 def cmd_match(args) -> int:
-    queries = load_embeddings(args.queries)
-    pool = load_embeddings(args.pool)
-    pairs = matcher.match_exclusive(
-        queries, pool, order=args.order,
-        shortlist_k=args.shortlist_k, threads=_threads(args),
-    )
-    pairs.query_set = os.path.basename(args.queries)
-    pairs.clip_set = os.path.basename(args.pool)
-    matcher.write_pseudo_pairs(pairs, args.out)
-    log.info("stage=match pairs=%d mean_sim=%.4f policy=%s",
-             len(pairs), float(pairs.sims.mean()), args.order)
+    match_stage(args, load_embeddings(args.queries), load_embeddings(args.pool), args.out,
+                os.path.basename(args.queries), os.path.basename(args.pool))
     return 0
 
 
 def cmd_stylize(args) -> int:
     queries = load_embeddings(args.queries)
     pool = load_embeddings(args.pool)
-    pairs = matcher.read_pseudo_pairs(args.pairs)
-    style = styler.fit_style(
-        pairs, queries, pool,
-        ridge_lambda=args.ridge_lambda,
-        noise_sigma=args.noise_sigma,
-        style_tag=args.tag,
-    )
-    styler.save_style(style, args.style_out)
-    styled = styler.generate_styled(pool, style, seed=args.seed, threads=_threads(args))
-    save_embeddings(styled, args.styled_out)
-    log.info("stage=stylize tag=%s styled=%d", args.tag, styled.count)
+    pseudo = matcher.read_pseudo_pairs(args.pairs)
+    stylize_stage(args, queries, pool, pseudo, args.style_out, args.styled_out, args.tag)
     return 0
 
 
 def cmd_filter(args) -> int:
-    styled = load_embeddings(args.styled)
-    pool = load_embeddings(args.pool)
-    gen = styler.filter_pairs(styled, pool, args.threshold)
-    if len(gen) == 0:
-        log.warning("stage=filter warning=empty_generated_pair_set threshold=%g",
-                    args.threshold)
-    styler.write_generated_pairs(gen, args.out)
+    filter_stage(args, load_embeddings(args.styled), load_embeddings(args.pool), args.out, "")
     return 0
 
 
@@ -254,13 +319,8 @@ def cmd_sweep(args) -> int:
     pool = load_embeddings(args.pool)
     grid = [float(v) for v in args.thresholds.split(",") if v.strip()]
     rows = styler.threshold_sweep(styled, pool, grid)
-    payload = {"rows": [{"threshold": r.threshold, "kept": r.kept, "rate": r.rate}
-                        for r in rows]}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    print(text)
+    _emit_json({"rows": [{"threshold": r.threshold, "kept": r.kept, "rate": r.rate}
+                         for r in rows]}, args.out)
     return 0
 
 
@@ -280,24 +340,7 @@ def _load_style_sets(pair_paths, styled_paths):
 def cmd_train(args) -> int:
     pool = load_embeddings(args.pool)
     gen_sets, styled_sets = _load_style_sets(args.pairs, args.styled)
-    texts, videos = trainer.build_training_arrays(gen_sets, styled_sets, pool)
-    model = trainer.init_adapter(dim=pool.dim, tau=args.tau)
-    config = trainer.TrainConfig(
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        queue_capacity=args.queue_capacity,
-    )
-    model, rows = trainer.train_epochs(
-        model, gen_sets, texts, videos,
-        mode=args.mode, epochs=args.epochs,
-        batch_size=args.batch_size, config=config, seed=args.seed,
-    )
-    trainer.save_adapter(model, args.out)
-    if args.loss_log:
-        trainer.write_loss_log(rows, args.loss_log)
-    log.info("stage=train mode=%s steps=%d first_loss=%.6f last_loss=%.6f",
-             args.mode, len(rows), rows[0].loss if rows else float("nan"),
-             rows[-1].loss if rows else float("nan"))
+    train_stage(args, pool, gen_sets, styled_sets, [(args.mode, args.out, args.loss_log)])
     return 0
 
 
@@ -308,17 +351,8 @@ def cmd_eval(args) -> int:
     model = None
     if args.adapter and not args.zero_shot:
         model = trainer.load_adapter(args.adapter)
-    ranks = evaluator.rank_queries(captions, candidates, truth,
-                                   model=model, threads=_threads(args))
-    rep = evaluator.report(ranks)
-    text = json.dumps(rep.to_dict(include_ranks=not args.no_ranks),
-                      indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-    if args.ranks_csv:
-        evaluator.write_ranks_csv(rep, args.ranks_csv)
-    print(text)
+    rep = eval_stage(args, captions, candidates, truth, model, args.ranks_csv)
+    _emit_json(rep.to_dict(include_ranks=not args.no_ranks), args.out)
     return 0
 
 
@@ -333,19 +367,20 @@ def _mean_section(reports: list[evaluator.RetrievalReport]) -> dict:
 
 
 def run_pipeline(args) -> dict:
-    """Synthesize (or reuse) a dataset, run all stages, return the report."""
+    """Synthesize (or reuse) a dataset, run all stages, return the report.
+
+    A dataset already in the workdir is reused only if it was generated
+    from the same synth config; an explicit --data-dir is taken as given.
+    """
     workdir = args.workdir
     os.makedirs(workdir, exist_ok=True)
-    threads = _threads(args)
     cfg = _synth_config(args)
-
-    if args.data_dir:
-        data_dir = args.data_dir
-        paths = dataset_paths(data_dir, cfg.n_styles)
-    else:
-        data_dir = os.path.join(workdir, "data")
-        paths = dataset_paths(data_dir, cfg.n_styles)
-        if not os.path.exists(paths["truth"]):
+    data_dir = args.data_dir or os.path.join(workdir, "data")
+    paths = dataset_paths(data_dir, cfg.n_styles)
+    if not args.data_dir:
+        if os.path.exists(paths["truth"]):
+            synthgen.check_latent_header(paths["latent"], cfg)
+        else:
             synthgen.write_dataset(synthgen.generate(cfg), data_dir)
             log.info("stage=pipeline synthesized=%s", os.path.basename(data_dir))
 
@@ -355,104 +390,53 @@ def run_pipeline(args) -> dict:
     queries = [load_embeddings(p) for p in paths["queries"]]
     test_captions = [load_embeddings(p) for p in paths["test_captions"]]
 
-    zero_shot = [
-        evaluator.report(evaluator.rank_queries(tc, test_clips, truth, threads=threads))
-        for tc in test_captions
-    ]
+    def evaluate(model=None) -> dict:
+        return _mean_section([eval_stage(args, tc, test_clips, truth, model)
+                              for tc in test_captions])
 
+    zero_shot = evaluate()
     gen_sets, styled_sets, pseudo_counts = [], [], []
-    for s in range(cfg.n_styles):
+    for s, style_queries in enumerate(queries):
         tag = f"style{s}"
-        pseudo = matcher.match_exclusive(
-            queries[s], pool, order=args.order,
-            shortlist_k=args.shortlist_k, threads=threads,
-        )
-        pseudo.query_set = f"queries_{tag}"
-        pseudo.clip_set = "pool"
-        matcher.write_pseudo_pairs(pseudo, os.path.join(workdir, f"pseudo_pairs_{tag}.jsonl"))
+        pseudo = match_stage(args, style_queries, pool,
+                             os.path.join(workdir, f"pseudo_pairs_{tag}.jsonl"),
+                             f"queries_{tag}", "pool")
+        styled = stylize_stage(args, style_queries, pool, pseudo,
+                               os.path.join(workdir, f"style_{tag}.iemb"),
+                               os.path.join(workdir, f"styled_{tag}.iemb"), tag)
+        gen_sets.append(filter_stage(args, styled, pool,
+                                     os.path.join(workdir, f"generated_pairs_{tag}.jsonl"), tag))
+        styled_sets.append(styled)
         pseudo_counts.append(len(pseudo))
 
-        style = styler.fit_style(
-            pseudo, queries[s], pool,
-            ridge_lambda=args.ridge_lambda, noise_sigma=args.noise_sigma,
-            style_tag=tag,
-        )
-        styler.save_style(style, os.path.join(workdir, f"style_{tag}.iemb"))
-        styled = styler.generate_styled(pool, style, seed=args.seed, threads=threads)
-        save_embeddings(styled, os.path.join(workdir, f"styled_{tag}.iemb"))
+    modes = [trainer.MODE_IN_STYLE] + ([trainer.MODE_MIXED] if cfg.n_styles > 1 else [])
+    trained = train_stage(args, pool, gen_sets, styled_sets, [
+        (mode, os.path.join(workdir, f"adapter_{mode}.iemb"),
+         os.path.join(workdir, f"loss_{mode}.csv")) for mode in modes])
 
-        gen = styler.filter_pairs(styled, pool, args.threshold)
-        gen.style_tag = tag
-        if len(gen) == 0:
-            log.warning("stage=pipeline warning=empty_generated_pair_set style=%s", tag)
-        styler.write_generated_pairs(gen, os.path.join(workdir, f"generated_pairs_{tag}.jsonl"))
-        gen_sets.append(gen)
-        styled_sets.append(styled)
-
-    texts, videos = trainer.build_training_arrays(gen_sets, styled_sets, pool)
-    train_config = trainer.TrainConfig(
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        queue_capacity=args.queue_capacity,
-    )
-
-    def run_mode(mode: str) -> dict:
-        model = trainer.init_adapter(dim=pool.dim, tau=args.tau)
-        model, rows = trainer.train_epochs(
-            model, gen_sets, texts, videos,
-            mode=mode, epochs=args.epochs,
-            batch_size=args.batch_size, config=train_config, seed=args.seed,
-        )
-        trainer.save_adapter(model, os.path.join(workdir, f"adapter_{mode}.iemb"))
-        trainer.write_loss_log(rows, os.path.join(workdir, f"loss_{mode}.csv"))
-        reports = [
-            evaluator.report(
-                evaluator.rank_queries(tc, test_clips, truth, model=model, threads=threads))
-            for tc in test_captions
-        ]
-        section = _mean_section(reports)
-        section["steps"] = len(rows)
-        section["final_loss"] = rows[-1].loss if rows else None
-        return section
-
+    config = {**asdict(cfg), "match_order": args.order}
+    config.update({key: getattr(args, key) for key in (
+        "threshold", "tau", "batch_size", "learning_rate", "momentum", "epochs",
+        "queue_capacity")})
     report = {
-        "config": {
-            "n_styles": cfg.n_styles,
-            "queries_per_style": cfg.queries_per_style,
-            "pool_size": cfg.pool_size,
-            "dim": cfg.dim,
-            "content_dim": cfg.content_dim,
-            "style_strength": cfg.style_strength,
-            "cross_modal_noise": cfg.cross_modal_noise,
-            "held_out_fraction": cfg.held_out_fraction,
-            "seed": args.seed,
-            "threshold": args.threshold,
-            "tau": args.tau,
-            "batch_size": args.batch_size,
-            "learning_rate": args.learning_rate,
-            "momentum": args.momentum,
-            "epochs": args.epochs,
-            "queue_capacity": args.queue_capacity,
-            "match_order": args.order,
-        },
+        "config": config,
         "pair_counts": {
             "pseudo": pseudo_counts,
             "generated": [len(g) for g in gen_sets],
         },
-        "zero_shot": _mean_section(zero_shot),
-        "in_style": run_mode(trainer.MODE_IN_STYLE),
+        "zero_shot": zero_shot,
     }
-    if cfg.n_styles > 1:
-        report["mixed"] = run_mode(trainer.MODE_MIXED)
+    for mode, (model, rows) in zip(modes, trained):
+        section = evaluate(model)
+        section["steps"] = len(rows)
+        section["final_loss"] = rows[-1].loss if rows else None
+        report[mode] = section
     return report
 
 
 def cmd_pipeline(args) -> int:
     report = run_pipeline(args)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    with open(os.path.join(args.workdir, "report.json"), "w", encoding="utf-8") as f:
-        f.write(text + "\n")
-    print(text)
+    _emit_json(report, os.path.join(args.workdir, "report.json"))
     log.info("stage=pipeline zero_shot_r1=%.2f in_style_r1=%.2f",
              report["zero_shot"]["mean_r1"], report["in_style"]["mean_r1"])
     return 0

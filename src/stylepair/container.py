@@ -1,11 +1,16 @@
-"""Low-level readers/writers for the IEMB binary container.
+"""Low-level readers/writers for the IEMB binary container and typed JSONL.
 
 All integers and floats are little-endian. A container starts with the
 4-byte magic "IEMB" and a u32 format version. What follows is either the
 embedding payload (count/dim/flags/ids/data) or a tagged sub-chunk
 ("STYL", "ADPT") for model parameters.
+
+Pair, truth and latent files are JSON Lines: a header object whose "kind"
+names the file type, then one object per record.
 """
 
+import json
+import os
 import struct
 from typing import BinaryIO
 
@@ -89,3 +94,29 @@ def write_string(f: BinaryIO, text: str) -> None:
 def read_string(f: BinaryIO, what: str) -> str:
     length = read_u32(f, f"{what} length")
     return read_exact(f, length, what).decode("utf-8")
+
+
+def write_records(path: str | os.PathLike, header: dict, records) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(header) + "\n")
+        for record in records:
+            f.write(json.dumps(record) + "\n")
+
+
+def _typed_header(f, path, kind: str) -> dict:
+    header = json.loads(f.readline() or "null")
+    if not isinstance(header, dict) or header.get("kind") != kind:
+        raise ValueError(f"{path} is not a {kind} file")
+    return header
+
+
+def read_record_header(path: str | os.PathLike, kind: str) -> dict:
+    """Header of a typed JSONL file; the records are not read."""
+    with open(path, "r", encoding="utf-8") as f:
+        return _typed_header(f, path, kind)
+
+
+def read_records(path: str | os.PathLike, kind: str) -> tuple[dict, list[dict]]:
+    with open(path, "r", encoding="utf-8") as f:
+        header = _typed_header(f, path, kind)
+        return header, [json.loads(line) for line in f if line.strip()]

@@ -1,4 +1,4 @@
-"""Embedding sets, the cosine-similarity primitive, and clip pooling.
+"""Embedding sets, the cosine-similarity primitive, and the row-block helper.
 
 An EmbeddingSet is an immutable id-keyed matrix of float32 row vectors.
 All similarity math takes float32 inputs and accumulates in float64, and
@@ -6,7 +6,6 @@ matrix products are always evaluated over the same fixed row partition so
 results are bit-identical for any worker count.
 """
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,11 +16,9 @@ from . import container
 from .errors import (
     DimMismatch,
     DuplicateId,
-    EmptyClip,
     MagicMismatch,
     NonFiniteValue,
     NotNormalized,
-    RangeOutOfBounds,
     ZeroVector,
     ZeroVectorRow,
 )
@@ -92,22 +89,6 @@ class EmbeddingSet:
         return pos
 
 
-@dataclass
-class ClipSpan:
-    """One fixed-length clip cut from a source video.
-
-    frame_row_start/frame_row_end is a half-open range into a frame-level
-    EmbeddingSet.
-    """
-
-    clip_id: int
-    source_video_id: int
-    start_s: float
-    end_s: float
-    frame_row_start: int
-    frame_row_end: int
-
-
 def normalize(emb: EmbeddingSet) -> EmbeddingSet:
     """Return a copy whose rows are rescaled to unit L2 norm."""
     data64 = emb.data.astype(np.float64)
@@ -132,31 +113,31 @@ def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-def _chunk_bounds(n_rows: int):
-    return [(lo, min(lo + _CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, _CHUNK_ROWS)]
+def for_row_blocks(n_rows: int, run, threads: int = 1) -> None:
+    """Call run(lo, hi) once per fixed block of _CHUNK_ROWS rows.
+
+    The partition never depends on `threads`, so a `run` that writes only
+    its own rows gives bit-identical results for any worker count.
+    """
+    bounds = [(lo, min(lo + _CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, _CHUNK_ROWS)]
+    if threads > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(lambda span: run(*span), bounds))
+    else:
+        for lo, hi in bounds:
+            run(lo, hi)
 
 
 def pairwise_dots(a: np.ndarray, b: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Row-by-row dot products a @ b.T in float64 over a fixed partition.
-
-    The partition of a's rows into blocks of _CHUNK_ROWS never depends on
-    `threads`, so the output is bit-identical for any worker count.
-    """
+    """Row-by-row dot products a @ b.T in float64 over a fixed row partition."""
     a64 = a.astype(np.float64)
     b64t = b.astype(np.float64).T
     out = np.empty((a64.shape[0], b.shape[0]), dtype=np.float64)
-    bounds = _chunk_bounds(a64.shape[0])
 
-    def run(span):
-        lo, hi = span
+    def run(lo, hi):
         out[lo:hi] = a64[lo:hi] @ b64t
 
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, bounds))
-    else:
-        for span in bounds:
-            run(span)
+    for_row_blocks(a64.shape[0], run, threads)
     return out
 
 
@@ -167,59 +148,6 @@ def sim_matrix(texts: EmbeddingSet, videos: EmbeddingSet, threads: int = 1) -> n
     if texts.dim != videos.dim:
         raise DimMismatch(f"dims differ: {texts.dim} vs {videos.dim}")
     return pairwise_dots(texts.data, videos.data, threads=threads)
-
-
-def pool_clips(frames: EmbeddingSet, table: list[ClipSpan]) -> EmbeddingSet:
-    """Mean-pool frame rows per clip, then renormalize.
-
-    Each clip embedding is the unit-normalized arithmetic mean of its
-    frame rows; output ids are the clip ids.
-    """
-    n_frames = frames.count
-    rows = np.empty((len(table), frames.dim), dtype=np.float64)
-    ids = np.empty(len(table), dtype=np.int64)
-    for i, clip in enumerate(table):
-        lo, hi = clip.frame_row_start, clip.frame_row_end
-        if hi <= lo:
-            raise EmptyClip(f"clip {clip.clip_id} has no frame rows")
-        if lo < 0 or hi > n_frames:
-            raise RangeOutOfBounds(
-                f"clip {clip.clip_id} frame range [{lo}, {hi}) outside 0..{n_frames}"
-            )
-        rows[i] = frames.data[lo:hi].astype(np.float64).mean(axis=0)
-        ids[i] = clip.clip_id
-    order = np.argsort(ids, kind="stable")
-    pooled = EmbeddingSet(ids=ids[order], data=rows[order].astype(np.float32))
-    return normalize(pooled)
-
-
-def validate_clip_table(
-    table: list[ClipSpan],
-    clip_len_s: float | None = None,
-    max_clips_per_video: int | None = None,
-) -> None:
-    """Check the structural clip-table invariants; raise ValueError on breach."""
-    by_video: dict[int, list[ClipSpan]] = {}
-    for clip in table:
-        by_video.setdefault(clip.source_video_id, []).append(clip)
-    for video_id, clips in by_video.items():
-        if max_clips_per_video is not None and len(clips) > max_clips_per_video:
-            raise ValueError(
-                f"video {video_id} has {len(clips)} clips, max {max_clips_per_video}"
-            )
-        prev_end = None
-        for i, clip in enumerate(clips):
-            if clip.end_s <= clip.start_s or clip.start_s < 0:
-                raise ValueError(f"clip {clip.clip_id} has an invalid time span")
-            if prev_end is not None and clip.start_s < prev_end:
-                raise ValueError(f"video {video_id} clips overlap or are unordered")
-            terminal = i == len(clips) - 1
-            if clip_len_s is not None and not terminal:
-                if abs((clip.end_s - clip.start_s) - clip_len_s) > 1e-9:
-                    raise ValueError(
-                        f"non-terminal clip {clip.clip_id} is not {clip_len_s}s long"
-                    )
-            prev_end = clip.end_s
 
 
 # ---- persistence ----
@@ -252,35 +180,3 @@ def load_embeddings(path: str | os.PathLike) -> EmbeddingSet:
     if extra:
         raise ValueError(f"{path}: trailing bytes after embedding payload")
     return EmbeddingSet(ids=ids, data=data, normalized=bool(flags & _FLAG_NORMALIZED))
-
-
-def write_clip_table(table: list[ClipSpan], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for clip in table:
-            f.write(json.dumps({
-                "clip_id": clip.clip_id,
-                "source_video_id": clip.source_video_id,
-                "start_s": clip.start_s,
-                "end_s": clip.end_s,
-                "frame_row_start": clip.frame_row_start,
-                "frame_row_end": clip.frame_row_end,
-            }) + "\n")
-
-
-def read_clip_table(path: str | os.PathLike) -> list[ClipSpan]:
-    table = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            table.append(ClipSpan(
-                clip_id=int(obj["clip_id"]),
-                source_video_id=int(obj["source_video_id"]),
-                start_s=float(obj["start_s"]),
-                end_s=float(obj["end_s"]),
-                frame_row_start=int(obj["frame_row_start"]),
-                frame_row_end=int(obj["frame_row_end"]),
-            ))
-    return table

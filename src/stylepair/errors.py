@@ -49,10 +49,6 @@ class NotNormalized(StylePairError):
     pass
 
 
-class EmptyClip(StylePairError):
-    pass
-
-
 class RangeOutOfBounds(StylePairError):
     pass
 

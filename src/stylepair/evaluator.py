@@ -1,6 +1,5 @@
 """Text-to-video retrieval metrics: recall at 1/5/10 and median rank."""
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -113,12 +112,6 @@ def report(ranks) -> RetrievalReport:
         query_count=int(n),
         per_query_ranks=[int(r) for r in ranks],
     )
-
-
-def write_report(rep: RetrievalReport, path: str | os.PathLike, include_ranks: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(rep.to_dict(include_ranks=include_ranks), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def write_ranks_csv(rep: RetrievalReport, path: str | os.PathLike) -> None:

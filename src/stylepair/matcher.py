@@ -6,12 +6,12 @@ order is pinned (ascending query id by default) so runs are reproducible,
 and ties always go to the smallest clip id.
 """
 
-import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .embedcore import EmbeddingSet, pairwise_dots
 from .errors import DimMismatch, DuplicateId, KTooLarge, NotNormalized, PoolExhausted
 
@@ -144,35 +144,18 @@ def match_topk_report(
 
 
 def write_pseudo_pairs(pairs: PseudoPairSet, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({
-            "kind": "pseudo_pairs",
-            "query_set": pairs.query_set,
-            "clip_set": pairs.clip_set,
-            "policy": pairs.policy,
-        }) + "\n")
-        for q, c, s in pairs.pairs():
-            f.write(json.dumps({"query_id": q, "clip_id": c, "sim": s}) + "\n")
+    header = {"kind": "pseudo_pairs", "query_set": pairs.query_set,
+              "clip_set": pairs.clip_set, "policy": pairs.policy}
+    container.write_records(path, header, (
+        {"query_id": q, "clip_id": c, "sim": s} for q, c, s in pairs.pairs()))
 
 
 def read_pseudo_pairs(path: str | os.PathLike) -> PseudoPairSet:
-    with open(path, "r", encoding="utf-8") as f:
-        header = json.loads(f.readline())
-        if header.get("kind") != "pseudo_pairs":
-            raise ValueError(f"{path} is not a pseudo-pair file")
-        qs, cs, ss = [], [], []
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            qs.append(obj["query_id"])
-            cs.append(obj["clip_id"])
-            ss.append(obj["sim"])
+    header, records = container.read_records(path, "pseudo_pairs")
     return PseudoPairSet(
-        query_ids=np.array(qs, dtype=np.int64),
-        clip_ids=np.array(cs, dtype=np.int64),
-        sims=np.array(ss, dtype=np.float64),
+        query_ids=np.array([r["query_id"] for r in records], dtype=np.int64),
+        clip_ids=np.array([r["clip_id"] for r in records], dtype=np.int64),
+        sims=np.array([r["sim"] for r in records], dtype=np.float64),
         query_set=header.get("query_set", ""),
         clip_set=header.get("clip_set", ""),
         policy=header.get("policy", ORDER_QUERY_ID),

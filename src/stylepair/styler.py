@@ -7,16 +7,14 @@ filter_pairs keeps only rows whose styled caption stays similar enough to
 its own clip in the fixed judge space.
 """
 
-import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, _chunk_bounds
+from .embedcore import EmbeddingSet, for_row_blocks
 from .errors import CountMismatch, DimMismatch, NotNormalized, SingularSystem
 from .matcher import PseudoPairSet
 
@@ -165,11 +163,9 @@ def generate_styled(
         raise DimMismatch(f"style expects dim {style.dim_in}, clips have {clips.dim}")
     data64 = clips.data.astype(np.float64)
     out = np.empty((clips.count, style.dim_out), dtype=np.float64)
-    bounds = _chunk_bounds(clips.count)
     wt = style.weight.T
 
-    def run(span):
-        lo, hi = span
+    def run(lo, hi):
         block = data64[lo:hi] @ wt + style.bias
         if style.noise_sigma > 0.0:
             for i in range(lo, hi):
@@ -179,12 +175,7 @@ def generate_styled(
                 block[i - lo] += rng.normal(0.0, style.noise_sigma, style.dim_out)
         out[lo:hi] = block
 
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, bounds))
-    else:
-        for span in bounds:
-            run(span)
+    for_row_blocks(clips.count, run, threads)
 
     norms = np.linalg.norm(out, axis=1)
     if (norms == 0.0).any():
@@ -278,35 +269,18 @@ def load_style(path: str | os.PathLike) -> StyleTransform:
 
 
 def write_generated_pairs(pairs: GeneratedPairSet, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({
-            "kind": "generated_pairs",
-            "threshold": pairs.threshold,
-            "style_tag": pairs.style_tag,
-            "total_candidates": pairs.total_candidates,
-        }) + "\n")
-        for c, r, s in pairs.pairs():
-            f.write(json.dumps({"clip_id": c, "row": r, "sim": s}) + "\n")
+    header = {"kind": "generated_pairs", "threshold": pairs.threshold,
+              "style_tag": pairs.style_tag, "total_candidates": pairs.total_candidates}
+    container.write_records(path, header, (
+        {"clip_id": c, "row": r, "sim": s} for c, r, s in pairs.pairs()))
 
 
 def read_generated_pairs(path: str | os.PathLike) -> GeneratedPairSet:
-    with open(path, "r", encoding="utf-8") as f:
-        header = json.loads(f.readline())
-        if header.get("kind") != "generated_pairs":
-            raise ValueError(f"{path} is not a generated-pair file")
-        cs, rs, ss = [], [], []
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            cs.append(obj["clip_id"])
-            rs.append(obj["row"])
-            ss.append(obj["sim"])
+    header, records = container.read_records(path, "generated_pairs")
     return GeneratedPairSet(
-        clip_ids=np.array(cs, dtype=np.int64),
-        rows=np.array(rs, dtype=np.int64),
-        sims=np.array(ss, dtype=np.float64),
+        clip_ids=np.array([r["clip_id"] for r in records], dtype=np.int64),
+        rows=np.array([r["row"] for r in records], dtype=np.int64),
+        sims=np.array([r["sim"] for r in records], dtype=np.float64),
         threshold=float(header["threshold"]),
         style_tag=header.get("style_tag", ""),
         total_candidates=int(header.get("total_candidates", 0)),

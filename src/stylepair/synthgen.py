@@ -9,12 +9,12 @@ while the uncurated pool draws from all clusters, giving the pool a
 broader distribution that still overlaps every style.
 """
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import container
 from .embedcore import EmbeddingSet, normalize, save_embeddings
 from .errors import ConfigInvalid
 
@@ -221,31 +221,26 @@ def write_dataset(ds: SynthDataset, out_dir: str | os.PathLike) -> dict:
         save_embeddings(ds.test_captions[s], paths["test_captions"][s])
     save_embeddings(ds.pool_clips, paths["pool"])
     save_embeddings(ds.test_clips, paths["test_clips"])
-    with open(paths["truth"], "w", encoding="utf-8") as f:
-        f.write(json.dumps({"kind": "retrieval_truth"}) + "\n")
-        for qid in sorted(ds.truth):
-            f.write(json.dumps({"query_id": qid, "candidate_id": ds.truth[qid]}) + "\n")
-    with open(paths["latent"], "w", encoding="utf-8") as f:
-        header = {"kind": "latent_record"}
-        header.update({k: getattr(ds.config, k) for k in (
-            "n_styles", "queries_per_style", "pool_size", "dim", "content_dim",
-            "style_strength", "cross_modal_noise", "seed", "held_out_fraction")})
-        f.write(json.dumps(header) + "\n")
-        for row in ds.latent:
-            f.write(json.dumps(row) + "\n")
+    container.write_records(paths["truth"], {"kind": "retrieval_truth"}, (
+        {"query_id": qid, "candidate_id": ds.truth[qid]} for qid in sorted(ds.truth)))
+    container.write_records(paths["latent"], latent_header(ds.config), ds.latent)
     return paths
 
 
+def latent_header(cfg: SynthConfig) -> dict:
+    return {"kind": "latent_record", **asdict(cfg)}
+
+
+def check_latent_header(path: str | os.PathLike, cfg: SynthConfig) -> None:
+    """Raise ConfigInvalid unless the dataset at `path` was generated from `cfg`."""
+    want = latent_header(cfg)
+    got = container.read_record_header(path, "latent_record")
+    for key in [*want, *got]:
+        if got.get(key) != want.get(key):
+            raise ConfigInvalid(
+                f"{path} was generated with {key}={got.get(key)!r}, not {want.get(key)!r}")
+
+
 def read_truth(path: str | os.PathLike) -> dict[int, int]:
-    truth: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        header = json.loads(f.readline())
-        if header.get("kind") != "retrieval_truth":
-            raise ValueError(f"{path} is not a truth file")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            truth[int(obj["query_id"])] = int(obj["candidate_id"])
-    return truth
+    _, records = container.read_records(path, "retrieval_truth")
+    return {int(r["query_id"]): int(r["candidate_id"]) for r in records}

@@ -23,6 +23,7 @@ from .errors import (
     CountMismatch,
     EmptyStyleSet,
     NonFiniteLoss,
+    RangeOutOfBounds,
 )
 from .styler import GeneratedPairSet
 
@@ -437,11 +438,18 @@ def build_training_arrays(
     """Row-align styled captions and their clips for the plan's index space.
 
     Global pair index offsets follow the set order, matching plan_epoch.
+    Every pair's row must hold the styled caption of that pair's clip.
     """
     if len(gen_sets) != len(styled_sets):
         raise CountMismatch("one styled set per generated-pair set required")
     text_blocks, video_blocks = [], []
     for gen, styled in zip(gen_sets, styled_sets):
+        if len(gen) and (gen.rows.min() < 0 or gen.rows.max() >= styled.count):
+            raise RangeOutOfBounds(
+                f"style set {gen.style_tag!r}: a row lies outside 0..{styled.count - 1}")
+        if not np.array_equal(styled.ids[gen.rows], gen.clip_ids):
+            raise CountMismatch(
+                f"style set {gen.style_tag!r}: a row holds another clip than its pair names")
         text_blocks.append(styled.data[gen.rows].astype(np.float64))
         video_blocks.append(clips.data[clips.row_for_id(gen.clip_ids)].astype(np.float64))
     return np.concatenate(text_blocks, axis=0), np.concatenate(video_blocks, axis=0)

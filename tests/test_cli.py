@@ -7,7 +7,7 @@ import pytest
 
 from stylepair.cli import main
 from stylepair.embedcore import save_embeddings
-from stylepair.styler import read_generated_pairs
+from stylepair.styler import GeneratedPairSet, read_generated_pairs, write_generated_pairs
 
 from conftest import golden, make_set, random_unit_set
 
@@ -116,6 +116,52 @@ class TestStageCommands:
         assert rc == 0
         assert len(read_generated_pairs(tmp_path / "gen.jsonl")) == 0
 
+    @pytest.mark.parametrize("clip_id,row", [(5, 1_000_000), (6, 5)])
+    def test_train_rejects_bad_generated_rows(self, tmp_path, clip_id, row):
+        rng = np.random.default_rng(0)
+        save_embeddings(random_unit_set(rng, 24, 16), tmp_path / "styled.iemb")
+        save_embeddings(random_unit_set(rng, 24, 16), tmp_path / "pool.iemb")
+        gen = GeneratedPairSet(clip_ids=[3, clip_id], rows=[3, row], sims=[0.5, 0.5],
+                               threshold=0.0)
+        write_generated_pairs(gen, tmp_path / "gen.jsonl")
+        rc = main(["train", "--pool", str(tmp_path / "pool.iemb"),
+                   "--styled", str(tmp_path / "styled.iemb"),
+                   "--pairs", str(tmp_path / "gen.jsonl"),
+                   "--out", str(tmp_path / "adapter.iemb"), "--batch-size", "2"])
+        assert rc == 1
+        assert not (tmp_path / "adapter.iemb").exists()
+
+    def test_stage_chain_matches_pipeline(self, data_dir, tmp_path):
+        d, w = tmp_path / "chain", tmp_path / "w"
+        d.mkdir()
+        queries = str(data_dir / "queries_style0.iemb")
+        pool = str(data_dir / "pool.iemb")
+        flags = ["--seed", "5", "--batch-size", "16", "--epochs", "2"]
+        assert main(["match", "--queries", queries, "--pool", pool,
+                     "--out", str(d / "pseudo.jsonl")]) == 0
+        assert main(["stylize", "--queries", queries, "--pool", pool,
+                     "--pairs", str(d / "pseudo.jsonl"), "--style-out", str(d / "style.iemb"),
+                     "--styled-out", str(d / "styled.iemb"),
+                     "--tag", "style0", "--seed", "5"]) == 0
+        assert main(["filter", "--styled", str(d / "styled.iemb"), "--pool", pool,
+                     "--out", str(d / "gen.jsonl")]) == 0
+        assert main(["train", "--pool", pool, "--styled", str(d / "styled.iemb"),
+                     "--pairs", str(d / "gen.jsonl"), "--out", str(d / "adapter.iemb"),
+                     "--loss-log", str(d / "loss.csv"), "--mode", "in_style"] + flags) == 0
+        assert main(["pipeline", "--workdir", str(w), "--data-dir", str(data_dir),
+                     "--styles", "1"] + SMALL_SYNTH + flags) == 0
+        for mine, theirs in [("style.iemb", "style_style0.iemb"),
+                             ("styled.iemb", "styled_style0.iemb"),
+                             ("adapter.iemb", "adapter_in_style.iemb"),
+                             ("loss.csv", "loss_in_style.csv")]:
+            assert (d / mine).read_bytes() == (w / theirs).read_bytes(), mine
+        # the headers name their inputs differently; every record must agree
+        for mine, theirs in [("pseudo.jsonl", "pseudo_pairs_style0.jsonl"),
+                             ("gen.jsonl", "generated_pairs_style0.jsonl")]:
+            ours = (d / mine).read_text().splitlines()
+            pipe = (w / theirs).read_text().splitlines()
+            assert len(ours) > 1 and ours[1:] == pipe[1:], mine
+
     def test_bad_knobs_exit_2(self, tmp_path):
         args = ["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "1"]
         assert main(args + ["--threshold", "1.5"]) == 2
@@ -215,6 +261,17 @@ class TestPipelineCommand:
             "generated_counts": rep["pair_counts"]["generated"],
             "in_style_final_loss": rep["in_style"]["final_loss"],
         })
+
+    def test_workdir_data_from_another_config_rejected(self, tmp_path, caplog):
+        args = ["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "1",
+                "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN
+        assert main(args + ["--seed", "7"]) == 0
+        before = tree_hashes(tmp_path / "w" / "data")
+        caplog.clear()
+        assert main(args + ["--seed", "8"]) == 2
+        assert "seed" in caplog.text
+        assert main(args + ["--seed", "7"]) == 0   # same config still reuses the data
+        assert tree_hashes(tmp_path / "w" / "data") == before
 
     def test_reuses_existing_data_dir(self, tmp_path, capsys):
         data = tmp_path / "data"

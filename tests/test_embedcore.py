@@ -5,26 +5,20 @@ import pytest
 
 from stylepair import embedcore
 from stylepair.embedcore import (
-    ClipSpan,
     EmbeddingSet,
     cosine_sim,
+    for_row_blocks,
     load_embeddings,
     normalize,
-    pool_clips,
-    read_clip_table,
     save_embeddings,
     sim_matrix,
-    validate_clip_table,
-    write_clip_table,
 )
 from stylepair.errors import (
     DimMismatch,
     DuplicateId,
-    EmptyClip,
     MagicMismatch,
     NonFiniteValue,
     NotNormalized,
-    RangeOutOfBounds,
     TruncatedFile,
     VersionUnsupported,
     ZeroVector,
@@ -161,85 +155,13 @@ class TestSimMatrix:
         assert np.array_equal(sim_matrix(a, b, threads=1), sim_matrix(a, b, threads=4))
 
 
-class TestPoolClips:
-    def test_symmetric_mean(self):
-        frames = make_set([[1.0, 0.0], [0.0, 1.0]], unit=False)
-        table = [ClipSpan(0, 0, 0.0, 8.0, 0, 2)]
-        pooled = pool_clips(frames, table)
-        r = 1.0 / np.sqrt(2.0)
-        assert pooled.data[0] == pytest.approx([r, r], abs=1e-7)
-
-    def test_single_frame_clip(self):
-        frames = make_set([[3.0, 4.0]], unit=False)
-        pooled = pool_clips(frames, [ClipSpan(5, 1, 0.0, 8.0, 0, 1)])
-        assert pooled.ids[0] == 5
-        assert pooled.data[0] == pytest.approx([0.6, 0.8], abs=1e-7)
-
-    def test_matches_mean_then_normalize_oracle(self):
-        rng = np.random.default_rng(5)
-        frames = make_set(rng.normal(size=(9, 6)), unit=False)
-        table = [ClipSpan(i, 0, 8.0 * i, 8.0 * (i + 1), 3 * i, 3 * (i + 1))
-                 for i in range(3)]
-        pooled = pool_clips(frames, table)
-        for i in range(3):
-            mean = frames.data[3 * i:3 * i + 3].astype(np.float64).mean(axis=0)
-            expect = mean / np.linalg.norm(mean)
-            assert pooled.data[i] == pytest.approx(expect, abs=1e-6)
-
-    def test_frame_permutation_within_clip(self):
-        rng = np.random.default_rng(6)
-        raw = rng.normal(size=(4, 5)).astype(np.float32)
-        frames = make_set(raw, unit=False)
-        shuffled = make_set(raw[[2, 0, 3, 1]], unit=False)
-        table = [ClipSpan(0, 0, 0.0, 8.0, 0, 4)]
-        a = pool_clips(frames, table)
-        b = pool_clips(shuffled, table)
-        assert np.allclose(a.data, b.data, atol=1e-6)
-
-    def test_empty_clip(self):
-        frames = make_set([[1.0, 0.0]], unit=False)
-        with pytest.raises(EmptyClip):
-            pool_clips(frames, [ClipSpan(0, 0, 0.0, 8.0, 1, 1)])
-
-    def test_range_out_of_bounds(self):
-        frames = make_set([[1.0, 0.0]], unit=False)
-        with pytest.raises(RangeOutOfBounds):
-            pool_clips(frames, [ClipSpan(0, 0, 0.0, 8.0, 0, 2)])
-
-
-class TestClipTable:
-    def test_jsonl_round_trip(self, tmp_path):
-        table = [
-            ClipSpan(0, 10, 0.0, 8.0, 0, 8),
-            ClipSpan(1, 10, 8.0, 16.0, 8, 16),
-            ClipSpan(2, 11, 0.0, 5.5, 16, 22),
-        ]
-        path = tmp_path / "clips.jsonl"
-        write_clip_table(table, path)
-        assert read_clip_table(path) == table
-
-    def test_validate_accepts_conforming_table(self):
-        table = [
-            ClipSpan(0, 10, 0.0, 8.0, 0, 8),
-            ClipSpan(1, 10, 8.0, 16.0, 8, 16),
-            ClipSpan(2, 10, 16.0, 19.0, 16, 19),  # terminal clip may be short
-        ]
-        validate_clip_table(table, clip_len_s=8.0, max_clips_per_video=15)
-
-    def test_validate_rejects_overlap(self):
-        table = [ClipSpan(0, 10, 0.0, 8.0, 0, 8), ClipSpan(1, 10, 4.0, 12.0, 8, 16)]
-        with pytest.raises(ValueError, match="overlap"):
-            validate_clip_table(table)
-
-    def test_validate_rejects_wrong_length(self):
-        table = [ClipSpan(0, 10, 0.0, 5.0, 0, 8), ClipSpan(1, 10, 5.0, 13.0, 8, 16)]
-        with pytest.raises(ValueError, match="8"):
-            validate_clip_table(table, clip_len_s=8.0)
-
-    def test_validate_rejects_too_many_clips(self):
-        table = [ClipSpan(i, 10, 8.0 * i, 8.0 * (i + 1), i, i + 1) for i in range(4)]
-        with pytest.raises(ValueError, match="max"):
-            validate_clip_table(table, max_clips_per_video=3)
+class TestForRowBlocks:
+    @pytest.mark.parametrize("n_rows", [0, 1, 512, 513, 1100])
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_fixed_blocks_cover_every_row_once(self, n_rows, threads):
+        seen = []
+        for_row_blocks(n_rows, lambda lo, hi: seen.append((lo, hi)), threads)
+        assert sorted(seen) == [(lo, min(lo + 512, n_rows)) for lo in range(0, n_rows, 512)]
 
 
 class TestPersistence:

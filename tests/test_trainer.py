@@ -8,6 +8,7 @@ from stylepair.errors import (
     CountMismatch,
     EmptyStyleSet,
     NonFiniteLoss,
+    RangeOutOfBounds,
 )
 from stylepair.styler import GeneratedPairSet
 from stylepair.trainer import (
@@ -373,6 +374,25 @@ class TestBuildTrainingArrays:
         texts, videos = build_training_arrays([gen], [styled], clips)
         assert np.array_equal(texts, styled.data[[3, 1, 8]].astype(np.float64))
         assert np.array_equal(videos, clips.data[[3, 1, 8]].astype(np.float64))
+
+    @pytest.mark.parametrize("bad_row", [10, 1_000_000, -1])
+    def test_row_outside_styled_set_rejected(self, bad_row):
+        rng = np.random.default_rng(15)
+        clips = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
+        styled = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
+        gen = GeneratedPairSet(clip_ids=[103, 109], rows=[3, bad_row],
+                               sims=[0.9, 0.8], threshold=0.0, style_tag="a")
+        with pytest.raises(RangeOutOfBounds):
+            build_training_arrays([gen], [styled], clips)
+
+    def test_row_naming_another_clip_rejected(self):
+        rng = np.random.default_rng(15)
+        clips = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
+        styled = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
+        gen = GeneratedPairSet(clip_ids=[103, 102], rows=[3, 1],
+                               sims=[0.9, 0.8], threshold=0.0, style_tag="a")
+        with pytest.raises(CountMismatch):
+            build_training_arrays([gen], [styled], clips)
 
 
 class TestAdapterPersistence:
