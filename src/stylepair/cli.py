@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import evaluator, matcher, styler, synthgen, trainer
+from . import container, evaluator, matcher, styler, synthgen, trainer
 from .embedcore import EmbeddingSet, load_embeddings, save_embeddings
 from .errors import ConfigInvalid, StylePairError
 from .synthgen import SynthConfig, dataset_paths
@@ -52,7 +52,6 @@ def _add_synth_options(parser: argparse.ArgumentParser) -> None:
 def _add_match_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", choices=[matcher.ORDER_QUERY_ID, matcher.ORDER_GLOBAL_GREEDY],
                         default=matcher.ORDER_QUERY_ID)
-    parser.add_argument("--shortlist-k", type=int, default=matcher.DEFAULT_SHORTLIST_K)
 
 
 def _add_stylize_options(parser: argparse.ArgumentParser) -> None:
@@ -199,7 +198,7 @@ def _emit_json(payload: dict, path: str | None) -> None:
     """Print `payload` as sorted, indented JSON, and also write it to `path` if given."""
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
-        with open(path, "w", encoding="utf-8") as f:
+        with container.atomic_write(path, "w", encoding="utf-8") as f:
             f.write(text + "\n")
     print(text)
 
@@ -208,10 +207,7 @@ def _emit_json(payload: dict, path: str | None) -> None:
 
 
 def match_stage(args, queries, pool, out, query_set, clip_set) -> matcher.PseudoPairSet:
-    pairs = matcher.match_exclusive(
-        queries, pool, order=args.order,
-        shortlist_k=args.shortlist_k, threads=_threads(args),
-    )
+    pairs = matcher.match_exclusive(queries, pool, order=args.order, threads=_threads(args))
     pairs.query_set = query_set
     pairs.clip_set = clip_set
     matcher.write_pseudo_pairs(pairs, out)

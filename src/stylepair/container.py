@@ -7,8 +7,12 @@ embedding payload (count/dim/flags/ids/data) or a tagged sub-chunk
 
 Pair, truth and latent files are JSON Lines: a header object whose "kind"
 names the file type, then one object per record.
+
+Every writer goes through `atomic_write`, so a failed or interrupted write
+leaves the previous file (or no file), never a half-written one.
 """
 
+import contextlib
 import json
 import os
 import struct
@@ -24,7 +28,27 @@ STYLE_CHUNK = b"STYL"
 ADAPTER_CHUNK = b"ADPT"
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | os.PathLike, mode: str = "wb", **kwargs):
+    """Open a temp file beside `path`; it replaces `path` only if the block succeeds."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+    # a corrupt size field must not allocate more than the file can hold
+    pos = f.tell()
+    left = f.seek(0, os.SEEK_END) - pos
+    f.seek(pos)
+    if n > left:
+        raise TruncatedFile(f"expected {n} bytes for {what}, only {left} left in the file")
     buf = f.read(n)
     if len(buf) != n:
         raise TruncatedFile(f"expected {n} bytes for {what}, got {len(buf)}")
@@ -97,7 +121,7 @@ def read_string(f: BinaryIO, what: str) -> str:
 
 
 def write_records(path: str | os.PathLike, header: dict, records) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header) + "\n")
         for record in records:
             f.write(json.dumps(record) + "\n")

@@ -128,16 +128,26 @@ def for_row_blocks(n_rows: int, run, threads: int = 1) -> None:
             run(lo, hi)
 
 
-def pairwise_dots(a: np.ndarray, b: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Row-by-row dot products a @ b.T in float64 over a fixed row partition."""
+def for_dot_blocks(a: np.ndarray, b: np.ndarray, run, threads: int = 1) -> None:
+    """Call run(lo, hi, a[lo:hi] @ b.T) in float64 once per fixed row block.
+
+    Blocks follow for_row_blocks, so their bits never depend on `threads`.
+    With threads=1 they arrive in ascending order on the calling thread and
+    only one is alive at a time.
+    """
     a64 = a.astype(np.float64)
     b64t = b.astype(np.float64).T
-    out = np.empty((a64.shape[0], b.shape[0]), dtype=np.float64)
+    for_row_blocks(a64.shape[0], lambda lo, hi: run(lo, hi, a64[lo:hi] @ b64t), threads)
 
-    def run(lo, hi):
-        out[lo:hi] = a64[lo:hi] @ b64t
 
-    for_row_blocks(a64.shape[0], run, threads)
+def pairwise_dots(a: np.ndarray, b: np.ndarray, threads: int = 1) -> np.ndarray:
+    """Row-by-row dot products a @ b.T in float64 over a fixed row partition."""
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+
+    def run(lo, hi, block):
+        out[lo:hi] = block
+
+    for_dot_blocks(a, b, run, threads)
     return out
 
 
@@ -156,7 +166,7 @@ def sim_matrix(texts: EmbeddingSet, videos: EmbeddingSet, threads: int = 1) -> n
 def save_embeddings(emb: EmbeddingSet, path: str | os.PathLike) -> None:
     """Write the binary embedding layout; load_embeddings round-trips it byte-exactly."""
     flags = _FLAG_NORMALIZED if emb.normalized else 0
-    with open(path, "wb") as f:
+    with container.atomic_write(path) as f:
         container.write_header(f)
         container.write_u64(f, emb.count)
         container.write_u32(f, emb.dim)

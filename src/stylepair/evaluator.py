@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .embedcore import EmbeddingSet, pairwise_dots
 from .errors import DimMismatch, EmptyRanks, MissingTruth, NotNormalized, UnknownCandidate
 from .trainer import AdapterModel
@@ -115,7 +116,7 @@ def report(ranks) -> RetrievalReport:
 
 
 def write_ranks_csv(rep: RetrievalReport, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with container.atomic_write(path, "w", encoding="utf-8") as f:
         f.write("query_index,rank\n")
         for i, r in enumerate(rep.per_query_ranks):
             f.write(f"{i},{r}\n")

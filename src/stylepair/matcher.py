@@ -12,12 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, pairwise_dots
+from .embedcore import EmbeddingSet, for_dot_blocks, pairwise_dots
 from .errors import DimMismatch, DuplicateId, KTooLarge, NotNormalized, PoolExhausted
 
 ORDER_QUERY_ID = "query_id"
 ORDER_GLOBAL_GREEDY = "global_greedy"
-DEFAULT_SHORTLIST_K = 32
 
 
 @dataclass
@@ -57,25 +56,23 @@ def _check_inputs(queries: EmbeddingSet, clips: EmbeddingSet) -> None:
         raise NotNormalized("matching requires normalized query and clip sets")
 
 
-def _row_topk(row: np.ndarray, k: int) -> np.ndarray:
-    # stable sort on -sim keeps equal sims in ascending index (= clip id) order
-    return np.argsort(-row, kind="stable")[:k]
-
-
 def match_exclusive(
     queries: EmbeddingSet,
     clips: EmbeddingSet,
     order: str = ORDER_QUERY_ID,
-    shortlist_k: int = DEFAULT_SHORTLIST_K,
     threads: int = 1,
 ) -> PseudoPairSet:
     """Assign every query its best still-unclaimed clip.
 
-    Under the default id-order policy, each query walks its top-k
-    similarity shortlist and falls back to a full rescan once exclusions
-    have consumed the shortlist; the result is identical to re-running a
-    masked argmax over the full matrix. The global-greedy policy instead
-    repeatedly takes the single best remaining (query, clip) cell.
+    Under the default id-order policy, similarities are streamed one fixed
+    512-row query block at a time, in ascending order, and each query takes
+    the argmax of its row with the claimed clips masked to -inf (the first
+    maximum, so ties go to the smallest clip id). That is the masked-argmax
+    oracle itself, at O(n_clips) per query, with one block alive instead of
+    the full matrix. Each claim depends on every earlier one, so this walk
+    is sequential whatever `threads` is. The global-greedy policy instead
+    repeatedly takes the single best remaining (query, clip) cell of the
+    full matrix, computed with `threads` workers.
     """
     _check_inputs(queries, clips)
     n_q, n_c = queries.count, clips.count
@@ -84,36 +81,30 @@ def match_exclusive(
     if order not in (ORDER_QUERY_ID, ORDER_GLOBAL_GREEDY):
         raise ValueError(f"unknown order policy {order!r}")
 
-    sims = pairwise_dots(queries.data, clips.data, threads=threads)
-    taken = np.zeros(n_c, dtype=bool)
     chosen_col = np.empty(n_q, dtype=np.int64)
     chosen_sim = np.empty(n_q, dtype=np.float64)
 
     if order == ORDER_QUERY_ID:
-        k = max(1, min(shortlist_k, n_c))
-        for qi in range(n_q):
-            col = -1
-            for cand in _row_topk(sims[qi], k):
-                if not taken[cand]:
-                    col = int(cand)
-                    break
-            if col < 0:
-                # shortlist exhausted by exclusions: rescan the full row
-                free = np.flatnonzero(~taken)
-                col = int(free[np.argmax(sims[qi, free])])
-            taken[col] = True
-            chosen_col[qi] = col
-            chosen_sim[qi] = sims[qi, col]
+        taken = np.zeros(n_c, dtype=bool)
+
+        def claim(lo, hi, block):
+            for qi, row in enumerate(block, start=lo):
+                col = int(np.argmax(np.where(taken, -np.inf, row)))
+                taken[col] = True
+                chosen_col[qi] = col
+                chosen_sim[qi] = row[col]
+
+        for_dot_blocks(queries.data, clips.data, claim, threads=1)
     else:
         # ties resolve in flattened row-major order: lowest query id, then
         # lowest clip id
+        sims = pairwise_dots(queries.data, clips.data, threads=threads)
         masked = sims.copy()
         for _ in range(n_q):
             flat = np.argmax(masked)
             qi, col = np.unravel_index(flat, masked.shape)
             chosen_col[qi] = col
             chosen_sim[qi] = sims[qi, col]
-            taken[col] = True
             masked[qi, :] = -np.inf
             masked[:, col] = -np.inf
 
@@ -138,7 +129,8 @@ def match_topk_report(
     sims = pairwise_dots(queries.data, clips.data, threads=threads)
     out = []
     for qi in range(queries.count):
-        top = _row_topk(sims[qi], k)
+        # stable sort on -sim keeps equal sims in ascending index (= clip id) order
+        top = np.argsort(-sims[qi], kind="stable")[:k]
         out.append([(int(clips.ids[c]), float(sims[qi, c])) for c in top])
     return out
 

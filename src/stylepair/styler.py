@@ -236,7 +236,7 @@ def threshold_sweep(
 
 
 def save_style(style: StyleTransform, path: str | os.PathLike) -> None:
-    with open(path, "wb") as f:
+    with container.atomic_write(path) as f:
         container.write_header(f)
         f.write(container.STYLE_CHUNK)
         container.write_u32(f, style.dim_out)

@@ -486,7 +486,7 @@ def train_epochs(
 
 
 def write_loss_log(rows: list[StepRecord], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with container.atomic_write(path, "w", encoding="utf-8") as f:
         f.write("step,style_tag,loss\n")
         for row in rows:
             f.write(f"{row.step},{row.style_tag},{row.loss!r}\n")
@@ -497,7 +497,7 @@ def write_loss_log(rows: list[StepRecord], path: str | os.PathLike) -> None:
 
 def save_adapter(model: AdapterModel, path: str | os.PathLike) -> None:
     """Persist the adapter; head weights are stored as float32."""
-    with open(path, "wb") as f:
+    with container.atomic_write(path) as f:
         container.write_header(f)
         f.write(container.ADAPTER_CHUNK)
         container.write_u32(f, model.proj_dim)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -103,6 +104,18 @@ class TestStageCommands:
                    "--pool", str(tmp_path / "nope2.iemb"),
                    "--out", str(tmp_path / "pairs.jsonl")])
         assert rc == 2
+
+    def test_oversized_container_header_exits_1(self, tmp_path, caplog):
+        # a 24-byte file whose header claims 2**40 rows (8 TiB of ids)
+        huge = tmp_path / "huge.iemb"
+        huge.write_bytes(b"IEMB" + struct.pack("<IQII", 1, 2**40, 2, 0))
+        save_embeddings(make_set([[1.0, 0.0]]), tmp_path / "pool.iemb")
+        rc = main(["match", "--queries", str(huge), "--pool", str(tmp_path / "pool.iemb"),
+                   "--out", str(tmp_path / "pairs.jsonl")])
+        assert rc == 1
+        assert "error=TruncatedFile" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not (tmp_path / "pairs.jsonl").exists()
 
     def test_filter_keeping_nothing_still_succeeds(self, tmp_path):
         rng = np.random.default_rng(0)

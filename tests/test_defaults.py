@@ -1,6 +1,6 @@
 """Pin the default knobs the rest of the suite and the CLI rely on."""
 
-from stylepair import matcher, styler, trainer
+from stylepair import styler, trainer
 from stylepair.cli import build_parser
 from stylepair.synthgen import SynthConfig
 
@@ -11,7 +11,6 @@ def test_library_defaults():
     assert styler.DEFAULT_NOISE_SIGMA == 0.05
     assert trainer.DEFAULT_TAU == 0.05
     assert trainer.DEFAULT_QUEUE_CAPACITY == 1024
-    assert matcher.DEFAULT_SHORTLIST_K == 32
 
 
 def test_synth_defaults():
@@ -32,7 +31,6 @@ def test_cli_pipeline_defaults():
     assert args.tau == 0.05
     assert args.batch_size >= 2
     assert args.order == "query_id"
-    assert args.shortlist_k == 32
     assert args.seed == 7
 
 

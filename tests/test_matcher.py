@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,15 +75,35 @@ class TestMatchExclusive:
         assert np.array_equal(out.clip_ids, c.ids[cols])
         assert np.array_equal(out.sims, vals)
 
-    def test_shortlist_fallback_still_exact(self):
-        # tiny shortlist forces the rescan path on most queries
+    def test_exact_across_block_boundaries(self):
+        # over three 512-row query blocks; repeated queries and duplicated
+        # clip vectors put claims and ties on both sides of every boundary
         rng = np.random.default_rng(1)
-        q = random_unit_set(rng, 40, 4)
-        c = random_unit_set(rng, 45, 4)
-        out = match_exclusive(q, c, shortlist_k=1)
+        raw_q = rng.normal(size=(1600, 4))
+        raw_q[500:530] = raw_q[0]
+        raw_q[1020:1040] = raw_q[0]
+        raw_q[1530:1545] = raw_q[1022]
+        q = make_set(raw_q)
+        c = make_set(np.repeat(rng.normal(size=(1050, 4)), 2, axis=0))
         cols, vals = masked_argmax_reference(q, c)
+        out = match_exclusive(q, c)
         assert np.array_equal(out.clip_ids, c.ids[cols])
         assert np.array_equal(out.sims, vals)
+        wide = match_exclusive(q, c, threads=4)
+        assert np.array_equal(wide.clip_ids, out.clip_ids)
+        assert np.array_equal(wide.sims, out.sims)
+
+    def test_memory_stays_below_the_full_matrix(self):
+        rng = np.random.default_rng(12)
+        q = random_unit_set(rng, 1600, 8)
+        c = random_unit_set(rng, 20_000, 8)
+        tracemalloc.start()
+        try:
+            match_exclusive(q, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < q.count * c.count * 8 / 2
 
     def test_pool_exhausted(self):
         q = make_set([[1.0, 0.0], [0.0, 1.0]])
@@ -153,13 +175,12 @@ class TestMatchExclusive:
         extra=st.integers(0, 10),
         dim=st.integers(2, 6),
         seed=st.integers(0, 2**31 - 1),
-        k=st.integers(1, 8),
     )
-    def test_injectivity_property(self, n_q, extra, dim, seed, k):
+    def test_injectivity_property(self, n_q, extra, dim, seed):
         rng = np.random.default_rng(seed)
         q = random_unit_set(rng, n_q, dim)
         c = random_unit_set(rng, n_q + extra, dim)
-        out = match_exclusive(q, c, shortlist_k=k)
+        out = match_exclusive(q, c)
         assert len(np.unique(out.clip_ids)) == len(out.clip_ids)
         assert len(np.unique(out.query_ids)) == len(out.query_ids)
 
