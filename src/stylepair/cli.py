@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import container, evaluator, matcher, styler, synthgen, trainer
-from .embedcore import EmbeddingSet, load_embeddings, save_embeddings
+from .embedcore import EmbeddingSet, for_each, load_embeddings, save_embeddings
 from .errors import ConfigInvalid, StylePairError
 from .synthgen import SynthConfig, dataset_paths
 
@@ -163,8 +163,11 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
 
 def _threads(args) -> int:
+    """--threads, or for 0 the CPUs this process may run on."""
     if args.threads and args.threads > 0:
         return args.threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -241,28 +244,33 @@ def filter_stage(args, styled, pool, out, tag) -> styler.GeneratedPairSet:
 
 
 def train_stage(args, pool, gen_sets, styled_sets, runs):
-    """Train one fresh adapter per (mode, adapter path, loss-log path or None) in `runs`."""
+    """Train one fresh adapter per (mode, adapter path, loss-log path or None) in `runs`.
+
+    The runs share only read-only inputs, so they train concurrently; files
+    and log lines follow in `runs` order once every run has finished.
+    """
     texts, videos = trainer.build_training_arrays(gen_sets, styled_sets, pool)
     config = trainer.TrainConfig(
         learning_rate=args.learning_rate,
         momentum=args.momentum,
         queue_capacity=args.queue_capacity,
     )
-    results = []
-    for mode, out, loss_log in runs:
-        model = trainer.init_adapter(dim=pool.dim, tau=args.tau)
-        model, rows = trainer.train_epochs(
-            model, gen_sets, texts, videos,
+
+    def fit(mode):
+        return trainer.train_epochs(
+            trainer.init_adapter(dim=pool.dim, tau=args.tau), gen_sets, texts, videos,
             mode=mode, epochs=args.epochs,
             batch_size=args.batch_size, config=config, seed=args.seed,
         )
+
+    results = for_each([mode for mode, _, _ in runs], fit, _threads(args))
+    for (mode, out, loss_log), (model, rows) in zip(runs, results):
         trainer.save_adapter(model, out)
         if loss_log:
             trainer.write_loss_log(rows, loss_log)
         log.info("stage=train mode=%s steps=%d first_loss=%.6f last_loss=%.6f",
                  mode, len(rows), rows[0].loss if rows else float("nan"),
                  rows[-1].loss if rows else float("nan"))
-        results.append((model, rows))
     return results
 
 

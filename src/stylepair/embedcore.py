@@ -1,4 +1,4 @@
-"""Embedding sets, the cosine-similarity primitive, and the row-block helper.
+"""Embedding sets, the cosine-similarity primitive, and the worker helpers.
 
 An EmbeddingSet is an immutable id-keyed matrix of float32 row vectors.
 All similarity math takes float32 inputs and accumulates in float64, and
@@ -6,6 +6,9 @@ matrix products are always evaluated over the same fixed row partition so
 results are bit-identical for any worker count.
 """
 
+import ctypes
+import functools
+import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -113,6 +116,70 @@ def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
+@functools.cache
+def blas_thread_controls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    The library is already loaded by numpy, so this binds the same copy.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+_M_ARENA_MAX = -8      # glibc mallopt parameter
+
+
+def _share_malloc_arena() -> None:
+    """Make threads started from now on allocate from the main glibc arena.
+
+    By default glibc gives each new thread an arena of its own, which keeps
+    that worker's freed temporaries resident beside the free memory the
+    process already holds. Elsewhere this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_ARENA_MAX, 1)
+
+
+def for_each(items, run, threads: int = 1) -> list:
+    """Return [run(item) for item in items], computed on up to `threads` workers.
+
+    Results come back in item order, and the first error in item order
+    reaches the caller unchanged. While more than one worker runs, BLAS is
+    held to one thread, so workers and BLAS threads do not oversubscribe
+    the cores; where that cannot be done, everything runs on the calling
+    thread. Workers share the main malloc arena, so they do not add an
+    arena's worth of resident memory each.
+    """
+    items = list(items)
+    blas = blas_thread_controls()
+    workers = min(threads, len(items)) if blas else 1
+    if workers <= 1:
+        return [run(item) for item in items]
+    _share_malloc_arena()
+    get, set_ = blas
+    saved = get()
+    set_(1)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, items))
+    finally:
+        set_(saved)
+
+
 def for_row_blocks(n_rows: int, run, threads: int = 1) -> None:
     """Call run(lo, hi) once per fixed block of _CHUNK_ROWS rows.
 
@@ -120,12 +187,7 @@ def for_row_blocks(n_rows: int, run, threads: int = 1) -> None:
     its own rows gives bit-identical results for any worker count.
     """
     bounds = [(lo, min(lo + _CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, _CHUNK_ROWS)]
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: run(*span), bounds))
-    else:
-        for lo, hi in bounds:
-            run(lo, hi)
+    for_each(bounds, lambda span: run(*span), threads)
 
 
 def for_dot_blocks(a: np.ndarray, b: np.ndarray, run, threads: int = 1) -> None:

@@ -32,6 +32,7 @@ DEFAULT_QUEUE_CAPACITY = 1024
 MODE_IN_STYLE = "in_style"
 MODE_MIXED = "mixed"
 MIXED_TAG = "mixed"
+SIM_TOLERANCE = 1e-9   # recorded vs recomputed pair similarity in build_training_arrays
 
 
 @dataclass
@@ -438,7 +439,9 @@ def build_training_arrays(
     """Row-align styled captions and their clips for the plan's index space.
 
     Global pair index offsets follow the set order, matching plan_epoch.
-    Every pair's row must hold the styled caption of that pair's clip.
+    Every pair's row must hold the styled caption of that pair's clip, and
+    the pair's recorded similarity must be that caption's cosine with the
+    clip's row in `clips`, so a pool other than the filter's is rejected.
     """
     if len(gen_sets) != len(styled_sets):
         raise CountMismatch("one styled set per generated-pair set required")
@@ -450,8 +453,16 @@ def build_training_arrays(
         if not np.array_equal(styled.ids[gen.rows], gen.clip_ids):
             raise CountMismatch(
                 f"style set {gen.style_tag!r}: a row holds another clip than its pair names")
-        text_blocks.append(styled.data[gen.rows].astype(np.float64))
-        video_blocks.append(clips.data[clips.row_for_id(gen.clip_ids)].astype(np.float64))
+        text_rows = styled.data[gen.rows].astype(np.float64)
+        video_rows = clips.data[clips.row_for_id(gen.clip_ids)].astype(np.float64)
+        drift = np.abs(np.einsum("ij,ij->i", text_rows, video_rows) - gen.sims)
+        if len(gen) and drift.max() > SIM_TOLERANCE:
+            raise CountMismatch(
+                f"style set {gen.style_tag!r}: a pair's similarity differs from its "
+                f"recorded value by {drift.max():.3g}; the pool is not the one it was "
+                f"filtered against")
+        text_blocks.append(text_rows)
+        video_blocks.append(video_rows)
     return np.concatenate(text_blocks, axis=0), np.concatenate(video_blocks, axis=0)
 
 

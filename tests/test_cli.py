@@ -1,12 +1,14 @@
+import argparse
 import hashlib
 import json
+import os
 import pathlib
 import struct
 
 import numpy as np
 import pytest
 
-from stylepair.cli import main
+from stylepair.cli import _threads, main
 from stylepair.embedcore import save_embeddings
 from stylepair.styler import GeneratedPairSet, read_generated_pairs, write_generated_pairs
 
@@ -144,6 +146,29 @@ class TestStageCommands:
         assert rc == 1
         assert not (tmp_path / "adapter.iemb").exists()
 
+    def test_train_rejects_pool_with_same_ids_but_other_rows(self, data_dir, tmp_path, caplog):
+        other = tmp_path / "other"
+        assert main(["synth", "--out", str(other), "--seed", "9", "--styles", "1"]
+                    + SMALL_SYNTH) == 0
+        queries = str(data_dir / "queries_style0.iemb")
+        pool = str(data_dir / "pool.iemb")
+        d = tmp_path
+        assert main(["match", "--queries", queries, "--pool", pool,
+                     "--out", str(d / "pseudo.jsonl")]) == 0
+        assert main(["stylize", "--queries", queries, "--pool", pool,
+                     "--pairs", str(d / "pseudo.jsonl"), "--style-out", str(d / "style.iemb"),
+                     "--styled-out", str(d / "styled.iemb")]) == 0
+        assert main(["filter", "--styled", str(d / "styled.iemb"), "--pool", pool,
+                     "--out", str(d / "gen.jsonl")]) == 0
+        train = ["train", "--styled", str(d / "styled.iemb"), "--pairs", str(d / "gen.jsonl"),
+                 "--out", str(d / "adapter.iemb")] + SMALL_TRAIN
+        caplog.clear()
+        assert main(train + ["--pool", str(other / "pool.iemb")]) == 1
+        assert "error=CountMismatch" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not (d / "adapter.iemb").exists()
+        assert main(train + ["--pool", pool]) == 0
+
     def test_stage_chain_matches_pipeline(self, data_dir, tmp_path):
         d, w = tmp_path / "chain", tmp_path / "w"
         d.mkdir()
@@ -226,6 +251,15 @@ class TestStageCommands:
         assert counts == sorted(counts, reverse=True)
 
 
+def test_threads_zero_uses_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert _threads(argparse.Namespace(threads=0)) == 2
+    assert _threads(argparse.Namespace(threads=5)) == 5
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _threads(argparse.Namespace(threads=0)) == 64
+
+
 class TestConfigPrecedence:
     def test_config_file_sets_defaults_and_flags_win(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -274,6 +308,28 @@ class TestPipelineCommand:
             "generated_counts": rep["pair_counts"]["generated"],
             "in_style_final_loss": rep["in_style"]["final_loss"],
         })
+
+    def test_concurrent_training_writes_the_serial_bytes(self, tmp_path):
+        # three styles with queue negatives: criterion 9 covers neither
+        args = ["pipeline", "--styles", "3", "--seed", "7", "--epochs", "2",
+                "--queue-capacity", "64"] + SMALL_SYNTH + SMALL_TRAIN
+        assert main(args + ["--workdir", str(tmp_path / "t1"), "--threads", "1"]) == 0
+        assert main(args + ["--workdir", str(tmp_path / "t2"), "--threads", "2"]) == 0
+        serial, concurrent = tree_hashes(tmp_path / "t1"), tree_hashes(tmp_path / "t2")
+        assert {"adapter_in_style.iemb", "adapter_mixed.iemb",
+                "loss_in_style.csv", "loss_mixed.csv"} <= set(serial)
+        assert serial == concurrent
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverging_training_exits_1_and_writes_no_adapter(self, tmp_path, caplog):
+        w = tmp_path / "w"
+        rc = main(["pipeline", "--workdir", str(w), "--styles", "2", "--seed", "7",
+                   "--epochs", "1", "--threads", "2", "--learning-rate", "1e200"]
+                  + SMALL_SYNTH + SMALL_TRAIN)
+        assert rc == 1
+        assert "error=NonFiniteLoss" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not list(w.glob("adapter_*")) and not list(w.glob("loss_*"))
 
     def test_workdir_data_from_another_config_rejected(self, tmp_path, caplog):
         args = ["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "1",

@@ -1,4 +1,6 @@
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ import pytest
 from stylepair import embedcore
 from stylepair.embedcore import (
     EmbeddingSet,
+    blas_thread_controls,
     cosine_sim,
+    for_each,
     for_row_blocks,
     load_embeddings,
     normalize,
@@ -17,6 +21,7 @@ from stylepair.errors import (
     DimMismatch,
     DuplicateId,
     MagicMismatch,
+    NonFiniteLoss,
     NonFiniteValue,
     NotNormalized,
     TruncatedFile,
@@ -162,6 +167,47 @@ class TestForRowBlocks:
         seen = []
         for_row_blocks(n_rows, lambda lo, hi: seen.append((lo, hi)), threads)
         assert sorted(seen) == [(lo, min(lo + 512, n_rows)) for lo in range(0, n_rows, 512)]
+
+
+class TestForEach:
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_results_come_back_in_item_order(self, threads):
+        workers = set()
+
+        def run(i):
+            workers.add(threading.get_ident())
+            time.sleep(0.002 * (i % 3))   # later items often finish first
+            return i * i
+
+        assert for_each(range(20), run, threads) == [i * i for i in range(20)]
+        if blas_thread_controls() and threads > 1:
+            assert len(workers) > 1
+
+    def test_first_error_in_item_order_reaches_caller_unchanged(self):
+        errors = {3: NonFiniteLoss("item 3"), 5: NonFiniteLoss("item 5")}
+
+        def run(i):
+            if i in errors:
+                raise errors[i]
+            return i
+
+        with pytest.raises(NonFiniteLoss) as info:
+            for_each(range(8), run, 2)
+        assert info.value is errors[3]
+
+    @pytest.mark.skipif(blas_thread_controls() is None, reason="BLAS thread controls not found")
+    def test_blas_held_to_one_thread_and_restored(self):
+        get, set_ = blas_thread_controls()
+        saved = get()
+        set_(2)
+        try:
+            assert for_each(range(4), lambda i: get(), 2) == [1, 1, 1, 1]
+            assert get() == 2
+            with pytest.raises(ZeroDivisionError):
+                for_each(range(4), lambda i: 1 / (i - 2), 2)
+            assert get() == 2
+        finally:
+            set_(saved)
 
 
 class TestPersistence:

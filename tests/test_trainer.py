@@ -42,6 +42,12 @@ def gen_set(tag, size):
                             total_candidates=size)
 
 
+def filter_sims(styled, clips, rows):
+    """The similarities filter_pairs records for `rows` of an aligned styled set."""
+    return np.einsum("ij,ij->i", styled.data[rows].astype(np.float64),
+                     clips.data[rows].astype(np.float64))
+
+
 def random_model(rng, dim, proj):
     return AdapterModel(text_head=rng.normal(size=(proj, dim)),
                         video_head=rng.normal(size=(proj, dim)), tau=0.05)
@@ -370,10 +376,23 @@ class TestBuildTrainingArrays:
         clips = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
         styled = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
         gen = GeneratedPairSet(clip_ids=[103, 101, 108], rows=[3, 1, 8],
-                               sims=[0.9, 0.8, 0.7], threshold=0.0, style_tag="a")
+                               sims=filter_sims(styled, clips, [3, 1, 8]), threshold=-1.0,
+                               style_tag="a")
         texts, videos = build_training_arrays([gen], [styled], clips)
         assert np.array_equal(texts, styled.data[[3, 1, 8]].astype(np.float64))
         assert np.array_equal(videos, clips.data[[3, 1, 8]].astype(np.float64))
+
+    def test_pool_with_same_ids_but_other_rows_rejected(self):
+        rng = np.random.default_rng(15)
+        clips = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
+        styled = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
+        other = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
+        gen = GeneratedPairSet(clip_ids=[103, 101], rows=[3, 1],
+                               sims=filter_sims(styled, clips, [3, 1]), threshold=-1.0,
+                               style_tag="a")
+        build_training_arrays([gen], [styled], clips)
+        with pytest.raises(CountMismatch, match="similarity"):
+            build_training_arrays([gen], [styled], other)
 
     @pytest.mark.parametrize("bad_row", [10, 1_000_000, -1])
     def test_row_outside_styled_set_rejected(self, bad_row):
