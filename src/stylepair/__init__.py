@@ -18,7 +18,7 @@ from .embedcore import (
 )
 from .errors import StylePairError
 from .evaluator import RetrievalReport, rank_queries, report
-from .matcher import PseudoPairSet, match_exclusive, match_topk_report
+from .matcher import PseudoPairSet, match_exclusive
 from .styler import (
     GeneratedPairSet,
     StyleTransform,
@@ -63,7 +63,6 @@ __all__ = [
     "init_adapter",
     "load_embeddings",
     "match_exclusive",
-    "match_topk_report",
     "normalize",
     "plan_epoch",
     "rank_queries",

@@ -33,7 +33,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with defaults; explicit flags win")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker cap, 0 = available parallelism")
+                        help="adapters trained at once, 0 = available parallelism")
     parser.add_argument("--deterministic", action="store_true",
                         help="recorded in logs; outputs are reproducible regardless")
 
@@ -47,11 +47,6 @@ def _add_synth_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--style-strength", type=float, default=0.8)
     parser.add_argument("--cross-modal-noise", type=float, default=0.1)
     parser.add_argument("--held-out-fraction", type=float, default=0.25)
-
-
-def _add_match_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order", choices=[matcher.ORDER_QUERY_ID, matcher.ORDER_GLOBAL_GREEDY],
-                        default=matcher.ORDER_QUERY_ID)
 
 
 def _add_stylize_options(parser: argparse.ArgumentParser) -> None:
@@ -99,7 +94,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True, help="pseudo-pair JSONL path")
-    _add_match_options(p)
 
     p = add_parser("stylize", help="fit the style map and caption the whole pool")
     p.add_argument("--queries", required=True)
@@ -150,21 +144,52 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--workdir", required=True)
     p.add_argument("--data-dir", help="reuse an existing dataset directory")
     _add_filter_options(p)
-    _add_match_options(p)
     _add_stylize_options(p)
     _add_synth_options(p)
     _add_train_options(p)
 
     for target in created:
         _add_common(target)
-        if defaults:
-            target.set_defaults(**defaults)
+    if defaults:
+        _install_config(created, defaults)
     return parser
 
 
+def _install_config(parsers, values: dict) -> None:
+    """Make each --config value the default of its option on every subcommand that has it.
+
+    argparse never converts defaults, so each value is checked and
+    converted here. A key that names no optional flag is an error.
+    """
+    known = set()
+    for parser in parsers:
+        options = {a.dest: a for a in parser._actions
+                   if a.option_strings and not a.required and a.default is not argparse.SUPPRESS}
+        mine = {key: _config_value(options[key], key, value)
+                for key, value in values.items() if key in options}
+        parser.set_defaults(**mine)
+        known.update(mine)
+    unknown = sorted(set(values) - known)
+    if unknown:
+        raise ConfigInvalid(f"config key {unknown[0]!r} names no optional flag")
+
+
+def _config_value(action, key, value):
+    """`value` converted as argparse converts the flag, or ConfigInvalid naming `key`."""
+    if action.nargs == 0:   # a switch
+        ok = isinstance(value, bool)
+    else:
+        kinds = {int: int, float: (int, float)}.get(action.type, str)
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise ConfigInvalid(f"config key {key!r}: {value!r} is not a valid "
+                            f"{action.option_strings[0]} value")
+    return action.type(value) if action.type else value
+
+
 def _threads(args) -> int:
-    """--threads, or for 0 the CPUs this process may run on."""
-    if args.threads and args.threads > 0:
+    """Adapters trained at once: --threads, or for 0 the CPUs this process may run on."""
+    if args.threads:
         return args.threads
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -172,6 +197,8 @@ def _threads(args) -> int:
 
 
 def _validate_knobs(args) -> None:
+    if args.threads < 0:
+        raise ConfigInvalid(f"threads {args.threads} must be 0 (all CPUs) or positive")
     th = getattr(args, "threshold", None)
     if th is not None and not -1.0 < th < 1.0:
         raise ConfigInvalid(f"threshold {th} must lie strictly in (-1, 1)")
@@ -209,13 +236,12 @@ def _emit_json(payload: dict, path: str | None) -> None:
 # ---- stages: one function each, shared by the subcommands and `pipeline` ----
 
 
-def match_stage(args, queries, pool, out, query_set, clip_set) -> matcher.PseudoPairSet:
-    pairs = matcher.match_exclusive(queries, pool, order=args.order, threads=_threads(args))
+def match_stage(queries, pool, out, query_set, clip_set) -> matcher.PseudoPairSet:
+    pairs = matcher.match_exclusive(queries, pool)
     pairs.query_set = query_set
     pairs.clip_set = clip_set
     matcher.write_pseudo_pairs(pairs, out)
-    log.info("stage=match pairs=%d mean_sim=%.4f policy=%s",
-             len(pairs), float(pairs.sims.mean()), args.order)
+    log.info("stage=match pairs=%d mean_sim=%.4f", len(pairs), float(pairs.sims.mean()))
     return pairs
 
 
@@ -227,7 +253,7 @@ def stylize_stage(args, queries, pool, pseudo, style_out, styled_out, tag) -> Em
         style_tag=tag,
     )
     styler.save_style(style, style_out)
-    styled = styler.generate_styled(pool, style, seed=args.seed, threads=_threads(args))
+    styled = styler.generate_styled(pool, style, seed=args.seed)
     save_embeddings(styled, styled_out)
     log.info("stage=stylize tag=%s styled=%d", tag, styled.count)
     return styled
@@ -274,10 +300,9 @@ def train_stage(args, pool, gen_sets, styled_sets, runs):
     return results
 
 
-def eval_stage(args, captions, candidates, truth, model=None,
+def eval_stage(captions, candidates, truth, model=None,
                ranks_csv=None) -> evaluator.RetrievalReport:
-    ranks = evaluator.rank_queries(captions, candidates, truth,
-                                   model=model, threads=_threads(args))
+    ranks = evaluator.rank_queries(captions, candidates, truth, model=model)
     rep = evaluator.report(ranks)
     if ranks_csv:
         evaluator.write_ranks_csv(rep, ranks_csv)
@@ -300,7 +325,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_match(args) -> int:
-    match_stage(args, load_embeddings(args.queries), load_embeddings(args.pool), args.out,
+    match_stage(load_embeddings(args.queries), load_embeddings(args.pool), args.out,
                 os.path.basename(args.queries), os.path.basename(args.pool))
     return 0
 
@@ -355,7 +380,7 @@ def cmd_eval(args) -> int:
     model = None
     if args.adapter and not args.zero_shot:
         model = trainer.load_adapter(args.adapter)
-    rep = eval_stage(args, captions, candidates, truth, model, args.ranks_csv)
+    rep = eval_stage(captions, candidates, truth, model, args.ranks_csv)
     _emit_json(rep.to_dict(include_ranks=not args.no_ranks), args.out)
     return 0
 
@@ -395,14 +420,14 @@ def run_pipeline(args) -> dict:
     test_captions = [load_embeddings(p) for p in paths["test_captions"]]
 
     def evaluate(model=None) -> dict:
-        return _mean_section([eval_stage(args, tc, test_clips, truth, model)
+        return _mean_section([eval_stage(tc, test_clips, truth, model)
                               for tc in test_captions])
 
     zero_shot = evaluate()
     gen_sets, styled_sets, pseudo_counts = [], [], []
     for s, style_queries in enumerate(queries):
         tag = f"style{s}"
-        pseudo = match_stage(args, style_queries, pool,
+        pseudo = match_stage(style_queries, pool,
                              os.path.join(workdir, f"pseudo_pairs_{tag}.jsonl"),
                              f"queries_{tag}", "pool")
         styled = stylize_stage(args, style_queries, pool, pseudo,
@@ -418,7 +443,7 @@ def run_pipeline(args) -> dict:
         (mode, os.path.join(workdir, f"adapter_{mode}.iemb"),
          os.path.join(workdir, f"loss_{mode}.csv")) for mode in modes])
 
-    config = {**asdict(cfg), "match_order": args.order}
+    config = {**asdict(cfg), "match_order": matcher.ORDER_QUERY_ID}
     config.update({key: getattr(args, key) for key in (
         "threshold", "tau", "batch_size", "learning_rate", "momentum", "epochs",
         "queue_capacity")})
@@ -494,7 +519,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         log.error("error=ConfigInvalid detail=%s", exc)
         return 2
-    except (StylePairError, ValueError, KeyError) as exc:
+    except (StylePairError, OSError, ValueError, KeyError) as exc:
         log.error("error=%s detail=%s", type(exc).__name__, exc)
         return 1
 

@@ -1,9 +1,9 @@
-"""Embedding sets, the cosine-similarity primitive, and the worker helpers.
+"""Embedding sets, the cosine-similarity primitive, and the worker pool.
 
 An EmbeddingSet is an immutable id-keyed matrix of float32 row vectors.
 All similarity math takes float32 inputs and accumulates in float64, and
-matrix products are always evaluated over the same fixed row partition so
-results are bit-identical for any worker count.
+matrix products are always evaluated over the same fixed row partition, so
+a block streamed on its own carries the same bits as the full product.
 """
 
 import ctypes
@@ -180,46 +180,41 @@ def for_each(items, run, threads: int = 1) -> list:
         set_(saved)
 
 
-def for_row_blocks(n_rows: int, run, threads: int = 1) -> None:
-    """Call run(lo, hi) once per fixed block of _CHUNK_ROWS rows.
-
-    The partition never depends on `threads`, so a `run` that writes only
-    its own rows gives bit-identical results for any worker count.
-    """
-    bounds = [(lo, min(lo + _CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, _CHUNK_ROWS)]
-    for_each(bounds, lambda span: run(*span), threads)
+def for_row_blocks(n_rows: int, run) -> None:
+    """Call run(lo, hi) once per fixed block of _CHUNK_ROWS rows, in ascending order."""
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        run(lo, min(lo + _CHUNK_ROWS, n_rows))
 
 
-def for_dot_blocks(a: np.ndarray, b: np.ndarray, run, threads: int = 1) -> None:
+def for_dot_blocks(a: np.ndarray, b: np.ndarray, run) -> None:
     """Call run(lo, hi, a[lo:hi] @ b.T) in float64 once per fixed row block.
 
-    Blocks follow for_row_blocks, so their bits never depend on `threads`.
-    With threads=1 they arrive in ascending order on the calling thread and
-    only one is alive at a time.
+    Blocks follow for_row_blocks: they arrive in ascending order and only
+    one is alive at a time.
     """
     a64 = a.astype(np.float64)
     b64t = b.astype(np.float64).T
-    for_row_blocks(a64.shape[0], lambda lo, hi: run(lo, hi, a64[lo:hi] @ b64t), threads)
+    for_row_blocks(a64.shape[0], lambda lo, hi: run(lo, hi, a64[lo:hi] @ b64t))
 
 
-def pairwise_dots(a: np.ndarray, b: np.ndarray, threads: int = 1) -> np.ndarray:
+def pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row dot products a @ b.T in float64 over a fixed row partition."""
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
 
     def run(lo, hi, block):
         out[lo:hi] = block
 
-    for_dot_blocks(a, b, run, threads)
+    for_dot_blocks(a, b, run)
     return out
 
 
-def sim_matrix(texts: EmbeddingSet, videos: EmbeddingSet, threads: int = 1) -> np.ndarray:
+def sim_matrix(texts: EmbeddingSet, videos: EmbeddingSet) -> np.ndarray:
     """Full cosine-similarity matrix between two normalized sets."""
     if not texts.normalized or not videos.normalized:
         raise NotNormalized("sim_matrix requires both sets normalized")
     if texts.dim != videos.dim:
         raise DimMismatch(f"dims differ: {texts.dim} vs {videos.dim}")
-    return pairwise_dots(texts.data, videos.data, threads=threads)
+    return pairwise_dots(texts.data, videos.data)
 
 
 # ---- persistence ----

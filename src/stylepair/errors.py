@@ -59,10 +59,6 @@ class PoolExhausted(StylePairError):
     pass
 
 
-class KTooLarge(StylePairError):
-    pass
-
-
 # ---- style fitting / filtering ----
 
 class SingularSystem(StylePairError):

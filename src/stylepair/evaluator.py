@@ -46,7 +46,6 @@ def rank_queries(
     candidates: EmbeddingSet,
     truth: dict[int, int],
     model: AdapterModel | None = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """Rank of each query's ground-truth candidate, 1-based.
 
@@ -76,7 +75,7 @@ def rank_queries(
     else:
         q_rows = _projected(model.text_head, queries.data)
         c_rows = _projected(model.video_head, candidates.data)
-    sims = pairwise_dots(q_rows, c_rows, threads=threads)
+    sims = pairwise_dots(q_rows, c_rows)
 
     ranks = np.empty(queries.count, dtype=np.int64)
     cand_ids = candidates.ids

@@ -151,13 +151,12 @@ def generate_styled(
     clips: EmbeddingSet,
     style: StyleTransform,
     seed: int,
-    threads: int = 1,
 ) -> EmbeddingSet:
     """Styled caption embedding per clip: normalize(W v + b + noise).
 
     Noise for row i comes from its own generator derived as spawn (i,) of
-    the seed, so any row partition and worker count reproduces the
-    sequential output bit for bit.
+    the seed, so any row partition reproduces the row-by-row output bit
+    for bit.
     """
     if style.dim_in != clips.dim:
         raise DimMismatch(f"style expects dim {style.dim_in}, clips have {clips.dim}")
@@ -175,7 +174,7 @@ def generate_styled(
                 block[i - lo] += rng.normal(0.0, style.noise_sigma, style.dim_out)
         out[lo:hi] = block
 
-    for_row_blocks(clips.count, run, threads)
+    for_row_blocks(clips.count, run)
 
     norms = np.linalg.norm(out, axis=1)
     if (norms == 0.0).any():

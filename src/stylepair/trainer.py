@@ -74,27 +74,9 @@ class AdapterModel:
         )
 
 
-def init_adapter(
-    dim: int,
-    proj_dim: int | None = None,
-    tau: float = DEFAULT_TAU,
-    seed: int = 0,
-    scheme: str = "identity",
-) -> AdapterModel:
+def init_adapter(dim: int, tau: float = DEFAULT_TAU) -> AdapterModel:
     """Fresh adapter; identity heads start training at the zero-shot baseline."""
-    proj_dim = dim if proj_dim is None else proj_dim
-    if scheme == "identity":
-        if proj_dim != dim:
-            raise ConfigInvalid("identity init needs proj_dim == dim")
-        w_t = np.eye(dim)
-        w_v = np.eye(dim)
-    elif scheme == "random":
-        rng = np.random.default_rng(seed)
-        w_t = rng.normal(0.0, 1.0 / np.sqrt(dim), (proj_dim, dim))
-        w_v = rng.normal(0.0, 1.0 / np.sqrt(dim), (proj_dim, dim))
-    else:
-        raise ConfigInvalid(f"unknown init scheme {scheme!r}")
-    return AdapterModel(text_head=w_t, video_head=w_v, tau=tau)
+    return AdapterModel(text_head=np.eye(dim), video_head=np.eye(dim), tau=tau)
 
 
 class NegativeQueue:

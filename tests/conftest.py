@@ -4,9 +4,23 @@ import os
 import numpy as np
 import pytest
 
-from stylepair.embedcore import EmbeddingSet, normalize
+from stylepair.embedcore import EmbeddingSet, blas_thread_controls, normalize
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+needs_blas_controls = pytest.mark.skipif(blas_thread_controls() is None,
+                                         reason="BLAS thread controls not found")
+
+
+def at_blas_threads(count, compute):
+    """compute() with numpy's OpenBLAS at `count` threads; the old count is restored."""
+    get, set_ = blas_thread_controls()
+    saved = get()
+    set_(count)
+    try:
+        return compute()
+    finally:
+        set_(saved)
 
 
 def make_set(rows, ids=None, unit=True) -> EmbeddingSet:

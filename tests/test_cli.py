@@ -92,20 +92,31 @@ class TestStageCommands:
         rep = json.loads(capsys.readouterr().out)
         assert set(rep) >= {"r1", "r5", "r10", "median_rank", "query_count"}
 
-    def test_match_global_greedy_policy_recorded(self, data_dir, tmp_path):
-        from stylepair.matcher import read_pseudo_pairs
-        out = tmp_path / "pairs.jsonl"
-        rc = main(["match", "--queries", str(data_dir / "queries_style0.iemb"),
-                   "--pool", str(data_dir / "pool.iemb"),
-                   "--out", str(out), "--order", "global_greedy"])
-        assert rc == 0
-        assert read_pseudo_pairs(out).policy == "global_greedy"
-
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(["match", "--queries", str(tmp_path / "nope.iemb"),
                    "--pool", str(tmp_path / "nope2.iemb"),
                    "--out", str(tmp_path / "pairs.jsonl")])
         assert rc == 2
+
+    def test_os_errors_exit_1_without_traceback(self, tmp_path, caplog):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(["synth", "--out", str(taken)] + SMALL_SYNTH) == 1
+        assert "error=FileExistsError" in caplog.text
+        save_embeddings(make_set([[1.0, 0.0]]), tmp_path / "pool.iemb")
+        rc = main(["match", "--queries", str(tmp_path), "--pool", str(tmp_path / "pool.iemb"),
+                   "--out", str(tmp_path / "pairs.jsonl")])
+        assert rc == 1
+        assert "error=IsADirectoryError" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    def test_negative_threads_exit_2(self, data_dir, tmp_path, caplog):
+        rc = main(["match", "--queries", str(data_dir / "queries_style0.iemb"),
+                   "--pool", str(data_dir / "pool.iemb"),
+                   "--out", str(tmp_path / "pairs.jsonl"), "--threads", "-5"])
+        assert rc == 2
+        assert "error=ConfigInvalid" in caplog.text
+        assert not (tmp_path / "pairs.jsonl").exists()
 
     def test_oversized_container_header_exits_1(self, tmp_path, caplog):
         # a 24-byte file whose header claims 2**40 rows (8 TiB of ids)
@@ -275,6 +286,28 @@ class TestConfigPrecedence:
         assert main(["synth", "--out", str(c), "--config", str(cfg),
                      "--seed", "5"]) == 0
         assert tree_hashes(c) != tree_hashes(a)
+
+    @pytest.mark.parametrize("values", [{"epoch": 9}, {"epochs": 2.5}, {"threshold": None},
+                                        {"mode": "bogus"}])
+    def test_unknown_key_or_wrong_type_exits_2_naming_the_key(self, tmp_path, caplog, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        rc = main(["pipeline", "--workdir", str(tmp_path / "w"), "--config", str(cfg),
+                   "--styles", "1"] + SMALL_SYNTH + SMALL_TRAIN)
+        assert rc == 2
+        (key,) = values
+        assert "error=ConfigInvalid" in caplog.text and repr(key) in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not (tmp_path / "w" / "report.json").exists()
+
+    def test_config_numbers_act_like_the_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "learning_rate": 1, "threshold": 0}))
+        args = ["pipeline", "--styles", "1", "--seed", "7"] + SMALL_SYNTH + SMALL_TRAIN
+        assert main(args + ["--workdir", str(tmp_path / "a"), "--config", str(cfg)]) == 0
+        assert main(args + ["--workdir", str(tmp_path / "b"), "--epochs", "1",
+                            "--learning-rate", "1", "--threshold", "0"]) == 0
+        assert tree_hashes(tmp_path / "a") == tree_hashes(tmp_path / "b")
 
 
 class TestPipelineCommand:

@@ -30,7 +30,6 @@ def test_cli_pipeline_defaults():
     assert args.threshold == 0.28
     assert args.tau == 0.05
     assert args.batch_size >= 2
-    assert args.order == "query_id"
     assert args.seed == 7
 
 

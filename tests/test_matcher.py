@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stylepair.errors import DimMismatch, KTooLarge, PoolExhausted
+from stylepair.container import read_record_header
+from stylepair.errors import DimMismatch, PoolExhausted
 from stylepair.matcher import (
-    ORDER_GLOBAL_GREEDY,
     PseudoPairSet,
     match_exclusive,
-    match_topk_report,
     read_pseudo_pairs,
     write_pseudo_pairs,
 )
@@ -31,21 +30,6 @@ def masked_argmax_reference(queries, clips):
         cols.append(col)
         vals.append(sims[qi, col])
     return np.array(cols), np.array(vals)
-
-
-def global_greedy_reference(queries, clips):
-    """Repeatedly take the single best remaining (query, clip) cell."""
-    sims = queries.data.astype(np.float64) @ clips.data.astype(np.float64).T
-    masked = sims.copy()
-    cols = np.empty(queries.count, dtype=np.int64)
-    vals = np.empty(queries.count, dtype=np.float64)
-    for _ in range(queries.count):
-        qi, col = np.unravel_index(np.argmax(masked), masked.shape)
-        cols[qi] = col
-        vals[qi] = sims[qi, col]
-        masked[qi, :] = -np.inf
-        masked[:, col] = -np.inf
-    return cols, vals
 
 
 class TestMatchExclusive:
@@ -89,9 +73,6 @@ class TestMatchExclusive:
         out = match_exclusive(q, c)
         assert np.array_equal(out.clip_ids, c.ids[cols])
         assert np.array_equal(out.sims, vals)
-        wide = match_exclusive(q, c, threads=4)
-        assert np.array_equal(wide.clip_ids, out.clip_ids)
-        assert np.array_equal(wide.sims, out.sims)
 
     def test_memory_stays_below_the_full_matrix(self):
         rng = np.random.default_rng(12)
@@ -152,23 +133,6 @@ class TestMatchExclusive:
             ci = int(np.searchsorted(c.ids, cid))
             assert sim == pytest.approx(cosine_sim(q.data[qi], c.data[ci]), abs=1e-6)
 
-    def test_global_greedy_matches_reference(self):
-        rng = np.random.default_rng(4)
-        q = random_unit_set(rng, 15, 5)
-        c = random_unit_set(rng, 25, 5)
-        out = match_exclusive(q, c, order=ORDER_GLOBAL_GREEDY)
-        cols, vals = global_greedy_reference(q, c)
-        assert np.array_equal(out.clip_ids, c.ids[cols])
-        assert np.array_equal(out.sims, vals)
-
-    def test_global_greedy_never_worse_on_first_pick(self):
-        rng = np.random.default_rng(5)
-        q = random_unit_set(rng, 10, 4)
-        c = random_unit_set(rng, 20, 4)
-        greedy = match_exclusive(q, c, order=ORDER_GLOBAL_GREEDY)
-        by_id = match_exclusive(q, c)
-        assert greedy.sims.max() >= by_id.sims.max() - 1e-12
-
     @settings(max_examples=40, deadline=None)
     @given(
         n_q=st.integers(1, 12),
@@ -185,50 +149,6 @@ class TestMatchExclusive:
         assert len(np.unique(out.query_ids)) == len(out.query_ids)
 
 
-class TestTopkReport:
-    def test_full_ranking_when_k_equals_pool(self):
-        rng = np.random.default_rng(6)
-        q = random_unit_set(rng, 3, 4)
-        c = random_unit_set(rng, 10, 4)
-        out = match_topk_report(q, c, k=10)
-        for ranking in out:
-            assert len(ranking) == 10
-            sims = [s for _, s in ranking]
-            assert sims == sorted(sims, reverse=True)
-            assert sorted(cid for cid, _ in ranking) == list(range(10))
-
-    def test_identity_basis_top1(self):
-        basis = make_set(np.eye(4))
-        out = match_topk_report(basis, basis, k=1)
-        for i, ranking in enumerate(out):
-            assert ranking[0][0] == i
-            assert ranking[0][1] == pytest.approx(1.0, abs=1e-7)
-
-    def test_matches_sort_oracle(self):
-        rng = np.random.default_rng(7)
-        q = random_unit_set(rng, 5, 6)
-        c = random_unit_set(rng, 12, 6)
-        out = match_topk_report(q, c, k=3)
-        sims = q.data.astype(np.float64) @ c.data.astype(np.float64).T
-        for qi in range(5):
-            order = np.argsort(-sims[qi], kind="stable")[:3]
-            assert [cid for cid, _ in out[qi]] == [int(c.ids[j]) for j in order]
-            assert [s for _, s in out[qi]] == [sims[qi, j] for j in order]
-
-    def test_k_too_large(self):
-        q = make_set([[1.0, 0.0]])
-        c = make_set([[1.0, 0.0]])
-        with pytest.raises(KTooLarge):
-            match_topk_report(q, c, k=2)
-
-    def test_ties_by_clip_id_ascending(self):
-        q = make_set([[1.0, 0.0]])
-        # clip 2 ties clip 9 at sim 1.0 but clip 5 outranks both on similarity
-        c = make_set([[0.8, 0.6], [1.0, 0.0], [0.8, 0.6], [1.0, 0.0]], ids=[2, 5, 7, 9])
-        out = match_topk_report(q, c, k=4)
-        assert [cid for cid, _ in out[0]] == [5, 9, 2, 7]
-
-
 class TestPairPersistence:
     def test_jsonl_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -243,7 +163,8 @@ class TestPairPersistence:
         assert np.array_equal(back.query_ids, pairs.query_ids)
         assert np.array_equal(back.clip_ids, pairs.clip_ids)
         assert np.array_equal(back.sims, pairs.sims)
-        assert (back.query_set, back.clip_set, back.policy) == ("queries", "pool", "query_id")
+        assert (back.query_set, back.clip_set) == ("queries", "pool")
+        assert read_record_header(path, "pseudo_pairs")["policy"] == "query_id"
 
     def test_duplicate_clip_rejected(self):
         with pytest.raises(Exception, match="clip"):

@@ -17,7 +17,7 @@ from stylepair.styler import (
     write_generated_pairs,
 )
 
-from conftest import make_set, random_unit_set
+from conftest import at_blas_threads, make_set, needs_blas_controls, random_unit_set
 
 
 def pairs_over(queries, clips):
@@ -106,14 +106,16 @@ class TestGenerateStyled:
         b = generate_styled(clips, style, seed=42)
         assert np.array_equal(a.data, b.data)
 
+    @needs_blas_controls
     def test_thread_count_does_not_change_bits(self):
+        # the BLAS thread count is the one thread count left that reaches these bits
         rng = np.random.default_rng(7)
         clips = random_unit_set(rng, 700, 5)
         style = StyleTransform(weight=rng.normal(size=(5, 5)), bias=rng.normal(size=5),
                                ridge_lambda=0.0, noise_sigma=0.2)
-        a = generate_styled(clips, style, seed=1, threads=1)
-        b = generate_styled(clips, style, seed=1, threads=4)
-        assert np.array_equal(a.data, b.data)
+        one, two = (at_blas_threads(n, lambda: generate_styled(clips, style, seed=1))
+                    for n in (1, 2))
+        assert np.array_equal(one.data, two.data)
 
     def test_seed_changes_output(self):
         rng = np.random.default_rng(8)

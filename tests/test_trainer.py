@@ -428,7 +428,3 @@ class TestAdapterPersistence:
                               model.video_head.astype(np.float32).astype(np.float64))
         assert back.tau == model.tau
         assert back.step_count == 77
-
-    def test_identity_init_requires_square(self):
-        with pytest.raises(ConfigInvalid):
-            init_adapter(4, proj_dim=3, scheme="identity")
