@@ -166,10 +166,16 @@ class TestSimMatrix:
 
 class TestForRowBlocks:
     @pytest.mark.parametrize("n_rows", [0, 1, 512, 513, 1100])
-    def test_fixed_blocks_cover_every_row_once(self, n_rows):
-        seen = []
-        for_row_blocks(n_rows, lambda lo, hi: seen.append((lo, hi)))
-        assert seen == [(lo, min(lo + 512, n_rows)) for lo in range(0, n_rows, 512)]
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_fixed_blocks_cover_every_row_once(self, n_rows, threads):
+        # each of `threads` concurrent callers sees its own blocks, in ascending order
+        def blocks(_):
+            seen = []
+            for_row_blocks(n_rows, lambda lo, hi: seen.append((lo, hi)))
+            return seen
+
+        want = [(lo, min(lo + 512, n_rows)) for lo in range(0, n_rows, 512)]
+        assert for_each(range(threads), blocks, threads) == [want] * threads
 
 
 class TestForEach:
