@@ -32,10 +32,6 @@ DEFAULT_SWEEP_GRID = "0.26,0.27,0.28,0.29,0.30"
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with defaults; explicit flags win")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--threads", type=int, default=0,
-                        help="adapters trained at once, 0 = available parallelism")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="recorded in logs; outputs are reproducible regardless")
 
 
 def _add_synth_options(parser: argparse.ArgumentParser) -> None:
@@ -66,6 +62,8 @@ def _add_train_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau", type=float, default=trainer.DEFAULT_TAU)
     # stale queue negatives (no momentum encoder here) cost recall; off by default
     parser.add_argument("--queue-capacity", type=int, default=0)
+    parser.add_argument("--threads", type=int, default=0,
+                        help="adapters trained at once, 0 = available parallelism")
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -197,8 +195,11 @@ def _threads(args) -> int:
 
 
 def _validate_knobs(args) -> None:
-    if args.threads < 0:
-        raise ConfigInvalid(f"threads {args.threads} must be 0 (all CPUs) or positive")
+    if args.seed < 0:
+        raise ConfigInvalid(f"seed {args.seed} must be non-negative")
+    threads = getattr(args, "threads", None)
+    if threads is not None and threads < 0:
+        raise ConfigInvalid(f"threads {threads} must be 0 (all CPUs) or positive")
     th = getattr(args, "threshold", None)
     if th is not None and not -1.0 < th < 1.0:
         raise ConfigInvalid(f"threshold {th} must lie strictly in (-1, 1)")
@@ -424,19 +425,20 @@ def run_pipeline(args) -> dict:
                               for tc in test_captions])
 
     zero_shot = evaluate()
-    gen_sets, styled_sets, pseudo_counts = [], [], []
-    for s, style_queries in enumerate(queries):
-        tag = f"style{s}"
-        pseudo = match_stage(style_queries, pool,
-                             os.path.join(workdir, f"pseudo_pairs_{tag}.jsonl"),
-                             f"queries_{tag}", "pool")
+    tags = [f"style{s}" for s in range(len(queries))]
+    # every match first, so no match runs beside an earlier style's stylize leftovers
+    pseudo_sets = [match_stage(style_queries, pool,
+                               os.path.join(workdir, f"pseudo_pairs_{tag}.jsonl"),
+                               f"queries_{tag}", "pool")
+                   for tag, style_queries in zip(tags, queries)]
+    gen_sets, styled_sets = [], []
+    for tag, style_queries, pseudo in zip(tags, queries, pseudo_sets):
         styled = stylize_stage(args, style_queries, pool, pseudo,
                                os.path.join(workdir, f"style_{tag}.iemb"),
                                os.path.join(workdir, f"styled_{tag}.iemb"), tag)
         gen_sets.append(filter_stage(args, styled, pool,
                                      os.path.join(workdir, f"generated_pairs_{tag}.jsonl"), tag))
         styled_sets.append(styled)
-        pseudo_counts.append(len(pseudo))
 
     modes = [trainer.MODE_IN_STYLE] + ([trainer.MODE_MIXED] if cfg.n_styles > 1 else [])
     trained = train_stage(args, pool, gen_sets, styled_sets, [
@@ -450,7 +452,7 @@ def run_pipeline(args) -> dict:
     report = {
         "config": config,
         "pair_counts": {
-            "pseudo": pseudo_counts,
+            "pseudo": [len(p) for p in pseudo_sets],
             "generated": [len(g) for g in gen_sets],
         },
         "zero_shot": zero_shot,
@@ -510,8 +512,6 @@ def main(argv=None) -> int:
         parser = build_parser(defaults=_config_defaults(argv))
         args = parser.parse_args(argv)
         _validate_knobs(args)
-        if args.deterministic:
-            log.info("flag=deterministic note=outputs_reproducible_by_construction")
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         log.error("error=MissingInput detail=%s", exc)

@@ -147,6 +147,68 @@ def fit_style(
     )
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx, NEP 19)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's 128-bit LCG multiplier
+_MASK128 = 2**128 - 1
+
+
+def _hash_chain(init, mult):
+    """numpy's hashmix: each call xors in one constant of the chain and multiplies by the next."""
+    const = np.uint32(init)
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * np.uint32(mult)
+        value = value * const
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x, y):
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> np.uint32(16))
+
+
+def _spawned_pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
+    """PCG64(SeedSequence(seed, spawn_key=(i,))).state for rows i in [lo, hi).
+
+    The SeedSequence hash runs once for the whole block on uint32 arrays
+    (its wraparound is the hash, so overflow warnings are off); PCG64's
+    seeding step (pcg_setseq_128_srandom_r) runs per row on Python ints.
+    """
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be non-negative")
+    if hi > 2**32:
+        raise ValueError(f"row {hi - 1} needs a spawn key wider than one 32-bit word")
+    words = [np.uint32(seed >> s & 0xFFFFFFFF) for s in range(0, max(seed.bit_length(), 1), 32)]
+    # a spawned sequence pads its seed words to the 4-word pool, then appends the spawn key
+    entropy = words + [np.uint32(0)] * (4 - len(words))
+    entropy.append(np.arange(lo, hi, dtype=np.int64).astype(np.uint32))
+    with np.errstate(over="ignore"):
+        hashmix = _hash_chain(_INIT_A, _MULT_A)
+        pool = [hashmix(word) for word in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        output = _hash_chain(_INIT_B, _MULT_B)   # generate_state(4, np.uint64)
+        state_words = np.stack([output(pool[k % 4]) for k in range(8)], axis=1)
+
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in state_words.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def generate_styled(
     clips: EmbeddingSet,
     style: StyleTransform,
@@ -154,24 +216,24 @@ def generate_styled(
 ) -> EmbeddingSet:
     """Styled caption embedding per clip: normalize(W v + b + noise).
 
-    Noise for row i comes from its own generator derived as spawn (i,) of
-    the seed, so any row partition reproduces the row-by-row output bit
-    for bit.
+    Noise for row i comes from the PCG64 generator that spawn (i,) of the
+    seed would seed, so any row partition reproduces the row-by-row
+    output bit for bit. The states are derived a block at a time and
+    loaded into one reused generator.
     """
     if style.dim_in != clips.dim:
         raise DimMismatch(f"style expects dim {style.dim_in}, clips have {clips.dim}")
     data64 = clips.data.astype(np.float64)
     out = np.empty((clips.count, style.dim_out), dtype=np.float64)
     wt = style.weight.T
+    rng = np.random.Generator(np.random.PCG64(0))
 
     def run(lo, hi):
         block = data64[lo:hi] @ wt + style.bias
         if style.noise_sigma > 0.0:
-            for i in range(lo, hi):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-                )
-                block[i - lo] += rng.normal(0.0, style.noise_sigma, style.dim_out)
+            for row, state in zip(block, _spawned_pcg64_states(seed, lo, hi)):
+                rng.bit_generator.state = state
+                row += rng.normal(0.0, style.noise_sigma, style.dim_out)
         out[lo:hi] = block
 
     for_row_blocks(clips.count, run)

@@ -205,7 +205,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
 
         def run(workdir, threads):
             rc = main(["pipeline", "--workdir", str(workdir),
-                       "--threads", str(threads), "--deterministic"] + flags)
+                       "--threads", str(threads)] + flags)
             assert rc == 0
             return {
                 str(p.relative_to(workdir)): hashlib.sha256(p.read_bytes()).hexdigest()

@@ -111,11 +111,30 @@ class TestStageCommands:
         assert "Traceback" not in caplog.text
 
     def test_negative_threads_exit_2(self, data_dir, tmp_path, caplog):
-        rc = main(["match", "--queries", str(data_dir / "queries_style0.iemb"),
-                   "--pool", str(data_dir / "pool.iemb"),
-                   "--out", str(tmp_path / "pairs.jsonl"), "--threads", "-5"])
+        queries = str(data_dir / "queries_style0.iemb")
+        pool = str(data_dir / "pool.iemb")
+        d = tmp_path
+        assert main(["match", "--queries", queries, "--pool", pool,
+                     "--out", str(d / "pseudo.jsonl")]) == 0
+        assert main(["stylize", "--queries", queries, "--pool", pool,
+                     "--pairs", str(d / "pseudo.jsonl"), "--style-out", str(d / "style.iemb"),
+                     "--styled-out", str(d / "styled.iemb")]) == 0
+        assert main(["filter", "--styled", str(d / "styled.iemb"), "--pool", pool,
+                     "--out", str(d / "gen.jsonl")]) == 0
+        rc = main(["train", "--pool", pool, "--styled", str(d / "styled.iemb"),
+                   "--pairs", str(d / "gen.jsonl"), "--out", str(d / "adapter.iemb"),
+                   "--threads", "-5"] + SMALL_TRAIN)
         assert rc == 2
         assert "error=ConfigInvalid" in caplog.text
+        assert not (d / "adapter.iemb").exists()
+
+    def test_threads_only_on_commands_that_train(self, data_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["match", "--queries", str(data_dir / "queries_style0.iemb"),
+                  "--pool", str(data_dir / "pool.iemb"),
+                  "--out", str(tmp_path / "pairs.jsonl"), "--threads", "2"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not (tmp_path / "pairs.jsonl").exists()
 
     def test_oversized_container_header_exits_1(self, tmp_path, caplog):
@@ -374,6 +393,16 @@ class TestPipelineCommand:
         assert "seed" in caplog.text
         assert main(args + ["--seed", "7"]) == 0   # same config still reuses the data
         assert tree_hashes(tmp_path / "w" / "data") == before
+
+    def test_negative_seed_exits_2_before_any_stage_writes(self, tmp_path, caplog):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "7"] + SMALL_SYNTH) == 0
+        w = tmp_path / "w"
+        rc = main(["pipeline", "--workdir", str(w), "--data-dir", str(data), "--seed", "-1",
+                   "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN)
+        assert rc == 2
+        assert "error=ConfigInvalid" in caplog.text
+        assert tree_hashes(w) == {}
 
     def test_reuses_existing_data_dir(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -7,6 +7,7 @@ from stylepair.matcher import PseudoPairSet
 from stylepair.styler import (
     GeneratedPairSet,
     StyleTransform,
+    _spawned_pcg64_states,
     filter_pairs,
     fit_style,
     generate_styled,
@@ -152,6 +153,58 @@ class TestGenerateStyled:
                                ridge_lambda=0.0, noise_sigma=0.0)
         with pytest.raises(DimMismatch):
             generate_styled(clips, style, seed=0)
+
+
+def spawned_states(seed, n_rows):
+    """Derived PCG64 states of rows 0..n_rows-1, a 512-row block at a time."""
+    return [state for lo in range(0, n_rows, 512)
+            for state in _spawned_pcg64_states(seed, lo, min(lo + 512, n_rows))]
+
+
+def styled_reference(clips, style, seed):
+    """generate_styled with a SeedSequence and a Generator of its own per row."""
+    data64 = clips.data.astype(np.float64)
+    raw = np.empty((clips.count, style.dim_out))
+    for lo in range(0, clips.count, 512):   # the affine map on the same row blocks
+        raw[lo:lo + 512] = data64[lo:lo + 512] @ style.weight.T + style.bias
+    for i in range(clips.count):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        raw[i] += rng.normal(0.0, style.noise_sigma, style.dim_out)
+    return (raw / np.linalg.norm(raw, axis=1)[:, None]).astype(np.float32)
+
+
+class TestSpawnedNoise:
+    """Pins the numpy internals the bulk noise derivation reproduces."""
+
+    # 2**130 + 1 has five 32-bit words: one is mixed in after the pool is full
+    SEEDS = [0, 7, 2**32, 2**64 + 3, 2**130 + 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_equal_numpy_spawned_pcg64(self, seed):
+        n_rows = 1100
+        states = spawned_states(seed, n_rows)
+        for i in (0, 511, 512, n_rows - 1):
+            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state
+            assert states[i] == want, i
+
+    @pytest.mark.parametrize("seed", [7, 2**130 + 1])
+    def test_noisy_output_equals_per_row_generators(self, seed):
+        rng = np.random.default_rng(11)
+        clips = random_unit_set(rng, 1100, 5)   # three row blocks
+        style = StyleTransform(weight=rng.normal(size=(6, 5)), bias=rng.normal(size=6),
+                               ridge_lambda=0.0, noise_sigma=0.2)
+        got = generate_styled(clips, style, seed=seed)
+        assert np.array_equal(got.data, styled_reference(clips, style, seed))
+
+    def test_spawn_key_must_fit_one_word(self):
+        last = _spawned_pcg64_states(7, 2**32 - 1, 2**32)
+        assert last == [np.random.PCG64(np.random.SeedSequence(7, spawn_key=(2**32 - 1,))).state]
+        with pytest.raises(ValueError, match="spawn key"):
+            _spawned_pcg64_states(7, 2**32 - 1, 2**32 + 1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _spawned_pcg64_states(-1, 0, 4)
 
 
 def exact_sim_fixture():
