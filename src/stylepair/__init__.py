@@ -10,11 +10,9 @@ end without any real data.
 
 from .embedcore import (
     EmbeddingSet,
-    cosine_sim,
     load_embeddings,
     normalize,
     save_embeddings,
-    sim_matrix,
 )
 from .errors import StylePairError
 from .evaluator import RetrievalReport, rank_queries, report
@@ -53,7 +51,6 @@ __all__ = [
     "SynthConfig",
     "SynthDataset",
     "TrainConfig",
-    "cosine_sim",
     "filter_pairs",
     "fit_style",
     "generate",
@@ -68,7 +65,6 @@ __all__ = [
     "rank_queries",
     "report",
     "save_embeddings",
-    "sim_matrix",
     "threshold_sweep",
     "train",
 ]

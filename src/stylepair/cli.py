@@ -13,6 +13,7 @@ usage/config error.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -194,21 +195,28 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
+# (option, rule its value must meet, the rule in words); a subcommand without the option skips it
+_KNOB_RULES = [
+    ("seed", lambda v: v >= 0, "be non-negative"),
+    ("threads", lambda v: v >= 0, "be 0 (all CPUs) or positive"),
+    ("threshold", lambda v: -1.0 < v < 1.0, "lie strictly in (-1, 1)"),
+    ("ridge_lambda", lambda v: math.isfinite(v) and v >= 0.0, "be finite and non-negative"),
+    ("noise_sigma", lambda v: math.isfinite(v) and v >= 0.0, "be finite and non-negative"),
+    ("tau", lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
+    ("learning_rate", lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
+    ("momentum", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    ("queue_capacity", lambda v: v >= 0, "be non-negative"),
+    ("epochs", lambda v: v >= 1, "be at least 1"),
+    ("batch_size", lambda v: v >= 2, "be at least 2"),
+]
+
+
 def _validate_knobs(args) -> None:
-    if args.seed < 0:
-        raise ConfigInvalid(f"seed {args.seed} must be non-negative")
-    threads = getattr(args, "threads", None)
-    if threads is not None and threads < 0:
-        raise ConfigInvalid(f"threads {threads} must be 0 (all CPUs) or positive")
-    th = getattr(args, "threshold", None)
-    if th is not None and not -1.0 < th < 1.0:
-        raise ConfigInvalid(f"threshold {th} must lie strictly in (-1, 1)")
-    tau = getattr(args, "tau", None)
-    if tau is not None and tau <= 0.0:
-        raise ConfigInvalid(f"tau {tau} must be positive")
-    batch = getattr(args, "batch_size", None)
-    if batch is not None and batch < 2:
-        raise ConfigInvalid(f"batch_size {batch} must be at least 2")
+    """Reject a bad numeric option before any stage reads an input or writes a file."""
+    for name, ok, rule in _KNOB_RULES:
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise ConfigInvalid(f"{name} {value} must {rule}")
 
 
 def _synth_config(args) -> SynthConfig:

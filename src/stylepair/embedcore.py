@@ -1,4 +1,4 @@
-"""Embedding sets, the cosine-similarity primitive, and the worker pool.
+"""Embedding sets, the similarity product, and the worker pool.
 
 An EmbeddingSet is an immutable id-keyed matrix of float32 row vectors.
 All similarity math takes float32 inputs and accumulates in float64, and
@@ -17,12 +17,10 @@ import numpy as np
 
 from . import container
 from .errors import (
-    DimMismatch,
     DuplicateId,
     MagicMismatch,
     NonFiniteValue,
     NotNormalized,
-    ZeroVector,
     ZeroVectorRow,
 )
 
@@ -101,19 +99,6 @@ def normalize(emb: EmbeddingSet) -> EmbeddingSet:
         raise ZeroVectorRow(f"row id {int(emb.ids[zero][0])} is the zero vector")
     out = (data64 / norms[:, None]).astype(np.float32)
     return EmbeddingSet(ids=emb.ids.copy(), data=out, normalized=True)
-
-
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors, accumulated in float64."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise DimMismatch(f"vector dims differ: {a.shape[0]} vs {b.shape[0]}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine similarity undefined for the zero vector")
-    return float(a @ b / (na * nb))
 
 
 @functools.cache
@@ -206,15 +191,6 @@ def pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     for_dot_blocks(a, b, run)
     return out
-
-
-def sim_matrix(texts: EmbeddingSet, videos: EmbeddingSet) -> np.ndarray:
-    """Full cosine-similarity matrix between two normalized sets."""
-    if not texts.normalized or not videos.normalized:
-        raise NotNormalized("sim_matrix requires both sets normalized")
-    if texts.dim != videos.dim:
-        raise DimMismatch(f"dims differ: {texts.dim} vs {videos.dim}")
-    return pairwise_dots(texts.data, videos.data)
 
 
 # ---- persistence ----

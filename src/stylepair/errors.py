@@ -37,10 +37,6 @@ class ZeroVectorRow(StylePairError):
     pass
 
 
-class ZeroVector(StylePairError):
-    pass
-
-
 class DimMismatch(StylePairError):
     pass
 

@@ -42,8 +42,8 @@ class StyleTransform:
             raise ValueError("weight must be (dim_out, dim_in) with matching bias")
         if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ValueError("style transform has non-finite entries")
-        if self.ridge_lambda < 0 or self.noise_sigma < 0:
-            raise ValueError("ridge_lambda and noise_sigma must be non-negative")
+        if not all(0.0 <= v < np.inf for v in (self.ridge_lambda, self.noise_sigma)):
+            raise ValueError("ridge_lambda and noise_sigma must be finite and non-negative")
 
     @property
     def dim_in(self) -> int:

@@ -21,6 +21,7 @@ from .errors import (
     BatchTooLarge,
     ConfigInvalid,
     CountMismatch,
+    DimMismatch,
     EmptyStyleSet,
     NonFiniteLoss,
     RangeOutOfBounds,
@@ -83,7 +84,10 @@ class NegativeQueue:
     """FIFO of recent projected (text, video) embeddings for one style.
 
     Entries are unit-norm projections captured at enqueue time; they act
-    as extra negative columns only and never receive gradients.
+    as extra negative columns only and never receive gradients. Each
+    direction keeps one column buffer laid out as [batch | queue, oldest
+    first]: a loss step writes its batch projections into the top rows, so
+    its columns are a view and no step concatenates.
     """
 
     def __init__(self, style_tag: str, capacity: int = DEFAULT_QUEUE_CAPACITY):
@@ -91,32 +95,77 @@ class NegativeQueue:
             raise ConfigInvalid("queue capacity must be non-negative")
         self.style_tag = style_tag
         self.capacity = capacity
-        self._texts: np.ndarray | None = None
+        self._batch = 0      # rows reserved for the batch above the queue
+        self._len = 0
+        self._texts: np.ndarray | None = None    # (batch + capacity, proj_dim) float64
         self._videos: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return 0 if self._texts is None else self._texts.shape[0]
+        return self._len
 
     @property
     def text_negatives(self) -> np.ndarray | None:
-        return self._texts
+        return self._texts[self._batch:self._batch + self._len] if self._len else None
 
     @property
     def video_negatives(self) -> np.ndarray | None:
-        return self._videos
+        return self._videos[self._batch:self._batch + self._len] if self._len else None
+
+    def _reserve(self, batch: int, proj_dim: int) -> None:
+        """Lay the buffers out for `batch` rows above the queue, keeping its entries."""
+        if self._texts is not None and self._batch == batch:
+            return
+        texts = np.empty((batch + self.capacity, proj_dim))
+        videos = np.empty((batch + self.capacity, proj_dim))
+        if self._len:
+            texts[batch:batch + self._len] = self.text_negatives
+            videos[batch:batch + self._len] = self.video_negatives
+        self._texts, self._videos, self._batch = texts, videos, batch
+
+    def columns(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[x | text queue] and [y | video queue], oldest entry first, as buffer views."""
+        b = x.shape[0]
+        self._reserve(b, x.shape[1])
+        self._texts[:b] = x
+        self._videos[:b] = y
+        return self._texts[:b + self._len], self._videos[:b + self._len]
 
     def push(self, text_proj: np.ndarray, video_proj: np.ndarray) -> None:
         if self.capacity == 0:
             return
-        if self._texts is None:
-            self._texts = text_proj.copy()
-            self._videos = video_proj.copy()
-        else:
-            self._texts = np.concatenate([self._texts, text_proj], axis=0)
-            self._videos = np.concatenate([self._videos, video_proj], axis=0)
-        if self._texts.shape[0] > self.capacity:
-            self._texts = self._texts[-self.capacity:]
-            self._videos = self._videos[-self.capacity:]
+        new = min(text_proj.shape[0], self.capacity)
+        keep = min(self._len, self.capacity - new)
+        drop = self._len - keep
+        self._reserve(self._batch or text_proj.shape[0], text_proj.shape[1])
+        lo, dim = self._batch, self._texts.shape[1]
+        for buf, rows in ((self._texts, text_proj), (self._videos, video_proj)):
+            if drop:
+                # shift the kept entries up over the dropped ones; a 1-D overlapping
+                # copy runs in place, where a 2-D one would copy through a temporary
+                flat = buf.reshape(-1)
+                flat[lo * dim:(lo + keep) * dim] = flat[(lo + drop) * dim:(lo + self._len) * dim]
+            buf[lo + keep:lo + keep + new] = rows[rows.shape[0] - new:]
+        self._len = keep + new
+
+
+class LossWorkspace:
+    """Matrices one `train` call reuses for every info_nce_loss step.
+
+    Each (rows, cols) matrix is a C-contiguous view at the start of its own
+    buffer, so a step sees the layout of freshly allocated arrays and
+    computes the same bits. A buffer grows only when a step needs more.
+    """
+
+    def __init__(self):
+        self._buffers = [np.empty(0) for _ in range(3)]
+
+    def matrices(self, rows: int, cols: int) -> list[np.ndarray]:
+        """(logits, text->video gradient, video->text gradient) buffers."""
+        size = rows * cols
+        if self._buffers[0].size < size:
+            self._buffers.clear()   # the smaller buffers go before the larger ones exist
+            self._buffers.extend(np.empty(size) for _ in range(3))
+        return [buf[:size].reshape(rows, cols) for buf in self._buffers]
 
 
 def _project(head: np.ndarray, rows: np.ndarray):
@@ -127,10 +176,11 @@ def _project(head: np.ndarray, rows: np.ndarray):
     return raw / norms[:, None], norms
 
 
-def _log_softmax_rows(logits: np.ndarray):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    return shifted - log_z[:, None]
+def _log_softmax_rows(logits: np.ndarray, scratch: np.ndarray) -> None:
+    """Turn `logits` into its row-wise log-softmax in place; `scratch` takes exp on the way."""
+    logits -= logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(logits, out=scratch).sum(axis=1))
+    logits -= log_z[:, None]
 
 
 def info_nce_loss(
@@ -138,12 +188,16 @@ def info_nce_loss(
     batch_texts: np.ndarray,
     batch_videos: np.ndarray,
     queue: NegativeQueue | None = None,
+    *,
+    workspace: LossWorkspace | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Symmetric temperature-scaled contrastive loss and its exact gradients.
 
     Returns (loss, d loss / d text_head, d loss / d video_head). The loss
     averages the text-to-video and video-to-text softmax cross-entropies
     over the batch; queue entries add negative columns in both directions.
+    A `workspace` lets repeated calls reuse their (B, B + queue) matrices;
+    without one they are allocated fresh. Either way the bits are the same.
     """
     texts = np.asarray(batch_texts, dtype=np.float64)
     videos = np.asarray(batch_videos, dtype=np.float64)
@@ -158,29 +212,29 @@ def info_nce_loss(
     tau = model.tau
     x, x_norms = _project(model.text_head, texts)    # (B, p) unit rows
     y, y_norms = _project(model.video_head, videos)
+    cols_t, cols_v = queue.columns(x, y) if queue is not None and len(queue) else (x, y)
+    if workspace is None:
+        workspace = LossWorkspace()
+    logits, g_tv, g_vt = workspace.matrices(b, cols_v.shape[0])
 
-    q_texts = queue.text_negatives if queue is not None else None
-    q_videos = queue.video_negatives if queue is not None else None
-    cols_v = y if q_videos is None else np.concatenate([y, q_videos], axis=0)
-    cols_t = x if q_texts is None else np.concatenate([x, q_texts], axis=0)
-
-    logits_tv = (x @ cols_v.T) / tau     # text -> video direction
-    logits_vt = (y @ cols_t.T) / tau     # video -> text direction
-    logp_tv = _log_softmax_rows(logits_tv)
-    logp_vt = _log_softmax_rows(logits_vt)
     diag = np.arange(b)
+    log_diag = []
+    # text -> video, then video -> text; each leaves its softmax in its gradient buffer
+    for rows, cols, grad in ((x, cols_v, g_tv), (y, cols_t, g_vt)):
+        np.matmul(rows, cols.T, out=logits)
+        logits /= tau
+        _log_softmax_rows(logits, grad)
+        log_diag.append(logits[diag, diag].sum())
+        np.exp(logits, out=grad)
     # + 0.0 canonicalizes the -0.0 that the B=1 case would otherwise produce
-    loss = float(-(logp_tv[diag, diag].sum() + logp_vt[diag, diag].sum()) / (2.0 * b) + 0.0)
+    loss = float(-(log_diag[0] + log_diag[1]) / (2.0 * b) + 0.0)
     if not np.isfinite(loss):
         raise NonFiniteLoss("contrastive loss is non-finite")
 
     # d loss / d logits = (softmax - onehot) / (2B); logits = sims / tau
-    g_tv = np.exp(logp_tv)
-    g_tv[diag, diag] -= 1.0
-    g_tv /= 2.0 * b * tau
-    g_vt = np.exp(logp_vt)
-    g_vt[diag, diag] -= 1.0
-    g_vt /= 2.0 * b * tau
+    for grad in (g_tv, g_vt):
+        grad[diag, diag] -= 1.0
+        grad /= 2.0 * b * tau
 
     d_x = g_tv @ cols_v + g_vt[:, :b].T @ y
     d_y = g_vt @ cols_t + g_tv[:, :b].T @ x
@@ -373,8 +427,8 @@ def train(
     After each step the batch's projections are pushed into that tag's
     queue; a queue only ever serves batches with its own tag.
     """
-    texts = np.asarray(texts, dtype=np.float64)
-    videos = np.asarray(videos, dtype=np.float64)
+    texts = np.asarray(texts)
+    videos = np.asarray(videos)
     if texts.shape[0] != plan.total_pairs or videos.shape[0] != plan.total_pairs:
         raise CountMismatch(
             f"plan covers {plan.total_pairs} pairs but arrays hold "
@@ -385,13 +439,17 @@ def train(
     vel_t = np.zeros_like(model.text_head)
     vel_v = np.zeros_like(model.video_head)
     log_rows: list[StepRecord] = []
+    workspace = LossWorkspace()
 
     for step, (tag, indices) in enumerate(plan.batches):
-        batch_t = texts[indices]
-        batch_v = videos[indices]
+        # widening float32 rows to float64 is exact, so the batch bits do not depend on
+        # the precision the arrays are held in
+        batch_t = texts[indices].astype(np.float64)
+        batch_v = videos[indices].astype(np.float64)
         queue = queues.get(tag)
         try:
-            loss, grad_t, grad_v = info_nce_loss(model, batch_t, batch_v, queue)
+            loss, grad_t, grad_v = info_nce_loss(model, batch_t, batch_v, queue,
+                                                 workspace=workspace)
             if config.momentum > 0.0:
                 vel_t = config.momentum * vel_t + grad_t
                 vel_v = config.momentum * vel_v + grad_v
@@ -420,14 +478,19 @@ def build_training_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-align styled captions and their clips for the plan's index space.
 
-    Global pair index offsets follow the set order, matching plan_epoch.
+    Both arrays keep the float32 of the embedding files; `train` widens
+    each batch to float64. Global pair index offsets follow the set order,
+    matching plan_epoch.
     Every pair's row must hold the styled caption of that pair's clip, and
     the pair's recorded similarity must be that caption's cosine with the
     clip's row in `clips`, so a pool other than the filter's is rejected.
     """
     if len(gen_sets) != len(styled_sets):
         raise CountMismatch("one styled set per generated-pair set required")
-    text_blocks, video_blocks = [], []
+    total = sum(len(gen) for gen in gen_sets)
+    texts = np.empty((total, clips.dim), dtype=np.float32)
+    videos = np.empty((total, clips.dim), dtype=np.float32)
+    lo = 0
     for gen, styled in zip(gen_sets, styled_sets):
         if len(gen) and (gen.rows.min() < 0 or gen.rows.max() >= styled.count):
             raise RangeOutOfBounds(
@@ -435,17 +498,22 @@ def build_training_arrays(
         if not np.array_equal(styled.ids[gen.rows], gen.clip_ids):
             raise CountMismatch(
                 f"style set {gen.style_tag!r}: a row holds another clip than its pair names")
-        text_rows = styled.data[gen.rows].astype(np.float64)
-        video_rows = clips.data[clips.row_for_id(gen.clip_ids)].astype(np.float64)
-        drift = np.abs(np.einsum("ij,ij->i", text_rows, video_rows) - gen.sims)
+        if styled.dim != clips.dim:
+            raise DimMismatch(
+                f"style set {gen.style_tag!r}: styled dim {styled.dim} vs pool dim {clips.dim}")
+        hi = lo + len(gen)
+        texts[lo:hi] = styled.data[gen.rows]
+        videos[lo:hi] = clips.data[clips.row_for_id(gen.clip_ids)]
+        sims = np.einsum("ij,ij->i", texts[lo:hi].astype(np.float64),
+                         videos[lo:hi].astype(np.float64))
+        drift = np.abs(sims - gen.sims)
         if len(gen) and drift.max() > SIM_TOLERANCE:
             raise CountMismatch(
                 f"style set {gen.style_tag!r}: a pair's similarity differs from its "
                 f"recorded value by {drift.max():.3g}; the pool is not the one it was "
                 f"filtered against")
-        text_blocks.append(text_rows)
-        video_blocks.append(video_rows)
-    return np.concatenate(text_blocks, axis=0), np.concatenate(video_blocks, axis=0)
+        lo = hi
+    return texts, videos
 
 
 def _epoch_seed(seed: int, epoch: int) -> int:

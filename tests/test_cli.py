@@ -404,6 +404,24 @@ class TestPipelineCommand:
         assert "error=ConfigInvalid" in caplog.text
         assert tree_hashes(w) == {}
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--noise-sigma", "nan"), ("--noise-sigma", "-0.5"),
+        ("--ridge-lambda", "-1"), ("--ridge-lambda", "nan"),
+        ("--learning-rate", "-0.3"), ("--learning-rate", "inf"), ("--tau", "nan"),
+        ("--momentum", "nan"), ("--momentum", "1.5"), ("--momentum", "1"),
+        ("--queue-capacity", "-3"), ("--epochs", "0"),
+    ])
+    def test_bad_numeric_flag_exits_2_before_any_stage_writes(self, tmp_path, caplog,
+                                                              flag, value):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "7"] + SMALL_SYNTH) == 0
+        w = tmp_path / "w"
+        rc = main(["pipeline", "--workdir", str(w), "--data-dir", str(data), "--epochs", "1",
+                   flag, value] + SMALL_SYNTH + SMALL_TRAIN)
+        assert rc == 2
+        assert "error=ConfigInvalid" in caplog.text
+        assert tree_hashes(w) == {}
+
     def test_reuses_existing_data_dir(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["synth", "--out", str(data), "--seed", "7", "--styles", "1"]

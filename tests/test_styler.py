@@ -88,6 +88,14 @@ class TestFitStyle:
         assert norms[0] > norms[1] > norms[2]
 
 
+    @pytest.mark.parametrize("field", ["ridge_lambda", "noise_sigma"])
+    @pytest.mark.parametrize("value", [-0.5, float("nan"), float("inf")])
+    def test_transform_rejects_negative_or_non_finite_knobs(self, field, value):
+        knobs = {"ridge_lambda": 0.0, "noise_sigma": 0.0, field: value}
+        with pytest.raises(ValueError, match="non-negative"):
+            StyleTransform(weight=np.eye(3), bias=np.zeros(3), **knobs)
+
+
 class TestGenerateStyled:
     def test_identity_map_no_noise_returns_input(self):
         rng = np.random.default_rng(5)

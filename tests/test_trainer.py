@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from stylepair.errors import (
 from stylepair.styler import GeneratedPairSet
 from stylepair.trainer import (
     AdapterModel,
+    LossWorkspace,
     NegativeQueue,
     StyleBatchPlan,
     TrainConfig,
@@ -26,6 +29,7 @@ from stylepair.trainer import (
     save_adapter,
     train,
     train_epochs,
+    write_loss_log,
 )
 
 from conftest import golden, random_unit_set
@@ -103,6 +107,88 @@ class TestLossIdentities:
         model = init_adapter(3)
         with pytest.raises(CountMismatch):
             info_nce_loss(model, np.eye(3), np.eye(3)[:2])
+
+
+def reference_loss(model, texts, videos, q_texts=None, q_videos=None):
+    """The contrastive loss and gradients with fresh arrays and concatenated queue columns."""
+    b, tau = texts.shape[0], model.tau
+
+    def project(head, rows):
+        raw = rows @ head.T
+        norms = np.linalg.norm(raw, axis=1)
+        return raw / norms[:, None], norms
+
+    def log_softmax(logits):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
+
+    x, x_norms = project(model.text_head, texts)
+    y, y_norms = project(model.video_head, videos)
+    cols_v = y if q_videos is None else np.concatenate([y, q_videos])
+    cols_t = x if q_texts is None else np.concatenate([x, q_texts])
+    logp_tv = log_softmax((x @ cols_v.T) / tau)
+    logp_vt = log_softmax((y @ cols_t.T) / tau)
+    diag = np.arange(b)
+    loss = float(-(logp_tv[diag, diag].sum() + logp_vt[diag, diag].sum()) / (2.0 * b) + 0.0)
+    g_tv, g_vt = np.exp(logp_tv), np.exp(logp_vt)
+    for g in (g_tv, g_vt):
+        g[diag, diag] -= 1.0
+        g /= 2.0 * b * tau
+    d_x = g_tv @ cols_v + g_vt[:, :b].T @ y
+    d_y = g_vt @ cols_t + g_tv[:, :b].T @ x
+    d_u = (d_x - (d_x * x).sum(axis=1, keepdims=True) * x) / x_norms[:, None]
+    d_w = (d_y - (d_y * y).sum(axis=1, keepdims=True) * y) / y_norms[:, None]
+    return loss, d_u.T @ texts, d_w.T @ videos
+
+
+class TestLossWorkspace:
+    def test_reused_workspace_gives_the_bits_of_fresh_arrays(self):
+        rng = np.random.default_rng(17)
+        dim, proj = 7, 5
+        model = random_model(rng, dim, proj)
+        queue = NegativeQueue("a", capacity=10)
+        workspace = LossWorkspace()
+        fills, pushed = [], []
+        # the batch size changes mid-way, and the queue goes empty -> partial -> full -> wrapped
+        for b in (4, 4, 4, 6, 6, 3, 4, 4):
+            t, v = unit_rows(rng, b, dim), unit_rows(rng, b, dim)
+            fills.append(len(queue))
+            want = reference_loss(model, t, v, queue.text_negatives, queue.video_negatives)
+            fresh = info_nce_loss(model, t, v, queue)
+            reused = info_nce_loss(model, t, v, queue, workspace=workspace)
+            for got in (fresh, reused):
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+            x, y = batch_projections(model, t, v)
+            queue.push(x, y)
+            pushed.append(x)
+            assert np.array_equal(queue.text_negatives, np.concatenate(pushed)[-10:])
+            model.text_head -= 0.1 * reused[1]
+        assert fills == [0, 4, 8, 10, 10, 10, 10, 10]
+
+    def test_train_peak_memory_does_not_grow_with_steps(self):
+        rng = np.random.default_rng(18)
+        b, capacity, dim = 64, 512, 8
+        n = 4 * b
+        texts, videos = unit_rows(rng, n, dim), unit_rows(rng, n, dim)
+        matrix_bytes = b * (b + capacity) * 8   # one (B, B + queue) float64 matrix
+
+        def peak(steps):
+            plan = StyleBatchPlan(batches=[("a", rng.permutation(n)[:b]) for _ in range(steps)],
+                                  set_tags=["a"], set_sizes=[n], batch_size=b,
+                                  mode="in_style", seed=0)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                train(init_adapter(dim), plan, texts, videos, TrainConfig(queue_capacity=capacity))
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(16), peak(32)   # the queue fills at step 8 and then wraps
+        assert long <= short + matrix_bytes // 4
+        # three reused matrices (logits and two gradients) plus the queue's column buffers
+        assert short < 5 * matrix_bytes
 
 
 class TestGradCheck:
@@ -368,6 +454,23 @@ class TestTrain:
         plan = plan_epoch([gen_set("a", 4)], 2, seed=0)
         with pytest.raises(CountMismatch):
             train(init_adapter(3), plan, np.eye(3), np.eye(3), TrainConfig())
+
+
+    def test_float32_and_float64_arrays_give_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(19)
+        sets, texts, videos = separable_fixture(rng)
+        texts32, videos32 = texts.astype(np.float32), videos.astype(np.float32)
+        outputs = []
+        for i, (t, v) in enumerate([(texts32, videos32),
+                                    (texts32.astype(np.float64), videos32.astype(np.float64))]):
+            model, rows = train_epochs(init_adapter(8), sets, t, v, mode="in_style", epochs=2,
+                                       batch_size=4, config=TrainConfig(queue_capacity=12),
+                                       seed=3)
+            save_adapter(model, tmp_path / f"adapter{i}.iemb")
+            write_loss_log(rows, tmp_path / f"loss{i}.csv")
+            outputs.append([(tmp_path / f"{name}{i}.{ext}").read_bytes()
+                            for name, ext in (("adapter", "iemb"), ("loss", "csv"))])
+        assert outputs[0] == outputs[1]
 
 
 class TestBuildTrainingArrays:
