@@ -234,8 +234,11 @@ def _synth_config(args) -> SynthConfig:
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
-    """Print `payload` as sorted, indented JSON, and also write it to `path` if given."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Print `payload` as sorted, indented JSON, and also write it to `path` if given.
+
+    NaN and infinities are refused: they are not JSON.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with container.atomic_write(path, "w", encoding="utf-8") as f:
             f.write(text + "\n")
@@ -352,10 +355,22 @@ def cmd_filter(args) -> int:
     return 0
 
 
+def _threshold_grid(text: str) -> list[float]:
+    """The --thresholds grid: a non-empty ascending list of valid --threshold values."""
+    try:
+        grid = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigInvalid(f"thresholds {text!r}: {exc}") from exc
+    if not grid or grid != sorted(grid) or not all(-1.0 < v < 1.0 for v in grid):
+        raise ConfigInvalid(f"thresholds {text!r} must be a non-empty ascending list of "
+                            f"values strictly in (-1, 1)")
+    return grid
+
+
 def cmd_sweep(args) -> int:
+    grid = _threshold_grid(args.thresholds)
     styled = load_embeddings(args.styled)
     pool = load_embeddings(args.pool)
-    grid = [float(v) for v in args.thresholds.split(",") if v.strip()]
     rows = styler.threshold_sweep(styled, pool, grid)
     _emit_json({"rows": [{"threshold": r.threshold, "kept": r.kept, "rate": r.rate}
                          for r in rows]}, args.out)
@@ -410,9 +425,10 @@ def run_pipeline(args) -> dict:
     A dataset already in the workdir is reused only if it was generated
     from the same synth config; an explicit --data-dir is taken as given.
     """
+    cfg = _synth_config(args)
+    cfg.validate()   # report.json records it, even for a given --data-dir
     workdir = args.workdir
     os.makedirs(workdir, exist_ok=True)
-    cfg = _synth_config(args)
     data_dir = args.data_dir or os.path.join(workdir, "data")
     paths = dataset_paths(data_dir, cfg.n_styles)
     if not args.data_dir:

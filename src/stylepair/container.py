@@ -1,9 +1,11 @@
-"""Low-level readers/writers for the IEMB binary container and typed JSONL.
+"""Readers/writers for the IEMB binary container and typed JSONL.
 
-All integers and floats are little-endian. A container starts with the
-4-byte magic "IEMB" and a u32 format version. What follows is either the
-embedding payload (count/dim/flags/ids/data) or a tagged sub-chunk
-("STYL", "ADPT") for model parameters.
+A container is the 4-byte magic "IEMB", a u32 format version, a 4-byte
+sub-chunk tag ("STYL", "ADPT"; none for embeddings), a block of scalar
+fields, then the arrays. Everything is little-endian, and a file must end
+where its last array ends. `write_container`/`read_container` are the
+only code that knows this framing; each artifact module names its fields
+and arrays.
 
 Pair, truth and latent files are JSON Lines: a header object whose "kind"
 names the file type, then one object per record.
@@ -20,7 +22,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import MagicMismatch, TruncatedFile, VersionUnsupported
+from .errors import MagicMismatch, TrailingBytes, TruncatedFile, VersionUnsupported
 
 MAGIC = b"IEMB"
 VERSION = 1
@@ -55,50 +57,6 @@ def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return buf
 
 
-def read_u32(f: BinaryIO, what: str) -> int:
-    return struct.unpack("<I", read_exact(f, 4, what))[0]
-
-
-def read_u64(f: BinaryIO, what: str) -> int:
-    return struct.unpack("<Q", read_exact(f, 8, what))[0]
-
-
-def read_f64(f: BinaryIO, what: str) -> float:
-    return struct.unpack("<d", read_exact(f, 8, what))[0]
-
-
-def write_u32(f: BinaryIO, value: int) -> None:
-    f.write(struct.pack("<I", value))
-
-
-def write_u64(f: BinaryIO, value: int) -> None:
-    f.write(struct.pack("<Q", value))
-
-
-def write_f64(f: BinaryIO, value: float) -> None:
-    f.write(struct.pack("<d", value))
-
-
-def write_header(f: BinaryIO) -> None:
-    f.write(MAGIC)
-    write_u32(f, VERSION)
-
-
-def read_header(f: BinaryIO) -> None:
-    magic = read_exact(f, 4, "magic")
-    if magic != MAGIC:
-        raise MagicMismatch(f"expected {MAGIC!r}, found {magic!r}")
-    version = read_u32(f, "version")
-    if version != VERSION:
-        raise VersionUnsupported(f"format version {version} not supported")
-
-
-def read_chunk_tag(f: BinaryIO, expected: bytes) -> None:
-    tag = read_exact(f, 4, "chunk tag")
-    if tag != expected:
-        raise MagicMismatch(f"expected {expected!r} sub-chunk, found {tag!r}")
-
-
 def read_array(f: BinaryIO, dtype: str, count: int, what: str) -> np.ndarray:
     dt = np.dtype(dtype)
     buf = read_exact(f, dt.itemsize * count, what)
@@ -109,15 +67,40 @@ def write_array(f: BinaryIO, arr: np.ndarray, dtype: str) -> None:
     f.write(np.ascontiguousarray(arr, dtype=np.dtype(dtype)).tobytes())
 
 
-def write_string(f: BinaryIO, text: str) -> None:
-    raw = text.encode("utf-8")
-    write_u32(f, len(raw))
-    f.write(raw)
+def write_container(path: str | os.PathLike, tag: bytes, fields: str, values,
+                    arrays) -> None:
+    """Write magic, version, `tag`, `values` packed little-endian as the struct format
+    `fields`, then each (array, dtype) of `arrays`."""
+    with atomic_write(path) as f:
+        f.write(MAGIC + struct.pack("<I", VERSION) + tag + struct.pack("<" + fields, *values))
+        for arr, dtype in arrays:
+            write_array(f, arr, dtype)
 
 
-def read_string(f: BinaryIO, what: str) -> str:
-    length = read_u32(f, f"{what} length")
-    return read_exact(f, length, what).decode("utf-8")
+@contextlib.contextmanager
+def read_container(path: str | os.PathLike, tag: bytes, fields: str, what: str):
+    """Yield (file, field values) with the file at the first array.
+
+    The caller reads the arrays with `read_array`; once it has, the file
+    must have ended (TrailingBytes otherwise). A tagless container must not
+    hold a tagged sub-chunk.
+    """
+    with open(path, "rb") as f:
+        magic = read_exact(f, 4, "magic")
+        if magic != MAGIC:
+            raise MagicMismatch(f"expected {MAGIC!r}, found {magic!r}")
+        (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
+        if version != VERSION:
+            raise VersionUnsupported(f"format version {version} not supported")
+        found = read_exact(f, len(tag), "chunk tag") if tag else f.peek(4)[:4]
+        if tag and found != tag:
+            raise MagicMismatch(f"expected {tag!r} sub-chunk, found {found!r}")
+        if not tag and found in (STYLE_CHUNK, ADAPTER_CHUNK):
+            raise MagicMismatch(f"file holds a {found.decode()} sub-chunk, not {what}")
+        block = struct.Struct("<" + fields)
+        yield f, block.unpack(read_exact(f, block.size, f"{what} fields"))
+        if f.read(1):
+            raise TrailingBytes(f"{path}: bytes follow the end of the {what} payload")
 
 
 def write_records(path: str | os.PathLike, header: dict, records) -> None:

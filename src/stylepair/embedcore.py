@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .errors import (
-    DuplicateId,
-    MagicMismatch,
-    NonFiniteValue,
-    NotNormalized,
-    ZeroVectorRow,
-)
+from .errors import DuplicateId, NonFiniteValue, NotNormalized, ZeroVectorRow
 
 NORM_FLAG_TOL = 1e-4   # how far a "normalized" row may drift from unit norm
 _FLAG_NORMALIZED = 1
@@ -196,30 +190,18 @@ def pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---- persistence ----
 
 
+_FIELDS = "QII"   # count, dim, flags
+
+
 def save_embeddings(emb: EmbeddingSet, path: str | os.PathLike) -> None:
     """Write the binary embedding layout; load_embeddings round-trips it byte-exactly."""
     flags = _FLAG_NORMALIZED if emb.normalized else 0
-    with container.atomic_write(path) as f:
-        container.write_header(f)
-        container.write_u64(f, emb.count)
-        container.write_u32(f, emb.dim)
-        container.write_u32(f, flags)
-        container.write_array(f, emb.ids, "<u8")
-        container.write_array(f, emb.data, "<f4")
+    container.write_container(path, b"", _FIELDS, (emb.count, emb.dim, flags),
+                              [(emb.ids, "<u8"), (emb.data, "<f4")])
 
 
 def load_embeddings(path: str | os.PathLike) -> EmbeddingSet:
-    with open(path, "rb") as f:
-        container.read_header(f)
-        peek = f.peek(4)[:4] if hasattr(f, "peek") else b""
-        if peek in (container.STYLE_CHUNK, container.ADAPTER_CHUNK):
-            raise MagicMismatch(f"file holds a {peek.decode()} sub-chunk, not embeddings")
-        count = container.read_u64(f, "count")
-        dim = container.read_u32(f, "dim")
-        flags = container.read_u32(f, "flags")
+    with container.read_container(path, b"", _FIELDS, "embeddings") as (f, (count, dim, flags)):
         ids = container.read_array(f, "<u8", count, "ids").astype(np.int64)
         data = container.read_array(f, "<f4", count * dim, "rows").reshape(count, dim)
-        extra = f.read(1)
-    if extra:
-        raise ValueError(f"{path}: trailing bytes after embedding payload")
     return EmbeddingSet(ids=ids, data=data, normalized=bool(flags & _FLAG_NORMALIZED))

@@ -23,6 +23,10 @@ class TruncatedFile(StylePairError):
     pass
 
 
+class TrailingBytes(StylePairError):
+    pass
+
+
 class NonFiniteValue(StylePairError):
     pass
 

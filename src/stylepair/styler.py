@@ -296,37 +296,25 @@ def threshold_sweep(
 # ---- persistence ----
 
 
+_FIELDS = "IIddI"   # dim_out, dim_in, ridge_lambda, noise_sigma, style tag length
+
+
 def save_style(style: StyleTransform, path: str | os.PathLike) -> None:
-    with container.atomic_write(path) as f:
-        container.write_header(f)
-        f.write(container.STYLE_CHUNK)
-        container.write_u32(f, style.dim_out)
-        container.write_u32(f, style.dim_in)
-        container.write_f64(f, style.ridge_lambda)
-        container.write_f64(f, style.noise_sigma)
-        container.write_string(f, style.style_tag)
-        container.write_array(f, style.weight, "<f8")
-        container.write_array(f, style.bias, "<f8")
+    tag = np.frombuffer(style.style_tag.encode("utf-8"), dtype=np.uint8)
+    container.write_container(
+        path, container.STYLE_CHUNK, _FIELDS,
+        (style.dim_out, style.dim_in, style.ridge_lambda, style.noise_sigma, len(tag)),
+        [(tag, "u1"), (style.weight, "<f8"), (style.bias, "<f8")])
 
 
 def load_style(path: str | os.PathLike) -> StyleTransform:
-    with open(path, "rb") as f:
-        container.read_header(f)
-        container.read_chunk_tag(f, container.STYLE_CHUNK)
-        dim_out = container.read_u32(f, "dim_out")
-        dim_in = container.read_u32(f, "dim_in")
-        ridge_lambda = container.read_f64(f, "ridge_lambda")
-        noise_sigma = container.read_f64(f, "noise_sigma")
-        tag = container.read_string(f, "style_tag")
+    with container.read_container(path, container.STYLE_CHUNK, _FIELDS, "style") as (f, fields):
+        dim_out, dim_in, ridge_lambda, noise_sigma, tag_len = fields
+        tag = container.read_exact(f, tag_len, "style_tag").decode("utf-8")
         weight = container.read_array(f, "<f8", dim_out * dim_in, "weight")
         bias = container.read_array(f, "<f8", dim_out, "bias")
-    return StyleTransform(
-        weight=weight.reshape(dim_out, dim_in),
-        bias=bias,
-        ridge_lambda=ridge_lambda,
-        noise_sigma=noise_sigma,
-        style_tag=tag,
-    )
+    return StyleTransform(weight=weight.reshape(dim_out, dim_in), bias=bias,
+                          ridge_lambda=ridge_lambda, noise_sigma=noise_sigma, style_tag=tag)
 
 
 def write_generated_pairs(pairs: GeneratedPairSet, path: str | os.PathLike) -> None:

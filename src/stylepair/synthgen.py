@@ -51,8 +51,8 @@ class SynthConfig:
             raise ConfigInvalid("pool_size must cover the total query count")
         if not 0.0 <= self.style_strength <= 1.0:
             raise ConfigInvalid("style_strength must lie in [0, 1]")
-        if self.cross_modal_noise < 0.0:
-            raise ConfigInvalid("cross_modal_noise must be non-negative")
+        if not 0.0 <= self.cross_modal_noise < np.inf:
+            raise ConfigInvalid("cross_modal_noise must be finite and non-negative")
         if not 0.0 < self.held_out_fraction < 1.0:
             raise ConfigInvalid("held_out_fraction must lie strictly in (0, 1)")
         if self.queries_per_style > _TEST_ID_OFFSET or self.test_per_style > _TEST_ID_OFFSET:

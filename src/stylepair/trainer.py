@@ -425,7 +425,9 @@ def train(
 
     `texts`/`videos` are row-aligned with the plan's global pair indices.
     After each step the batch's projections are pushed into that tag's
-    queue; a queue only ever serves batches with its own tag.
+    queue; a queue only ever serves batches with its own tag. The queues
+    belong to this call, so each epoch of `train_epochs` starts with them
+    empty.
     """
     texts = np.asarray(texts)
     videos = np.asarray(videos)
@@ -450,14 +452,10 @@ def train(
         try:
             loss, grad_t, grad_v = info_nce_loss(model, batch_t, batch_v, queue,
                                                  workspace=workspace)
-            if config.momentum > 0.0:
-                vel_t = config.momentum * vel_t + grad_t
-                vel_v = config.momentum * vel_v + grad_v
-                model.text_head -= config.learning_rate * vel_t
-                model.video_head -= config.learning_rate * vel_v
-            else:
-                model.text_head -= config.learning_rate * grad_t
-                model.video_head -= config.learning_rate * grad_v
+            vel_t = config.momentum * vel_t + grad_t
+            vel_v = config.momentum * vel_v + grad_v
+            model.text_head -= config.learning_rate * vel_t
+            model.video_head -= config.learning_rate * vel_v
             model.check_finite()
         except NonFiniteLoss as exc:
             raise NonFiniteLoss(f"step {step}: {exc}") from exc
@@ -556,27 +554,20 @@ def write_loss_log(rows: list[StepRecord], path: str | os.PathLike) -> None:
 # ---- persistence ----
 
 
+_FIELDS = "IIdQ"   # proj_dim, dim, tau, step_count
+
+
 def save_adapter(model: AdapterModel, path: str | os.PathLike) -> None:
     """Persist the adapter; head weights are stored as float32."""
-    with container.atomic_write(path) as f:
-        container.write_header(f)
-        f.write(container.ADAPTER_CHUNK)
-        container.write_u32(f, model.proj_dim)
-        container.write_u32(f, model.dim)
-        container.write_f64(f, model.tau)
-        container.write_u64(f, model.step_count)
-        container.write_array(f, model.text_head, "<f4")
-        container.write_array(f, model.video_head, "<f4")
+    container.write_container(
+        path, container.ADAPTER_CHUNK, _FIELDS,
+        (model.proj_dim, model.dim, model.tau, model.step_count),
+        [(model.text_head, "<f4"), (model.video_head, "<f4")])
 
 
 def load_adapter(path: str | os.PathLike) -> AdapterModel:
-    with open(path, "rb") as f:
-        container.read_header(f)
-        container.read_chunk_tag(f, container.ADAPTER_CHUNK)
-        proj_dim = container.read_u32(f, "proj_dim")
-        dim = container.read_u32(f, "dim")
-        tau = container.read_f64(f, "tau")
-        step_count = container.read_u64(f, "step_count")
+    with container.read_container(path, container.ADAPTER_CHUNK, _FIELDS,
+                                  "adapter") as (f, (proj_dim, dim, tau, step_count)):
         w_t = container.read_array(f, "<f4", proj_dim * dim, "text head")
         w_v = container.read_array(f, "<f4", proj_dim * dim, "video head")
     return AdapterModel(

@@ -8,9 +8,10 @@ import struct
 import numpy as np
 import pytest
 
-from stylepair.cli import _threads, main
+from stylepair.cli import _emit_json, _threads, main
 from stylepair.embedcore import save_embeddings
 from stylepair.styler import GeneratedPairSet, read_generated_pairs, write_generated_pairs
+from stylepair.trainer import init_adapter, save_adapter
 
 from conftest import golden, make_set, random_unit_set
 
@@ -48,6 +49,14 @@ class TestSynthCommand:
         rc = main(["synth", "--out", str(tmp_path / "d"),
                    "--held-out-fraction", "1.5"] + SMALL_SYNTH)
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_cross_modal_noise_exits_2(self, tmp_path, caplog, value):
+        rc = main(["synth", "--out", str(tmp_path / "d"),
+                   "--cross-modal-noise", value] + SMALL_SYNTH)
+        assert rc == 2
+        assert "error=ConfigInvalid" in caplog.text
+        assert not (tmp_path / "d").exists()
 
     def test_repeated_runs_hash_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -250,6 +259,21 @@ class TestStageCommands:
         assert lines[0] == "query_index,rank"
         assert len(lines) == 4
 
+    def test_eval_rejects_an_adapter_with_bytes_appended(self, tmp_path, caplog):
+        basis = make_set(np.eye(3))
+        save_embeddings(basis, tmp_path / "caps.iemb")
+        save_embeddings(basis, tmp_path / "cands.iemb")
+        write_truth(tmp_path / "truth.jsonl", {i: i for i in range(3)})
+        adapter = tmp_path / "adapter.iemb"
+        save_adapter(init_adapter(3), adapter)
+        adapter.write_bytes(adapter.read_bytes() * 2)
+        rc = main(["eval", "--captions", str(tmp_path / "caps.iemb"),
+                   "--candidates", str(tmp_path / "cands.iemb"),
+                   "--truth", str(tmp_path / "truth.jsonl"), "--adapter", str(adapter)])
+        assert rc == 1
+        assert "error=TrailingBytes" in caplog.text
+        assert "Traceback" not in caplog.text
+
     def test_eval_zero_shot_on_identity_fixture(self, tmp_path, capsys):
         basis = make_set(np.eye(5))
         save_embeddings(basis, tmp_path / "caps.iemb")
@@ -280,6 +304,16 @@ class TestStageCommands:
         counts = [r["kept"] for r in rows]
         assert counts == sorted(counts, reverse=True)
 
+    @pytest.mark.parametrize("grid", ["0.3,abc", "0.3,0.2", "nan", "", ",", "0.2,inf",
+                                      "-1,0.5", "0.5,1"])
+    def test_bad_sweep_grid_exits_2_before_any_input_is_read(self, tmp_path, caplog, capsys,
+                                                             grid):
+        missing = str(tmp_path / "missing.iemb")
+        rc = main(["sweep", "--styled", missing, "--pool", missing, f"--thresholds={grid}"])
+        assert rc == 2
+        assert "error=ConfigInvalid" in caplog.text
+        assert capsys.readouterr().out == ""
+
 
 def test_threads_zero_uses_the_cpus_this_process_may_run_on(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -288,6 +322,13 @@ def test_threads_zero_uses_the_cpus_this_process_may_run_on(monkeypatch):
     assert _threads(argparse.Namespace(threads=5)) == 5
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert _threads(argparse.Namespace(threads=0)) == 64
+
+
+def test_json_output_refuses_non_finite_numbers(tmp_path, capsys):
+    with pytest.raises(ValueError):
+        _emit_json({"threshold": float("nan")}, str(tmp_path / "out.json"))
+    assert not (tmp_path / "out.json").exists()
+    assert capsys.readouterr().out == ""
 
 
 class TestConfigPrecedence:
@@ -410,6 +451,8 @@ class TestPipelineCommand:
         ("--learning-rate", "-0.3"), ("--learning-rate", "inf"), ("--tau", "nan"),
         ("--momentum", "nan"), ("--momentum", "1.5"), ("--momentum", "1"),
         ("--queue-capacity", "-3"), ("--epochs", "0"),
+        # the synth config goes into report.json even when --data-dir is given
+        ("--cross-modal-noise", "nan"), ("--cross-modal-noise", "inf"),
     ])
     def test_bad_numeric_flag_exits_2_before_any_stage_writes(self, tmp_path, caplog,
                                                               flag, value):
