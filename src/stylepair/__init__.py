@@ -29,7 +29,6 @@ from .synthgen import SynthConfig, SynthDataset, generate
 from .trainer import (
     AdapterModel,
     NegativeQueue,
-    StyleBatchPlan,
     TrainConfig,
     grad_check,
     info_nce_loss,
@@ -45,7 +44,6 @@ __all__ = [
     "NegativeQueue",
     "PseudoPairSet",
     "RetrievalReport",
-    "StyleBatchPlan",
     "StylePairError",
     "StyleTransform",
     "SynthConfig",

@@ -509,32 +509,20 @@ _COMMANDS = {
 }
 
 
-def _config_defaults(argv) -> dict:
-    """Pre-scan for --config so its values become parser defaults."""
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-        else:
-            continue
-        with open(path, "r", encoding="utf-8") as f:
-            try:
-                values = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigInvalid(f"{path}: {exc}") from exc
-        if not isinstance(values, dict):
-            raise ConfigInvalid(f"{path}: config must be a JSON object")
-        return values
-    return {}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
-        parser = build_parser(defaults=_config_defaults(argv))
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config:   # its values become defaults, so explicit flags still win
+            with open(args.config, "r", encoding="utf-8") as f:
+                try:
+                    values = json.load(f)
+                except json.JSONDecodeError as exc:
+                    raise ConfigInvalid(f"{args.config}: {exc}") from exc
+            if not isinstance(values, dict):
+                raise ConfigInvalid(f"{args.config}: config must be a JSON object")
+            args = build_parser(defaults=values).parse_args(argv)
         _validate_knobs(args)
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:

@@ -35,6 +35,10 @@ class DuplicateId(StylePairError):
     pass
 
 
+class CorruptField(StylePairError):
+    pass
+
+
 # ---- embedding math ----
 
 class ZeroVectorRow(StylePairError):

@@ -8,7 +8,7 @@ import numpy as np
 from . import container
 from .embedcore import EmbeddingSet, pairwise_dots
 from .errors import DimMismatch, EmptyRanks, MissingTruth, NotNormalized, UnknownCandidate
-from .trainer import AdapterModel
+from .trainer import AdapterModel, project
 
 
 @dataclass
@@ -33,14 +33,6 @@ class RetrievalReport:
         return out
 
 
-def _projected(head: np.ndarray, data: np.ndarray) -> np.ndarray:
-    raw = data.astype(np.float64) @ head.T
-    norms = np.linalg.norm(raw, axis=1)
-    if (norms == 0.0).any():
-        raise ValueError("a projection collapsed to the zero vector")
-    return raw / norms[:, None]
-
-
 def rank_queries(
     queries: EmbeddingSet,
     candidates: EmbeddingSet,
@@ -50,9 +42,10 @@ def rank_queries(
     """Rank of each query's ground-truth candidate, 1-based.
 
     Similarities use the adapter's projected-and-renormalized embeddings
-    when a model is given and raw cosine otherwise. The rank counts every
-    strictly better candidate plus every equal-similarity candidate with a
-    smaller id, i.e. ties are broken against the ground truth by ascending
+    (`trainer.project`; NonFiniteLoss if a projection collapses) when a
+    model is given and raw cosine otherwise. The rank counts every strictly
+    better candidate plus every equal-similarity candidate with a smaller
+    id, i.e. ties are broken against the ground truth by ascending
     candidate id.
     """
     if queries.dim != candidates.dim:
@@ -73,8 +66,8 @@ def rank_queries(
     if model is None:
         q_rows, c_rows = queries.data, candidates.data
     else:
-        q_rows = _projected(model.text_head, queries.data)
-        c_rows = _projected(model.video_head, candidates.data)
+        q_rows = project(model.text_head, queries.data)[0]
+        c_rows = project(model.video_head, candidates.data)[0]
     sims = pairwise_dots(q_rows, c_rows)
 
     ranks = np.empty(queries.count, dtype=np.int64)
@@ -99,16 +92,11 @@ def report(ranks) -> RetrievalReport:
     if (ranks < 1).any():
         raise ValueError("ranks must be positive")
     n = ranks.size
-    ordered = np.sort(ranks)
-    if n % 2:
-        median = float(ordered[n // 2])
-    else:
-        median = (float(ordered[n // 2 - 1]) + float(ordered[n // 2])) / 2.0
     return RetrievalReport(
         r1=100.0 * float((ranks <= 1).sum()) / n,
         r5=100.0 * float((ranks <= 5).sum()) / n,
         r10=100.0 * float((ranks <= 10).sum()) / n,
-        median_rank=median,
+        median_rank=float(np.median(ranks)),
         query_count=int(n),
         per_query_ranks=[int(r) for r in ranks],
     )

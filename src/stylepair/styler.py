@@ -15,7 +15,7 @@ import numpy as np
 
 from . import container
 from .embedcore import EmbeddingSet, for_row_blocks
-from .errors import CountMismatch, DimMismatch, NotNormalized, SingularSystem
+from .errors import CorruptField, CountMismatch, DimMismatch, NotNormalized, SingularSystem
 from .matcher import PseudoPairSet
 
 log = logging.getLogger(__name__)
@@ -310,7 +310,10 @@ def save_style(style: StyleTransform, path: str | os.PathLike) -> None:
 def load_style(path: str | os.PathLike) -> StyleTransform:
     with container.read_container(path, container.STYLE_CHUNK, _FIELDS, "style") as (f, fields):
         dim_out, dim_in, ridge_lambda, noise_sigma, tag_len = fields
-        tag = container.read_exact(f, tag_len, "style_tag").decode("utf-8")
+        try:
+            tag = container.read_exact(f, tag_len, "style_tag").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptField(f"{path}: style tag is not UTF-8 ({exc})") from exc
         weight = container.read_array(f, "<f8", dim_out * dim_in, "weight")
         bias = container.read_array(f, "<f8", dim_out, "bias")
     return StyleTransform(weight=weight.reshape(dim_out, dim_in), bias=bias,

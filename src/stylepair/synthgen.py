@@ -82,7 +82,6 @@ class SynthDataset:
     test_captions: list[EmbeddingSet]
     test_clips: EmbeddingSet          # held-out clips of all styles combined
     truth: dict[int, int]             # test caption id -> test clip id
-    styles: list[StyleGroundTruth]
     latent: list[dict] = field(default_factory=list)
 
 
@@ -91,7 +90,7 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _clip_embedding(cfg: SynthConfig, contents: np.ndarray, rng) -> np.ndarray:
-    """normalize(content || channel noise) per row."""
+    """content || channel noise per row, unnormalized (`_as_set` normalizes)."""
     n = contents.shape[0]
     pad = cfg.dim - cfg.content_dim
     noise = cfg.cross_modal_noise * rng.standard_normal((n, pad)) if pad else np.empty((n, 0))
@@ -99,7 +98,7 @@ def _clip_embedding(cfg: SynthConfig, contents: np.ndarray, rng) -> np.ndarray:
 
 
 def _caption_embedding(cfg, style: StyleGroundTruth, contents: np.ndarray, rng) -> np.ndarray:
-    """normalize(A content + b + cross-modal noise) per row."""
+    """A content + b + cross-modal noise per row, unnormalized (`_as_set` normalizes)."""
     raw = contents @ style.matrix.T + style.bias
     raw += cfg.cross_modal_noise * rng.standard_normal(raw.shape)
     return raw
@@ -191,7 +190,6 @@ def generate(cfg: SynthConfig) -> SynthDataset:
         test_captions=test_caption_sets,
         test_clips=_as_set(all_test_ids, all_test_raw),
         truth=truth,
-        styles=styles,
         latent=latent,
     )
 

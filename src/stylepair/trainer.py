@@ -29,7 +29,6 @@ from .errors import (
 from .styler import GeneratedPairSet
 
 DEFAULT_TAU = 0.05
-DEFAULT_QUEUE_CAPACITY = 1024
 MODE_IN_STYLE = "in_style"
 MODE_MIXED = "mixed"
 MIXED_TAG = "mixed"
@@ -90,10 +89,9 @@ class NegativeQueue:
     its columns are a view and no step concatenates.
     """
 
-    def __init__(self, style_tag: str, capacity: int = DEFAULT_QUEUE_CAPACITY):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ConfigInvalid("queue capacity must be non-negative")
-        self.style_tag = style_tag
         self.capacity = capacity
         self._batch = 0      # rows reserved for the batch above the queue
         self._len = 0
@@ -168,8 +166,9 @@ class LossWorkspace:
         return [buf[:size].reshape(rows, cols) for buf in self._buffers]
 
 
-def _project(head: np.ndarray, rows: np.ndarray):
-    raw = rows @ head.T
+def project(head: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-norm float64 projections of `rows` through `head`, and their raw norms."""
+    raw = np.asarray(rows, dtype=np.float64) @ head.T
     norms = np.linalg.norm(raw, axis=1)
     if (norms == 0.0).any() or not np.isfinite(norms).all():
         raise NonFiniteLoss("a projection collapsed to zero or overflowed")
@@ -210,8 +209,8 @@ def info_nce_loss(
 
     b = texts.shape[0]
     tau = model.tau
-    x, x_norms = _project(model.text_head, texts)    # (B, p) unit rows
-    y, y_norms = _project(model.video_head, videos)
+    x, x_norms = project(model.text_head, texts)    # (B, p) unit rows
+    y, y_norms = project(model.video_head, videos)
     cols_t, cols_v = queue.columns(x, y) if queue is not None and len(queue) else (x, y)
     if workspace is None:
         workspace = LossWorkspace()
@@ -250,9 +249,7 @@ def info_nce_loss(
 
 def batch_projections(model: AdapterModel, batch_texts, batch_videos):
     """Unit-norm projections of a batch, e.g. for queue updates."""
-    x, _ = _project(model.text_head, np.asarray(batch_texts, dtype=np.float64))
-    y, _ = _project(model.video_head, np.asarray(batch_videos, dtype=np.float64))
-    return x, y
+    return project(model.text_head, batch_texts)[0], project(model.video_head, batch_videos)[0]
 
 
 def grad_check(
@@ -287,36 +284,6 @@ def grad_check(
     return worst
 
 
-@dataclass
-class StyleBatchPlan:
-    """Ordered minibatch schedule over one epoch.
-
-    Every batch carries a style tag and pair indices into the
-    concatenation of the style sets (set s owns the index range
-    [offsets[s], offsets[s] + set_sizes[s])). In in-style mode each batch
-    draws from exactly one set; mixed batches carry the tag "mixed".
-    """
-
-    batches: list[tuple[str, np.ndarray]]
-    set_tags: list[str]
-    set_sizes: list[int]
-    batch_size: int
-    mode: str
-    seed: int
-
-    @property
-    def offsets(self) -> list[int]:
-        out, acc = [], 0
-        for size in self.set_sizes:
-            out.append(acc)
-            acc += size
-        return out
-
-    @property
-    def total_pairs(self) -> int:
-        return sum(self.set_sizes)
-
-
 def _per_set_rng(seed: int, set_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(set_index,)))
 
@@ -326,14 +293,17 @@ def plan_epoch(
     batch_size: int,
     mode: str = MODE_IN_STYLE,
     seed: int = 0,
-) -> StyleBatchPlan:
-    """Build one epoch's minibatch schedule.
+) -> list[tuple[str, np.ndarray]]:
+    """One epoch's minibatches as (style tag, global pair indices), in order.
 
+    Set s owns the indices [offsets[s], offsets[s] + len(set s)) of the
+    concatenation of the style sets, as build_training_arrays lays them out.
     in_style: shuffle inside each set, cut homogeneous batches, and
     interleave the sets proportionally to their batch counts (largest
-    accumulated credit first, ties to the lower set index). mixed: shuffle
-    the union and cut batches regardless of style. Ragged tails are
-    dropped in both modes.
+    accumulated credit first, ties to the lower set index); each batch
+    carries its set's tag. mixed: shuffle the union and cut batches
+    regardless of style, tagged "mixed". Ragged tails are dropped in both
+    modes.
     """
     if mode not in (MODE_IN_STYLE, MODE_MIXED):
         raise ConfigInvalid(f"unknown scheduler mode {mode!r}")
@@ -349,12 +319,7 @@ def plan_epoch(
         if size == 0:
             raise EmptyStyleSet(f"style set {tag!r} is empty")
 
-    offsets = []
-    acc = 0
-    for size in sizes:
-        offsets.append(acc)
-        acc += size
-
+    offsets = [sum(sizes[:s]) for s in range(len(sizes))]
     batches: list[tuple[str, np.ndarray]] = []
     if mode == MODE_IN_STYLE:
         if batch_size > min(sizes):
@@ -384,20 +349,14 @@ def plan_epoch(
             batches.append((tags[best], per_set[best][cursor[best]]))
             cursor[best] += 1
     else:
-        if batch_size > acc:
-            raise BatchTooLarge(f"batch_size {batch_size} exceeds {acc} total pairs")
-        perm = np.random.default_rng(np.random.SeedSequence(entropy=seed)).permutation(acc)
-        for i in range(acc // batch_size):
+        n_pairs = sum(sizes)
+        if batch_size > n_pairs:
+            raise BatchTooLarge(f"batch_size {batch_size} exceeds {n_pairs} total pairs")
+        perm = np.random.default_rng(np.random.SeedSequence(entropy=seed)).permutation(n_pairs)
+        for i in range(n_pairs // batch_size):
             batches.append((MIXED_TAG, perm[i * batch_size:(i + 1) * batch_size]))
 
-    return StyleBatchPlan(
-        batches=batches,
-        set_tags=tags,
-        set_sizes=sizes,
-        batch_size=batch_size,
-        mode=mode,
-        seed=seed,
-    )
+    return batches
 
 
 @dataclass
@@ -409,21 +368,20 @@ class TrainConfig:
 
 @dataclass
 class StepRecord:
-    step: int
     style_tag: str
     loss: float
 
 
 def train(
     model: AdapterModel,
-    plan: StyleBatchPlan,
+    batches: list[tuple[str, np.ndarray]],
     texts: np.ndarray,
     videos: np.ndarray,
     config: TrainConfig,
 ) -> tuple[AdapterModel, list[StepRecord]]:
-    """Run one pass over the plan with SGD, returning the model and loss log.
+    """Run one pass over `batches` (from plan_epoch) with SGD; return the model and loss log.
 
-    `texts`/`videos` are row-aligned with the plan's global pair indices.
+    `texts`/`videos` are row-aligned with the batches' global pair indices.
     After each step the batch's projections are pushed into that tag's
     queue; a queue only ever serves batches with its own tag. The queues
     belong to this call, so each epoch of `train_epochs` starts with them
@@ -431,11 +389,9 @@ def train(
     """
     texts = np.asarray(texts)
     videos = np.asarray(videos)
-    if texts.shape[0] != plan.total_pairs or videos.shape[0] != plan.total_pairs:
-        raise CountMismatch(
-            f"plan covers {plan.total_pairs} pairs but arrays hold "
-            f"{texts.shape[0]}/{videos.shape[0]} rows"
-        )
+    n = texts.shape[0]
+    if videos.shape[0] != n or any(idx.min() < 0 or idx.max() >= n for _, idx in batches):
+        raise CountMismatch(f"a batch indexes past the {n} text / {videos.shape[0]} video rows")
     model = model.copy()
     queues: dict[str, NegativeQueue] = {}
     vel_t = np.zeros_like(model.text_head)
@@ -443,7 +399,7 @@ def train(
     log_rows: list[StepRecord] = []
     workspace = LossWorkspace()
 
-    for step, (tag, indices) in enumerate(plan.batches):
+    for tag, indices in batches:
         # widening float32 rows to float64 is exact, so the batch bits do not depend on
         # the precision the arrays are held in
         batch_t = texts[indices].astype(np.float64)
@@ -458,14 +414,14 @@ def train(
             model.video_head -= config.learning_rate * vel_v
             model.check_finite()
         except NonFiniteLoss as exc:
-            raise NonFiniteLoss(f"step {step}: {exc}") from exc
+            raise NonFiniteLoss(f"step {model.step_count}: {exc}") from exc
         model.step_count += 1
         if config.queue_capacity > 0:
             if queue is None:
-                queue = queues[tag] = NegativeQueue(tag, config.queue_capacity)
+                queue = queues[tag] = NegativeQueue(config.queue_capacity)
             x, y = batch_projections(model, batch_t, batch_v)
             queue.push(x, y)
-        log_rows.append(StepRecord(step=step, style_tag=tag, loss=loss))
+        log_rows.append(StepRecord(style_tag=tag, loss=loss))
     return model, log_rows
 
 
@@ -529,26 +485,29 @@ def train_epochs(
     config: TrainConfig,
     seed: int,
 ) -> tuple[AdapterModel, list[StepRecord]]:
-    """Fresh plan per epoch; step numbers continue across epochs."""
+    """Fresh plan per epoch; the loss log runs on across epochs.
+
+    `texts`/`videos` must hold exactly the sets' pairs, as build_training_arrays lays them out.
+    """
     if epochs < 1:
         raise ConfigInvalid("epochs must be at least 1")
+    total = sum(len(s) for s in style_sets)
+    if texts.shape[0] != total or videos.shape[0] != total:
+        raise CountMismatch(f"style sets hold {total} pairs but arrays hold "
+                            f"{texts.shape[0]}/{videos.shape[0]} rows")
     all_rows: list[StepRecord] = []
     for epoch in range(epochs):
-        plan = plan_epoch(style_sets, batch_size, mode=mode, seed=_epoch_seed(seed, epoch))
-        model, rows = train(model, plan, texts, videos, config)
-        offset = len(all_rows)
-        all_rows.extend(
-            StepRecord(step=offset + r.step, style_tag=r.style_tag, loss=r.loss)
-            for r in rows
-        )
+        batches = plan_epoch(style_sets, batch_size, mode=mode, seed=_epoch_seed(seed, epoch))
+        model, rows = train(model, batches, texts, videos, config)
+        all_rows.extend(rows)
     return model, all_rows
 
 
 def write_loss_log(rows: list[StepRecord], path: str | os.PathLike) -> None:
     with container.atomic_write(path, "w", encoding="utf-8") as f:
         f.write("step,style_tag,loss\n")
-        for row in rows:
-            f.write(f"{row.step},{row.style_tag},{row.loss!r}\n")
+        for step, row in enumerate(rows):
+            f.write(f"{step},{row.style_tag},{row.loss!r}\n")
 
 
 # ---- persistence ----

@@ -360,6 +360,34 @@ class TestConfigPrecedence:
         assert "Traceback" not in caplog.text
         assert not (tmp_path / "w" / "report.json").exists()
 
+    def test_abbreviated_and_repeated_config_flags_apply_the_file_argparse_took(self, tmp_path):
+        small = {"seed": 3, "styles": 1, "queries_per_style": 32, "pool_size": 192,
+                 "dim": 16, "content_dim": 6}
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(small))
+        b.write_text(json.dumps({**small, "seed": 4}))
+        for out, flags in (("full", ["--config", str(a)]), ("abbrev", ["--conf", str(a)]),
+                           ("abbrev_eq", [f"--conf={a}"]),
+                           ("first", ["--config", str(b)]),
+                           ("last", ["--config", str(b), "--config", str(a)])):
+            assert main(["synth", "--out", str(tmp_path / out)] + flags) == 0
+        full = tree_hashes(tmp_path / "full")
+        assert len(full) == 6
+        for out in ("abbrev", "abbrev_eq", "last"):
+            assert tree_hashes(tmp_path / out) == full, out
+        assert tree_hashes(tmp_path / "first") != full
+
+    @pytest.mark.parametrize("flag", ["--config", "--conf"])
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", None])
+    def test_bad_or_missing_config_file_exits_2(self, tmp_path, caplog, text, flag):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        rc = main(["synth", "--out", str(tmp_path / "out"), flag, str(cfg)])
+        assert rc == 2
+        assert ("error=MissingInput" if text is None else "error=ConfigInvalid") in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_config_numbers_act_like_the_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 1, "learning_rate": 1, "threshold": 0}))

@@ -1,12 +1,13 @@
 import itertools
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from stylepair import container
 from stylepair.embedcore import load_embeddings, save_embeddings
-from stylepair.errors import MagicMismatch, TrailingBytes, TruncatedFile
+from stylepair.errors import MagicMismatch, StylePairError, TrailingBytes, TruncatedFile
 from stylepair.styler import StyleTransform, load_style, save_style
 from stylepair.trainer import AdapterModel, load_adapter, save_adapter
 
@@ -106,6 +107,15 @@ class TestContainerCodec:
     def test_non_ascii_style_tag_survives(self, tmp_path):
         _style(tmp_path / "s.iemb")
         assert load_style(tmp_path / "s.iemb").style_tag == "légende 字幕"
+
+    def test_style_tag_that_is_not_utf8_is_a_typed_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "s.iemb"
+        _style(path)
+        raw = bytearray(path.read_bytes())
+        raw[KINDS["style"][3] + struct.calcsize("<IIddI")] = 0xFF   # first tag byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StylePairError, match="s.iemb"):
+            load_style(path)
 
     @pytest.mark.parametrize("extra", [b"\x00", b"IEMB"], ids=["one_byte", "magic"])
     @pytest.mark.parametrize("kind", KINDS)

@@ -10,7 +10,6 @@ def test_library_defaults():
     assert styler.DEFAULT_RIDGE_LAMBDA == 1e-2
     assert styler.DEFAULT_NOISE_SIGMA == 0.05
     assert trainer.DEFAULT_TAU == 0.05
-    assert trainer.DEFAULT_QUEUE_CAPACITY == 1024
 
 
 def test_synth_defaults():

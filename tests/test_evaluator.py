@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stylepair.errors import EmptyRanks, MissingTruth, UnknownCandidate
+from stylepair.errors import EmptyRanks, MissingTruth, StylePairError, UnknownCandidate
 from stylepair.evaluator import rank_queries, report
 from stylepair.trainer import AdapterModel
 
@@ -82,6 +82,14 @@ class TestRankQueries:
         basis = make_set(np.eye(2))
         with pytest.raises(UnknownCandidate):
             rank_queries(basis, basis, {0: 0, 1: 99})
+
+    def test_collapsed_projection_is_a_typed_error(self):
+        basis = make_set(np.eye(2))
+        # the text head maps the second axis to zero, so that query has no direction
+        model = AdapterModel(text_head=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                             video_head=np.eye(2), tau=0.05)
+        with pytest.raises(StylePairError, match="collapsed"):
+            rank_queries(basis, basis, {0: 0, 1: 1}, model=model)
 
 
 class TestReport:

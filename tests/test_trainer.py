@@ -17,7 +17,6 @@ from stylepair.trainer import (
     AdapterModel,
     LossWorkspace,
     NegativeQueue,
-    StyleBatchPlan,
     TrainConfig,
     batch_projections,
     build_training_arrays,
@@ -58,7 +57,7 @@ def random_model(rng, dim, proj):
 
 
 def filled_queue(rng, model, dim, n):
-    q = NegativeQueue("tag", capacity=64)
+    q = NegativeQueue(capacity=64)
     x, y = batch_projections(model, unit_rows(rng, n, dim), unit_rows(rng, n, dim))
     q.push(x, y)
     return q
@@ -146,7 +145,7 @@ class TestLossWorkspace:
         rng = np.random.default_rng(17)
         dim, proj = 7, 5
         model = random_model(rng, dim, proj)
-        queue = NegativeQueue("a", capacity=10)
+        queue = NegativeQueue(capacity=10)
         workspace = LossWorkspace()
         fills, pushed = [], []
         # the batch size changes mid-way, and the queue goes empty -> partial -> full -> wrapped
@@ -174,9 +173,7 @@ class TestLossWorkspace:
         matrix_bytes = b * (b + capacity) * 8   # one (B, B + queue) float64 matrix
 
         def peak(steps):
-            plan = StyleBatchPlan(batches=[("a", rng.permutation(n)[:b]) for _ in range(steps)],
-                                  set_tags=["a"], set_sizes=[n], batch_size=b,
-                                  mode="in_style", seed=0)
+            plan = [("a", rng.permutation(n)[:b]) for _ in range(steps)]
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -262,27 +259,26 @@ class TestPlanEpoch:
     def test_two_sets_of_four_batch_two(self):
         plan = plan_epoch([gen_set("a", 4), gen_set("b", 4)], batch_size=2,
                           mode="in_style", seed=0)
-        assert len(plan.batches) == 4
-        offsets = plan.offsets
-        for tag, idx in plan.batches:
+        assert len(plan) == 4
+        for tag, idx in plan:
             assert len(idx) == 2
-            s = plan.set_tags.index(tag)
-            lo, hi = offsets[s], offsets[s] + plan.set_sizes[s]
+            s = ["a", "b"].index(tag)
+            lo, hi = 4 * s, 4 * s + 4
             assert np.all((idx >= lo) & (idx < hi))
 
     def test_single_set_modes_use_same_index_multiset(self):
         plan_in = plan_epoch([gen_set("a", 6)], 2, mode="in_style", seed=3)
         plan_mix = plan_epoch([gen_set("a", 6)], 2, mode="mixed", seed=3)
-        flat_in = sorted(np.concatenate([i for _, i in plan_in.batches]).tolist())
-        flat_mix = sorted(np.concatenate([i for _, i in plan_mix.batches]).tolist())
+        flat_in = sorted(np.concatenate([i for _, i in plan_in]).tolist())
+        flat_mix = sorted(np.concatenate([i for _, i in plan_mix]).tolist())
         assert flat_in == flat_mix == list(range(6))
 
     def test_matches_reference_scheduler(self):
         sets = [gen_set("a", 10), gen_set("b", 6)]
         plan = plan_epoch(sets, 2, mode="in_style", seed=11)
         expect = reference_plan([10, 6], ["a", "b"], 2, 11)
-        assert len(plan.batches) == len(expect)
-        for (tag, idx), (etag, eidx) in zip(plan.batches, expect):
+        assert len(plan) == len(expect)
+        for (tag, idx), (etag, eidx) in zip(plan, expect):
             assert tag == etag
             assert np.array_equal(idx, eidx)
 
@@ -290,24 +286,24 @@ class TestPlanEpoch:
         sets = [gen_set("a", 9), gen_set("b", 13), gen_set("c", 5)]
         for seed in range(10):
             plan = plan_epoch(sets, 2, mode="in_style", seed=seed)
-            offsets = plan.offsets
-            for tag, idx in plan.batches:
-                s = plan.set_tags.index(tag)
-                lo, hi = offsets[s], offsets[s] + plan.set_sizes[s]
+            offsets = np.cumsum([0] + [len(x) for x in sets])
+            for tag, idx in plan:
+                s = [x.style_tag for x in sets].index(tag)
+                lo, hi = offsets[s], offsets[s + 1]
                 assert np.all((idx >= lo) & (idx < hi)), "batch crosses style sets"
 
     def test_indices_unique_within_epoch(self):
         sets = [gen_set("a", 10), gen_set("b", 7)]
         for mode in ("in_style", "mixed"):
             plan = plan_epoch(sets, 3, mode=mode, seed=2)
-            flat = np.concatenate([i for _, i in plan.batches])
+            flat = np.concatenate([i for _, i in plan])
             assert len(np.unique(flat)) == len(flat)
 
     def test_ragged_tails_dropped(self):
         plan = plan_epoch([gen_set("a", 7)], 2, mode="in_style", seed=0)
-        assert len(plan.batches) == 3
+        assert len(plan) == 3
         plan = plan_epoch([gen_set("a", 7)], 2, mode="mixed", seed=0)
-        assert len(plan.batches) == 3
+        assert len(plan) == 3
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptyStyleSet):
@@ -349,7 +345,7 @@ class TestTrain:
                           TrainConfig(learning_rate=0.0, momentum=0.0))
         assert np.array_equal(out.text_head, before_t)
         assert np.array_equal(out.video_head, model.video_head)
-        assert len(rows) == len(plan.batches)
+        assert len(rows) == len(plan)
 
     def test_loss_decreases_on_separable_fixture(self):
         rng = np.random.default_rng(8)
@@ -392,7 +388,7 @@ class TestTrain:
             _, rows = train_epochs(model, sets, texts, videos, mode="in_style",
                                    epochs=2, batch_size=4,
                                    config=TrainConfig(queue_capacity=32), seed=21)
-            logs.append([(r.step, r.style_tag, r.loss) for r in rows])
+            logs.append([(r.style_tag, r.loss) for r in rows])
         assert logs[0] == logs[1]
 
     def test_queue_isolation_matches_manual_replay(self):
@@ -405,13 +401,13 @@ class TestTrain:
 
         replay = init_adapter(8, tau=0.05)
         queues = {}
-        for step, (tag, idx) in enumerate(plan.batches):
+        for step, (tag, idx) in enumerate(plan):
             bt, bv = texts[idx], videos[idx]
             loss, gt, gv = info_nce_loss(replay, bt, bv, queues.get(tag))
             assert loss == rows[step].loss, f"step {step} diverged"
             replay.text_head -= config.learning_rate * gt
             replay.video_head -= config.learning_rate * gv
-            q = queues.setdefault(tag, NegativeQueue(tag, config.queue_capacity))
+            q = queues.setdefault(tag, NegativeQueue(config.queue_capacity))
             x, y = batch_projections(replay, bt, bv)
             q.push(x, y)
         assert np.array_equal(model.text_head, replay.text_head)
@@ -429,7 +425,7 @@ class TestTrain:
     def test_queue_capacity_trims_fifo(self):
         rng = np.random.default_rng(14)
         model = init_adapter(4)
-        q = NegativeQueue("a", capacity=6)
+        q = NegativeQueue(capacity=6)
         first = unit_rows(rng, 4, 4)
         x1, y1 = batch_projections(model, first, first)
         q.push(x1, y1)
@@ -444,16 +440,30 @@ class TestTrain:
     def test_non_finite_loss_reports_step(self):
         texts = np.concatenate([np.eye(4), np.zeros((2, 4))])
         videos = np.concatenate([np.eye(4), np.eye(4)[:2]])
-        plan = StyleBatchPlan(
-            batches=[("a", np.array([0, 1])), ("a", np.array([4, 5]))],
-            set_tags=["a"], set_sizes=[6], batch_size=2, mode="in_style", seed=0)
-        with pytest.raises(NonFiniteLoss, match="step 1"):
-            train(init_adapter(4), plan, texts, videos, TrainConfig())
+        plan = [("a", np.array([0, 1])), ("a", np.array([4, 5]))]
+        # the failing step is named by its loss-log row: the model's global step count
+        for step_count, name in ((0, "step 1:"), (5, "step 6:")):
+            model = init_adapter(4)
+            model.step_count = step_count
+            with pytest.raises(NonFiniteLoss, match=name):
+                train(model, plan, texts, videos, TrainConfig())
 
     def test_array_count_mismatch(self):
         plan = plan_epoch([gen_set("a", 4)], 2, seed=0)
         with pytest.raises(CountMismatch):
             train(init_adapter(3), plan, np.eye(3), np.eye(3), TrainConfig())
+        with pytest.raises(CountMismatch):
+            train(init_adapter(3), plan, np.eye(4, 3), np.eye(5, 3), TrainConfig())
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_train_epochs_needs_exactly_the_sets_pairs(self, extra):
+        sets, texts, videos = separable_fixture(np.random.default_rng(20))
+        rows = len(texts) + extra
+        texts = np.resize(texts, (rows, texts.shape[1]))
+        videos = np.resize(videos, (rows, videos.shape[1]))
+        with pytest.raises(CountMismatch, match="arrays hold"):
+            train_epochs(init_adapter(8), sets, texts, videos, mode="in_style", epochs=1,
+                         batch_size=4, config=TrainConfig(), seed=0)
 
 
     def test_float32_and_float64_arrays_give_the_same_bytes(self, tmp_path):
