@@ -30,7 +30,6 @@ from .trainer import (
     AdapterModel,
     NegativeQueue,
     TrainConfig,
-    grad_check,
     info_nce_loss,
     init_adapter,
     plan_epoch,
@@ -53,7 +52,6 @@ __all__ = [
     "fit_style",
     "generate",
     "generate_styled",
-    "grad_check",
     "info_nce_loss",
     "init_adapter",
     "load_embeddings",

@@ -6,8 +6,8 @@ compares the trained adapter against the zero-shot baseline (and in-style
 against mixed scheduling when more than one style is present).
 
 Logs are line-oriented key=value on stderr; machine-readable results go
-to stdout or files. Exit codes: 0 success, 1 runtime failure, 2
-usage/config error.
+to stdout or files. Exit codes: 0 success, 1 a StylePairError or OS error,
+2 usage/config error or a missing input; anything else is a bug's traceback.
 """
 
 import argparse
@@ -183,7 +183,10 @@ def _config_value(action, key, value):
     if not ok or (action.choices is not None and value not in action.choices):
         raise ConfigInvalid(f"config key {key!r}: {value!r} is not a valid "
                             f"{action.option_strings[0]} value")
-    return action.type(value) if action.type else value
+    try:
+        return action.type(value) if action.type else value
+    except OverflowError as exc:   # an int too large for a float flag
+        raise ConfigInvalid(f"config key {key!r}: {exc}") from exc
 
 
 def _threads(args) -> int:
@@ -291,7 +294,7 @@ def train_stage(args, pool, gen_sets, styled_sets, runs):
     config = trainer.TrainConfig(
         learning_rate=args.learning_rate,
         momentum=args.momentum,
-        queue_capacity=args.queue_capacity,
+        queue_capacity=min(args.queue_capacity, len(texts)),   # a queue empties every epoch
     )
 
     def fit(mode):
@@ -380,14 +383,10 @@ def cmd_sweep(args) -> int:
 def _load_style_sets(pair_paths, styled_paths):
     if len(pair_paths) != len(styled_paths):
         raise ConfigInvalid("--pairs and --styled must be given once per style, in order")
-    gen_sets, styled_sets = [], []
-    for i, (pp, sp) in enumerate(zip(pair_paths, styled_paths)):
-        gen = styler.read_generated_pairs(pp)
-        if not gen.style_tag:
-            gen.style_tag = f"style{i}"
-        gen_sets.append(gen)
-        styled_sets.append(load_embeddings(sp))
-    return gen_sets, styled_sets
+    gen_sets = [styler.read_generated_pairs(path) for path in pair_paths]
+    for i, gen in enumerate(gen_sets):
+        gen.style_tag = gen.style_tag or f"style{i}"
+    return gen_sets, [load_embeddings(path) for path in styled_paths]
 
 
 def cmd_train(args) -> int:
@@ -509,20 +508,25 @@ _COMMANDS = {
 }
 
 
+def _config_values(path: str) -> dict:
+    """The JSON object in a --config file; anything else is ConfigInvalid."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:   # bad UTF-8 and bad JSON are both ValueErrors
+            values = json.load(f)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigInvalid(f"{path}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigInvalid(f"{path}: config must be a JSON object")
+    return values
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         args = build_parser().parse_args(argv)
         if args.config:   # its values become defaults, so explicit flags still win
-            with open(args.config, "r", encoding="utf-8") as f:
-                try:
-                    values = json.load(f)
-                except json.JSONDecodeError as exc:
-                    raise ConfigInvalid(f"{args.config}: {exc}") from exc
-            if not isinstance(values, dict):
-                raise ConfigInvalid(f"{args.config}: config must be a JSON object")
-            args = build_parser(defaults=values).parse_args(argv)
+            args = build_parser(defaults=_config_values(args.config)).parse_args(argv)
         _validate_knobs(args)
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
@@ -531,7 +535,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         log.error("error=ConfigInvalid detail=%s", exc)
         return 2
-    except (StylePairError, OSError, ValueError, KeyError) as exc:
+    except (StylePairError, OSError) as exc:
         log.error("error=%s detail=%s", type(exc).__name__, exc)
         return 1
 

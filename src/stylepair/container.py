@@ -8,7 +8,8 @@ only code that knows this framing; each artifact module names its fields
 and arrays.
 
 Pair, truth and latent files are JSON Lines: a header object whose "kind"
-names the file type, then one object per record.
+names the file type, then one object per record. `write_records` and
+`read_records` hold that format; each module declares its keys' types.
 
 Every writer goes through `atomic_write`, so a failed or interrupted write
 leaves the previous file (or no file), never a half-written one.
@@ -16,13 +17,15 @@ leaves the previous file (or no file), never a half-written one.
 
 import contextlib
 import json
+import math
 import os
 import struct
 from typing import BinaryIO
 
 import numpy as np
 
-from .errors import MagicMismatch, TrailingBytes, TruncatedFile, VersionUnsupported
+from .errors import (CorruptField, MagicMismatch, NonFiniteValue, TrailingBytes, TruncatedFile,
+                     VersionUnsupported)
 
 MAGIC = b"IEMB"
 VERSION = 1
@@ -103,27 +106,65 @@ def read_container(path: str | os.PathLike, tag: bytes, fields: str, what: str):
             raise TrailingBytes(f"{path}: bytes follow the end of the {what} payload")
 
 
-def write_records(path: str | os.PathLike, header: dict, records) -> None:
+def write_records(path: str | os.PathLike, header: dict, columns: dict) -> None:
+    """Write `header`, then each row of the numpy `columns` as json.dumps writes its dict."""
+    if len({len(col) for col in columns.values()}) > 1:
+        raise ValueError("record columns must have equal length")
+    record = "{{" + ", ".join(f"{json.dumps(key)}: {{}}" for key in columns) + "}}\n"
     with atomic_write(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header) + "\n")
-        for record in records:
-            f.write(json.dumps(record) + "\n")
+        cells = []
+        for key, col in columns.items():
+            if col.dtype.kind == "f" and not np.isfinite(col).all():
+                raise NonFiniteValue(f"record column {key!r} holds a non-finite value")
+            cells.append(map(json.dumps if col.dtype.kind in "OU" else repr, col.tolist()))
+        f.write("".join(map(record.format, *cells)))
 
 
-def _typed_header(f, path, kind: str) -> dict:
-    header = json.loads(f.readline() or "null")
-    if not isinstance(header, dict) or header.get("kind") != kind:
-        raise ValueError(f"{path} is not a {kind} file")
-    return header
+_INT64 = range(-2**63, 2**63)
+_DTYPES = {int: np.int64, float: np.float64, str: object}   # object keeps every str as read
 
 
-def read_record_header(path: str | os.PathLike, kind: str) -> dict:
-    """Header of a typed JSONL file; the records are not read."""
-    with open(path, "r", encoding="utf-8") as f:
-        return _typed_header(f, path, kind)
+def _typed(path, line_no: int, line: bytes, schema: dict, kind: str | None = None) -> list:
+    """The values, in `schema` order, of the JSON object on one line; see `read_records`."""
+    where = f"{os.fspath(path)} line {line_no}"
+    try:   # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        obj = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CorruptField(f"{where}: {exc}") from exc
+    if type(obj) is not dict:
+        raise CorruptField(f"{where}: expected a JSON object, found {obj!r:.40}")
+    if kind is not None and obj.get("kind") != kind:
+        raise MagicMismatch(f"{where}: not a {kind} file (kind {obj.get('kind')!r:.40})")
+    if obj.keys() != schema.keys():
+        key = min(obj.keys() ^ schema.keys())
+        raise CorruptField(f"{where}: key {key!r} is {'missing' if key in schema else 'extra'}")
+    values = []
+    for key, want in schema.items():
+        value = obj[key]
+        if want is float and type(value) is int and value in _INT64:
+            value = float(value)
+        if not (type(value) is want and (want is not float or math.isfinite(value))
+                and (want is not int or kind is not None or value in _INT64)):
+            raise CorruptField(f"{where}: bad {want.__name__} {key!r}: {obj[key]!r:.40}")
+        values.append(value)
+    return values
 
 
-def read_records(path: str | os.PathLike, kind: str) -> tuple[dict, list[dict]]:
-    with open(path, "r", encoding="utf-8") as f:
-        header = _typed_header(f, path, kind)
-        return header, [json.loads(line) for line in f if line.strip()]
+def read_records(path: str | os.PathLike, kind: str, fields: dict | None,
+                 header_fields: dict) -> tuple[dict, dict | None]:
+    """(header, columns: int64, float64 or object arrays); with `fields` None, only the header.
+
+    `fields` and `header_fields` map keys to int, float or str. Another "kind" is a MagicMismatch;
+    a missing or extra key, a bool or float for an int (or one past int64 in a record), or a
+    non-finite float is a CorruptField naming the file, line and key.
+    """
+    with open(path, "rb") as f:
+        schema = {"kind": str, **header_fields}
+        header = dict(zip(schema, _typed(path, 1, f.readline(), schema, kind)))
+        if fields is None:
+            return header, None
+        rows = [_typed(path, n, line, fields) for n, line in enumerate(f, start=2) if line.strip()]
+    columns = zip(*rows) if rows else [()] * len(fields)
+    return header, {key: np.array(col, dtype=_DTYPES[want])
+                    for (key, want), col in zip(fields.items(), columns)}

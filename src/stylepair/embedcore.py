@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .errors import DuplicateId, NonFiniteValue, NotNormalized, ZeroVectorRow
+from .errors import (CorruptField, DuplicateId, NonFiniteValue, NotNormalized, UnknownCandidate,
+                     ZeroVectorRow)
 
 NORM_FLAG_TOL = 1e-4   # how far a "normalized" row may drift from unit norm
 _FLAG_NORMALIZED = 1
@@ -75,13 +76,12 @@ class EmbeddingSet:
         return self.data.shape[1]
 
     def row_for_id(self, wanted: np.ndarray) -> np.ndarray:
-        """Map ids to row indices (ids are sorted, so this is a bisect)."""
+        """Map ids to row indices by bisection; an id not in the set is an UnknownCandidate."""
         wanted = np.asarray(wanted, dtype=np.int64)
-        pos = np.searchsorted(self.ids, wanted)
-        bad = (pos >= len(self.ids)) | (self.ids[np.minimum(pos, len(self.ids) - 1)] != wanted)
-        if bad.any():
-            raise KeyError(f"unknown id {int(np.atleast_1d(wanted)[np.atleast_1d(bad)][0])}")
-        return pos
+        known = np.isin(wanted, self.ids)
+        if not known.all():
+            raise UnknownCandidate(f"id {int(wanted[~known].flat[0])} is not in the set")
+        return np.searchsorted(self.ids, wanted)
 
 
 def normalize(emb: EmbeddingSet) -> EmbeddingSet:
@@ -204,4 +204,6 @@ def load_embeddings(path: str | os.PathLike) -> EmbeddingSet:
     with container.read_container(path, b"", _FIELDS, "embeddings") as (f, (count, dim, flags)):
         ids = container.read_array(f, "<u8", count, "ids").astype(np.int64)
         data = container.read_array(f, "<f4", count * dim, "rows").reshape(count, dim)
+    if (ids < 0).any() or (ids[1:] < ids[:-1]).any():   # a u64 id >= 2**63 reads negative
+        raise CorruptField(f"{path}: ids must be ascending and below 2**63")
     return EmbeddingSet(ids=ids, data=data, normalized=bool(flags & _FLAG_NORMALIZED))

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import container
 from .embedcore import EmbeddingSet, pairwise_dots
-from .errors import DimMismatch, EmptyRanks, MissingTruth, NotNormalized, UnknownCandidate
+from .errors import DimMismatch, EmptyRanks, MissingTruth, NotNormalized
 from .trainer import AdapterModel, project
 
 
@@ -52,16 +52,12 @@ def rank_queries(
         raise DimMismatch(f"dims differ: {queries.dim} vs {candidates.dim}")
     if not queries.normalized or not candidates.normalized:
         raise NotNormalized("retrieval expects normalized sets")
-    truth_cols = np.empty(queries.count, dtype=np.int64)
-    for i, qid in enumerate(queries.ids):
-        qid = int(qid)
-        if qid not in truth:
-            raise MissingTruth(f"no ground truth for query {qid}")
-        target = int(truth[qid])
-        pos = np.searchsorted(candidates.ids, target)
-        if pos >= candidates.count or candidates.ids[pos] != target:
-            raise UnknownCandidate(f"truth candidate {target} not in candidate set")
-        truth_cols[i] = pos
+    if model is not None and model.dim != queries.dim:
+        raise DimMismatch(f"adapter dim {model.dim} vs embedding dim {queries.dim}")
+    missing = [qid for qid in queries.ids.tolist() if qid not in truth]
+    if missing:
+        raise MissingTruth(f"no ground truth for query {missing[0]}")
+    truth_cols = candidates.row_for_id([truth[qid] for qid in queries.ids.tolist()])
 
     if model is None:
         q_rows, c_rows = queries.data, candidates.data
@@ -70,15 +66,9 @@ def rank_queries(
         c_rows = project(model.video_head, candidates.data)[0]
     sims = pairwise_dots(q_rows, c_rows)
 
-    ranks = np.empty(queries.count, dtype=np.int64)
-    cand_ids = candidates.ids
-    for i in range(queries.count):
-        row = sims[i]
-        s_true = row[truth_cols[i]]
-        better = int((row > s_true).sum())
-        tied_before = int(((row == s_true) & (cand_ids < cand_ids[truth_cols[i]])).sum())
-        ranks[i] = 1 + better + tied_before
-    return ranks
+    s_true = sims[np.arange(queries.count), truth_cols][:, None]
+    tied_before = (sims == s_true) & (candidates.ids < candidates.ids[truth_cols][:, None])
+    return 1 + (sims > s_true).sum(axis=1) + tied_before.sum(axis=1)
 
 
 def report(ranks) -> RetrievalReport:

@@ -16,6 +16,8 @@ from .embedcore import EmbeddingSet, for_dot_blocks
 from .errors import DimMismatch, DuplicateId, NotNormalized, PoolExhausted
 
 ORDER_QUERY_ID = "query_id"   # the one processing order; recorded in pair-file headers
+HEADER_FIELDS = {"query_set": str, "clip_set": str, "policy": str}   # pair-file keys and types
+RECORD_FIELDS = {"query_id": int, "clip_id": int, "sim": float}
 
 
 @dataclass
@@ -41,10 +43,6 @@ class PseudoPairSet:
 
     def __len__(self) -> int:
         return len(self.query_ids)
-
-    def pairs(self):
-        for q, c, s in zip(self.query_ids, self.clip_ids, self.sims):
-            yield int(q), int(c), float(s)
 
 
 def match_exclusive(queries: EmbeddingSet, clips: EmbeddingSet) -> PseudoPairSet:
@@ -86,16 +84,11 @@ def match_exclusive(queries: EmbeddingSet, clips: EmbeddingSet) -> PseudoPairSet
 def write_pseudo_pairs(pairs: PseudoPairSet, path: str | os.PathLike) -> None:
     header = {"kind": "pseudo_pairs", "query_set": pairs.query_set,
               "clip_set": pairs.clip_set, "policy": ORDER_QUERY_ID}
-    container.write_records(path, header, (
-        {"query_id": q, "clip_id": c, "sim": s} for q, c, s in pairs.pairs()))
+    container.write_records(path, header, {
+        "query_id": pairs.query_ids, "clip_id": pairs.clip_ids, "sim": pairs.sims})
 
 
 def read_pseudo_pairs(path: str | os.PathLike) -> PseudoPairSet:
-    header, records = container.read_records(path, "pseudo_pairs")
-    return PseudoPairSet(
-        query_ids=np.array([r["query_id"] for r in records], dtype=np.int64),
-        clip_ids=np.array([r["clip_id"] for r in records], dtype=np.int64),
-        sims=np.array([r["sim"] for r in records], dtype=np.float64),
-        query_set=header.get("query_set", ""),
-        clip_set=header.get("clip_set", ""),
-    )
+    header, cols = container.read_records(path, "pseudo_pairs", RECORD_FIELDS, HEADER_FIELDS)
+    return PseudoPairSet(query_ids=cols["query_id"], clip_ids=cols["clip_id"], sims=cols["sim"],
+                         query_set=header["query_set"], clip_set=header["clip_set"])

@@ -23,6 +23,8 @@ log = logging.getLogger(__name__)
 DEFAULT_THRESHOLD = 0.28
 DEFAULT_RIDGE_LAMBDA = 1e-2
 DEFAULT_NOISE_SIGMA = 0.05
+HEADER_FIELDS = {"threshold": float, "style_tag": str, "total_candidates": int}   # pair files
+RECORD_FIELDS = {"clip_id": int, "row": int, "sim": float}
 
 
 @dataclass
@@ -76,7 +78,7 @@ class GeneratedPairSet:
         if not (len(self.clip_ids) == len(self.rows) == len(self.sims)):
             raise ValueError("pair columns must have equal length")
         if len(self.sims) and self.sims.min() <= self.threshold:
-            raise ValueError("a retained pair violates the strict threshold")
+            raise CorruptField(f"retained sim {self.sims.min()!r} <= threshold {self.threshold!r}")
 
     def __len__(self) -> int:
         return len(self.clip_ids)
@@ -84,10 +86,6 @@ class GeneratedPairSet:
     @property
     def retention_rate(self) -> float:
         return len(self) / self.total_candidates if self.total_candidates else 0.0
-
-    def pairs(self):
-        for c, r, s in zip(self.clip_ids, self.rows, self.sims):
-            yield int(c), int(r), float(s)
 
 
 @dataclass
@@ -323,17 +321,15 @@ def load_style(path: str | os.PathLike) -> StyleTransform:
 def write_generated_pairs(pairs: GeneratedPairSet, path: str | os.PathLike) -> None:
     header = {"kind": "generated_pairs", "threshold": pairs.threshold,
               "style_tag": pairs.style_tag, "total_candidates": pairs.total_candidates}
-    container.write_records(path, header, (
-        {"clip_id": c, "row": r, "sim": s} for c, r, s in pairs.pairs()))
+    container.write_records(path, header, {
+        "clip_id": pairs.clip_ids, "row": pairs.rows, "sim": pairs.sims})
 
 
 def read_generated_pairs(path: str | os.PathLike) -> GeneratedPairSet:
-    header, records = container.read_records(path, "generated_pairs")
-    return GeneratedPairSet(
-        clip_ids=np.array([r["clip_id"] for r in records], dtype=np.int64),
-        rows=np.array([r["row"] for r in records], dtype=np.int64),
-        sims=np.array([r["sim"] for r in records], dtype=np.float64),
-        threshold=float(header["threshold"]),
-        style_tag=header.get("style_tag", ""),
-        total_candidates=int(header.get("total_candidates", 0)),
-    )
+    header, cols = container.read_records(path, "generated_pairs", RECORD_FIELDS, HEADER_FIELDS)
+    try:
+        return GeneratedPairSet(clip_ids=cols["clip_id"], rows=cols["row"], sims=cols["sim"],
+                                threshold=header["threshold"], style_tag=header["style_tag"],
+                                total_candidates=header["total_candidates"])
+    except CorruptField as exc:
+        raise CorruptField(f"{path}: {exc}") from exc

@@ -10,18 +10,20 @@ broader distribution that still overlaps every style.
 """
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import container
 from .embedcore import EmbeddingSet, normalize, save_embeddings
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, DuplicateId
 
 N_CLUSTERS = 8
 CLUSTERS_PER_STYLE = 4
 CONTENT_SPREAD = 0.75      # within-cluster content noise
 BIAS_SCALE = 0.5           # style bias magnitude relative to sqrt(content_dim)
+LATENT_FIELDS = {"item_id": int, "style": int, "cluster": int, "split": str}   # record keys
+TRUTH_FIELDS = {"query_id": int, "candidate_id": int}
 
 _STYLE_ID_STRIDE = 1_000_000
 _TEST_ID_OFFSET = 500_000
@@ -59,6 +61,8 @@ class SynthConfig:
             raise ConfigInvalid("per-style item count exceeds the id block size")
         if self.n_styles * _STYLE_ID_STRIDE >= _POOL_ID_BASE:
             raise ConfigInvalid("id scheme supports at most 99 styles")
+        if self.dim >= 2**32 or _POOL_ID_BASE + self.pool_size >= 2**63:
+            raise ConfigInvalid("dim must fit the u32 and pool ids the i64 of an .iemb file")
 
     @property
     def test_per_style(self) -> int:
@@ -82,7 +86,7 @@ class SynthDataset:
     test_captions: list[EmbeddingSet]
     test_clips: EmbeddingSet          # held-out clips of all styles combined
     truth: dict[int, int]             # test caption id -> test clip id
-    latent: list[dict] = field(default_factory=list)
+    latent: dict[str, np.ndarray]     # the latent file's columns (LATENT_FIELDS)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -130,7 +134,7 @@ def generate(cfg: SynthConfig) -> SynthDataset:
             clusters=np.sort(clusters),
         ))
 
-    latent: list[dict] = []
+    latent: list[tuple] = []          # (item ids, style, clusters, split) blocks, in file order
     train_queries: list[EmbeddingSet] = []
     test_caption_sets: list[EmbeddingSet] = []
     test_clip_ids: list[np.ndarray] = []
@@ -162,13 +166,8 @@ def generate(cfg: SynthConfig) -> SynthDataset:
         test_clip_raw.append(test_clip)
         truth.update({int(i): int(i) for i in test_ids})
 
-        for j, item_id in enumerate(train_ids):
-            latent.append({"item_id": int(item_id), "style": s,
-                           "cluster": int(assignment[j]), "split": "train_query"})
-        for j, item_id in enumerate(test_ids):
-            latent.append({"item_id": int(item_id), "style": s,
-                           "cluster": int(assignment[cfg.queries_per_style + j]),
-                           "split": "test"})
+        latent.append((train_ids, s, assignment[:cfg.queries_per_style], "train_query"))
+        latent.append((test_ids, s, assignment[cfg.queries_per_style:], "test"))
 
     rng_pool = _rng(cfg.seed, 6)
     pool_assignment = rng_pool.integers(0, N_CLUSTERS, cfg.pool_size)
@@ -176,9 +175,9 @@ def generate(cfg: SynthConfig) -> SynthDataset:
         (cfg.pool_size, cfg.content_dim))
     pool_ids = _POOL_ID_BASE + np.arange(cfg.pool_size, dtype=np.int64)
     pool_raw = _clip_embedding(cfg, pool_contents, _rng(cfg.seed, 7))
-    for j, item_id in enumerate(pool_ids):
-        latent.append({"item_id": int(item_id), "style": -1,
-                       "cluster": int(pool_assignment[j]), "split": "pool"})
+    latent.append((pool_ids, -1, pool_assignment, "pool"))
+    ids, block_styles, clusters, splits = zip(*latent)
+    sizes = [len(block) for block in ids]
 
     all_test_ids = np.concatenate(test_clip_ids)
     all_test_raw = np.concatenate(test_clip_raw, axis=0)
@@ -190,7 +189,8 @@ def generate(cfg: SynthConfig) -> SynthDataset:
         test_captions=test_caption_sets,
         test_clips=_as_set(all_test_ids, all_test_raw),
         truth=truth,
-        latent=latent,
+        latent={"item_id": np.concatenate(ids), "style": np.repeat(block_styles, sizes),
+                "cluster": np.concatenate(clusters), "split": np.repeat(splits, sizes)},
     )
 
 
@@ -219,8 +219,9 @@ def write_dataset(ds: SynthDataset, out_dir: str | os.PathLike) -> dict:
         save_embeddings(ds.test_captions[s], paths["test_captions"][s])
     save_embeddings(ds.pool_clips, paths["pool"])
     save_embeddings(ds.test_clips, paths["test_clips"])
-    container.write_records(paths["truth"], {"kind": "retrieval_truth"}, (
-        {"query_id": qid, "candidate_id": ds.truth[qid]} for qid in sorted(ds.truth)))
+    query_ids, candidate_ids = np.array(sorted(ds.truth.items()), dtype=np.int64).reshape(-1, 2).T
+    container.write_records(paths["truth"], {"kind": "retrieval_truth"},
+                            {"query_id": query_ids, "candidate_id": candidate_ids})
     container.write_records(paths["latent"], latent_header(ds.config), ds.latent)
     return paths
 
@@ -232,13 +233,16 @@ def latent_header(cfg: SynthConfig) -> dict:
 def check_latent_header(path: str | os.PathLike, cfg: SynthConfig) -> None:
     """Raise ConfigInvalid unless the dataset at `path` was generated from `cfg`."""
     want = latent_header(cfg)
-    got = container.read_record_header(path, "latent_record")
-    for key in [*want, *got]:
-        if got.get(key) != want.get(key):
-            raise ConfigInvalid(
-                f"{path} was generated with {key}={got.get(key)!r}, not {want.get(key)!r}")
+    got, _ = container.read_records(path, "latent_record", None,
+                                    {f.name: f.type for f in fields(SynthConfig)})
+    for key in want:
+        if got[key] != want[key]:
+            raise ConfigInvalid(f"{path} was generated with {key}={got[key]!r}, not {want[key]!r}")
 
 
 def read_truth(path: str | os.PathLike) -> dict[int, int]:
-    _, records = container.read_records(path, "retrieval_truth")
-    return {int(r["query_id"]): int(r["candidate_id"]) for r in records}
+    _, cols = container.read_records(path, "retrieval_truth", TRUTH_FIELDS, {})
+    truth = dict(zip(cols["query_id"].tolist(), cols["candidate_id"].tolist()))
+    if len(truth) != len(cols["query_id"]):
+        raise DuplicateId(f"{path}: a query_id appears in more than one record")
+    return truth

@@ -20,6 +20,7 @@ from .embedcore import EmbeddingSet
 from .errors import (
     BatchTooLarge,
     ConfigInvalid,
+    CorruptField,
     CountMismatch,
     DimMismatch,
     EmptyStyleSet,
@@ -252,38 +253,6 @@ def batch_projections(model: AdapterModel, batch_texts, batch_videos):
     return project(model.text_head, batch_texts)[0], project(model.video_head, batch_videos)[0]
 
 
-def grad_check(
-    model: AdapterModel,
-    batch_texts: np.ndarray,
-    batch_videos: np.ndarray,
-    queue: NegativeQueue | None = None,
-    eps: float = 1e-5,
-) -> float:
-    """Max relative error of the analytic gradients vs central differences.
-
-    The relative error of one weight is |analytic - numeric| divided by
-    max(1, |analytic|, |numeric|), so near-zero gradients are compared
-    absolutely.
-    """
-    if not (1e-6 <= eps <= 1e-3):
-        raise ValueError("eps must lie in [1e-6, 1e-3]")
-    _, grad_text, grad_video = info_nce_loss(model, batch_texts, batch_videos, queue)
-    worst = 0.0
-    for head_name, analytic in (("text_head", grad_text), ("video_head", grad_video)):
-        head = getattr(model, head_name)
-        for idx in np.ndindex(head.shape):
-            orig = head[idx]
-            head[idx] = orig + eps
-            up, _, _ = info_nce_loss(model, batch_texts, batch_videos, queue)
-            head[idx] = orig - eps
-            down, _, _ = info_nce_loss(model, batch_texts, batch_videos, queue)
-            head[idx] = orig
-            numeric = (up - down) / (2.0 * eps)
-            err = abs(analytic[idx] - numeric) / max(1.0, abs(analytic[idx]), abs(numeric))
-            worst = max(worst, err)
-    return worst
-
-
 def _per_set_rng(seed: int, set_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(set_index,)))
 
@@ -314,7 +283,7 @@ def plan_epoch(
     sizes = [len(s) for s in style_sets]
     tags = [s.style_tag for s in style_sets]
     if len(set(tags)) != len(tags):
-        raise ValueError("style tags must be distinct")
+        raise ConfigInvalid(f"style tags must be distinct, got {tags}")
     for tag, size in zip(tags, sizes):
         if size == 0:
             raise EmptyStyleSet(f"style set {tag!r} is empty")
@@ -529,6 +498,8 @@ def load_adapter(path: str | os.PathLike) -> AdapterModel:
                                   "adapter") as (f, (proj_dim, dim, tau, step_count)):
         w_t = container.read_array(f, "<f4", proj_dim * dim, "text head")
         w_v = container.read_array(f, "<f4", proj_dim * dim, "video head")
+    if not 0.0 < tau < np.inf:
+        raise CorruptField(f"{path}: tau {tau} must be positive and finite")
     return AdapterModel(
         text_head=w_t.reshape(proj_dim, dim).astype(np.float64),
         video_head=w_v.reshape(proj_dim, dim).astype(np.float64),

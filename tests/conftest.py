@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stylepair.embedcore import EmbeddingSet, blas_thread_controls, normalize
+from stylepair.trainer import info_nce_loss
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -61,3 +62,35 @@ def golden(name: str, computed: dict, rel_tol: float = 1e-9) -> dict:
         else:
             assert got == want, f"{name}.{key}: recorded {want!r}, computed {got!r}"
     return recorded
+
+
+def grad_check(
+    model,
+    batch_texts: np.ndarray,
+    batch_videos: np.ndarray,
+    queue=None,
+    eps: float = 1e-5,
+) -> float:
+    """Max relative error of the analytic gradients vs central differences.
+
+    The relative error of one weight is |analytic - numeric| divided by
+    max(1, |analytic|, |numeric|), so near-zero gradients are compared
+    absolutely.
+    """
+    if not (1e-6 <= eps <= 1e-3):
+        raise ValueError("eps must lie in [1e-6, 1e-3]")
+    _, grad_text, grad_video = info_nce_loss(model, batch_texts, batch_videos, queue)
+    worst = 0.0
+    for head_name, analytic in (("text_head", grad_text), ("video_head", grad_video)):
+        head = getattr(model, head_name)
+        for idx in np.ndindex(head.shape):
+            orig = head[idx]
+            head[idx] = orig + eps
+            up, _, _ = info_nce_loss(model, batch_texts, batch_videos, queue)
+            head[idx] = orig - eps
+            down, _, _ = info_nce_loss(model, batch_texts, batch_videos, queue)
+            head[idx] = orig
+            numeric = (up - down) / (2.0 * eps)
+            err = abs(analytic[idx] - numeric) / max(1.0, abs(analytic[idx]), abs(numeric))
+            worst = max(worst, err)
+    return worst

@@ -18,9 +18,9 @@ from stylepair.embedcore import EmbeddingSet, load_embeddings, save_embeddings
 from stylepair.evaluator import rank_queries, report
 from stylepair.matcher import match_exclusive
 from stylepair.styler import threshold_sweep
-from stylepair.trainer import NegativeQueue, batch_projections, grad_check, info_nce_loss, init_adapter
+from stylepair.trainer import NegativeQueue, batch_projections, info_nce_loss, init_adapter
 
-from conftest import golden, random_unit_set
+from conftest import golden, grad_check, random_unit_set
 
 
 @contextmanager

@@ -208,6 +208,28 @@ class TestStageCommands:
         assert not (d / "adapter.iemb").exists()
         assert main(train + ["--pool", pool]) == 0
 
+    def test_queue_capacity_past_the_pairs_trains_like_a_queue_of_all_pairs(self, data_dir,
+                                                                           tmp_path):
+        queries = str(data_dir / "queries_style0.iemb")
+        pool = str(data_dir / "pool.iemb")
+        d = tmp_path
+        assert main(["match", "--queries", queries, "--pool", pool,
+                     "--out", str(d / "pseudo.jsonl")]) == 0
+        assert main(["stylize", "--queries", queries, "--pool", pool,
+                     "--pairs", str(d / "pseudo.jsonl"), "--style-out", str(d / "style.iemb"),
+                     "--styled-out", str(d / "styled.iemb")]) == 0
+        assert main(["filter", "--styled", str(d / "styled.iemb"), "--pool", pool,
+                     "--out", str(d / "gen.jsonl"), "--threshold", "0.2"]) == 0
+        n_pairs = len(read_generated_pairs(d / "gen.jsonl"))
+        outputs = []
+        for capacity in (n_pairs, 10**20):
+            out = d / f"adapter_{len(outputs)}.iemb"
+            assert main(["train", "--pool", pool, "--styled", str(d / "styled.iemb"),
+                         "--pairs", str(d / "gen.jsonl"), "--out", str(out), "--epochs", "2",
+                         "--batch-size", "8", "--queue-capacity", str(capacity)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_stage_chain_matches_pipeline(self, data_dir, tmp_path):
         d, w = tmp_path / "chain", tmp_path / "w"
         d.mkdir()

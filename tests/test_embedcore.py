@@ -23,6 +23,7 @@ from stylepair.errors import (
     NonFiniteValue,
     NotNormalized,
     TruncatedFile,
+    UnknownCandidate,
     VersionUnsupported,
     ZeroVectorRow,
 )
@@ -42,6 +43,16 @@ class TestEmbeddingSet:
     def test_ids_must_be_unique(self):
         with pytest.raises(DuplicateId):
             EmbeddingSet(ids=np.array([0, 1, 1]), data=np.zeros((3, 2), np.float32) + 1)
+
+    def test_unknown_id_is_a_typed_error_naming_the_id(self):
+        with pytest.raises(UnknownCandidate, match="5"):
+            make_set([[1.0, 0.0], [0.0, 1.0]], ids=[2, 4]).row_for_id([4, 5])
+        with pytest.raises(UnknownCandidate, match="1"):
+            make_set([[1.0, 0.0], [0.0, 1.0]], ids=[2, 4]).row_for_id(1)
+        empty = EmbeddingSet(ids=np.zeros(0, np.int64), data=np.zeros((0, 2), np.float32))
+        with pytest.raises(UnknownCandidate):
+            empty.row_for_id([3])
+        assert np.array_equal(empty.row_for_id([]), [])
 
     def test_ids_must_be_sorted(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stylepair.embedcore import pairwise_dots
 from stylepair.errors import EmptyRanks, MissingTruth, StylePairError, UnknownCandidate
 from stylepair.evaluator import rank_queries, report
 from stylepair.trainer import AdapterModel
@@ -16,7 +17,30 @@ def sort_rank_oracle(sims_row, cand_ids, truth_col):
     return order.index(truth_col) + 1
 
 
+def per_query_loop_ranks(sims, cand_ids, truth_cols):
+    """The per-query loop rank_queries used before it counted with whole-matrix comparisons."""
+    ranks = np.empty(len(truth_cols), dtype=np.int64)
+    for i, col in enumerate(truth_cols):
+        row = sims[i]
+        better = int((row > row[col]).sum())
+        tied_before = int(((row == row[col]) & (cand_ids < cand_ids[col])).sum())
+        ranks[i] = 1 + better + tied_before
+    return ranks
+
+
 class TestRankQueries:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_per_query_loop_on_tie_heavy_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(6, 4))[rng.integers(0, 6, 30)]   # many duplicate candidates
+        cands = make_set(rows, ids=np.sort(rng.choice(1000, 30, replace=False)))
+        queries = make_set(rows[rng.integers(0, 30, 12)], ids=range(12))
+        truth_cols = rng.integers(0, 30, 12)
+        truth = {q: int(cands.ids[c]) for q, c in enumerate(truth_cols)}
+        sims = pairwise_dots(queries.data, cands.data)   # the product rank_queries ranks by
+        assert np.array_equal(rank_queries(queries, cands, truth),
+                              per_query_loop_ranks(sims, cands.ids, truth_cols))
+
     def test_identity_similarity_all_rank_one(self):
         basis = make_set(np.eye(4))
         truth = {i: i for i in range(4)}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stylepair.container import read_record_header
+from stylepair.container import read_records
 from stylepair.errors import DimMismatch, PoolExhausted
 from stylepair.matcher import (
     PseudoPairSet,
@@ -15,6 +15,10 @@ from stylepair.matcher import (
 )
 
 from conftest import make_set, random_unit_set
+
+
+def pair_rows(pairs):
+    return list(zip(pairs.query_ids.tolist(), pairs.clip_ids.tolist(), pairs.sims.tolist()))
 
 
 def masked_argmax_reference(queries, clips):
@@ -37,14 +41,14 @@ class TestMatchExclusive:
         q = make_set([[1.0, 0.0]])
         c = make_set([[1.0, 0.0]])
         out = match_exclusive(q, c)
-        assert list(out.pairs()) == [(0, 0, pytest.approx(1.0))]
+        assert pair_rows(out) == [(0, 0, pytest.approx(1.0))]
 
     def test_greedy_hand_trace(self):
         # identical queries: the first takes the best clip, the second the runner-up
         q = make_set([[1.0, 0.0], [1.0, 0.0]])
         c = make_set([[1.0, 0.0], [0.9, 0.43589]])
         out = match_exclusive(q, c)
-        pairs = list(out.pairs())
+        pairs = pair_rows(out)
         assert pairs[0][:2] == (0, 0)
         assert pairs[0][2] == pytest.approx(1.0, abs=1e-6)
         assert pairs[1][:2] == (1, 1)
@@ -118,7 +122,7 @@ class TestMatchExclusive:
         c2 = make_set(raw[perm])   # same vectors, shuffled into different ids
         out1 = match_exclusive(q, c1)
         out2 = match_exclusive(q, c2)
-        for (qa, ca, _), (qb, cb, _) in zip(out1.pairs(), out2.pairs()):
+        for (qa, ca, _), (qb, cb, _) in zip(pair_rows(out1), pair_rows(out2)):
             assert qa == qb
             assert np.array_equal(c1.data[ca], c2.data[cb])
 
@@ -127,7 +131,7 @@ class TestMatchExclusive:
         q = random_unit_set(rng, 10, 5)
         c = random_unit_set(rng, 16, 5)
         out = match_exclusive(q, c)
-        for qid, cid, sim in out.pairs():
+        for qid, cid, sim in pair_rows(out):
             qi = int(np.searchsorted(q.ids, qid))
             ci = int(np.searchsorted(c.ids, cid))
             want = q.data[qi].astype(np.float64) @ c.data[ci].astype(np.float64)
@@ -164,7 +168,9 @@ class TestPairPersistence:
         assert np.array_equal(back.clip_ids, pairs.clip_ids)
         assert np.array_equal(back.sims, pairs.sims)
         assert (back.query_set, back.clip_set) == ("queries", "pool")
-        assert read_record_header(path, "pseudo_pairs")["policy"] == "query_id"
+        header, _ = read_records(path, "pseudo_pairs", None, {"query_set": str, "clip_set": str,
+                                                              "policy": str})
+        assert header["policy"] == "query_id"
 
     def test_duplicate_clip_rejected(self):
         with pytest.raises(Exception, match="clip"):

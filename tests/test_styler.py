@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stylepair.embedcore import EmbeddingSet, normalize
-from stylepair.errors import CountMismatch, DimMismatch, SingularSystem
+from stylepair.errors import CountMismatch, DimMismatch, SingularSystem, StylePairError
 from stylepair.matcher import PseudoPairSet
 from stylepair.styler import (
     GeneratedPairSet,
@@ -256,7 +256,7 @@ class TestFilterPairs:
             s = float(styled.data[i].astype(np.float64) @ clips.data[i].astype(np.float64))
             if s > th:
                 expect.append((int(clips.ids[i]), i))
-        assert [(c, r) for c, r, _ in kept.pairs()] == expect
+        assert list(zip(kept.clip_ids.tolist(), kept.rows.tolist())) == expect
 
     def test_count_mismatch(self):
         rng = np.random.default_rng(12)
@@ -333,5 +333,5 @@ class TestPersistence:
         assert back.total_candidates == 30
 
     def test_retained_pairs_must_clear_threshold(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(StylePairError):
             GeneratedPairSet(clip_ids=[0], rows=[0], sims=[0.2], threshold=0.3)

@@ -97,15 +97,15 @@ class TestGenerate:
     def test_pool_draws_from_broader_cluster_mix(self):
         ds = generate(small_cfg())
         by_split = {}
-        for row in ds.latent:
-            by_split.setdefault(row["split"], set()).add(row["cluster"])
+        for split, cluster in zip(ds.latent["split"].tolist(), ds.latent["cluster"].tolist()):
+            by_split.setdefault(split, set()).add(cluster)
         assert by_split["pool"] > by_split["train_query"]  # strict superset
 
     def test_latent_covers_every_item(self):
         ds = generate(small_cfg())
         n_test = ds.config.test_per_style
         expect = 2 * 48 + 2 * n_test + 256
-        assert len(ds.latent) == expect
+        assert all(len(col) == expect for col in ds.latent.values())
 
 
 class TestCrossStyleDiagnostic:

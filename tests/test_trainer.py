@@ -20,7 +20,6 @@ from stylepair.trainer import (
     TrainConfig,
     batch_projections,
     build_training_arrays,
-    grad_check,
     info_nce_loss,
     init_adapter,
     load_adapter,
@@ -31,7 +30,7 @@ from stylepair.trainer import (
     write_loss_log,
 )
 
-from conftest import golden, random_unit_set
+from conftest import golden, grad_check, random_unit_set
 
 
 def unit_rows(rng, n, dim):
@@ -421,6 +420,18 @@ class TestTrain:
         plain, _, _ = info_nce_loss(model, t, v)
         with_queue, _, _ = info_nce_loss(model, t, v, filled_queue(rng, model, 6, 8))
         assert with_queue != plain
+
+    @pytest.mark.parametrize("mode", ["in_style", "mixed"])
+    def test_a_capacity_past_every_pair_trains_like_one_of_all_pairs(self, mode):
+        # a queue empties every epoch, so it never holds more than the epoch's pairs
+        sets, texts, videos = separable_fixture(np.random.default_rng(12))
+        runs = [train_epochs(init_adapter(8), sets, texts, videos, mode=mode, epochs=2,
+                             batch_size=4, config=TrainConfig(queue_capacity=capacity), seed=3)
+                for capacity in (len(texts), 7 * len(texts))]
+        (a, rows_a), (b, rows_b) = runs
+        assert np.array_equal(a.text_head, b.text_head)
+        assert np.array_equal(a.video_head, b.video_head)
+        assert [r.loss for r in rows_a] == [r.loss for r in rows_b]
 
     def test_queue_capacity_trims_fifo(self):
         rng = np.random.default_rng(14)
