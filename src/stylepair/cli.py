@@ -28,22 +28,25 @@ from .synthgen import SynthConfig, dataset_paths
 log = logging.getLogger("stylepair")
 
 DEFAULT_SWEEP_GRID = "0.26,0.27,0.28,0.29,0.30"
+_SEEDED_COMMANDS = ("synth", "stylize", "train", "pipeline")   # the stages that draw randomness
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seeded: bool) -> None:
     parser.add_argument("--config", help="JSON file with defaults; explicit flags win")
-    parser.add_argument("--seed", type=int, default=7)
+    if seeded:
+        parser.add_argument("--seed", type=int, default=7)
 
 
 def _add_synth_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--styles", type=int, default=2)
-    parser.add_argument("--queries-per-style", type=int, default=512)
-    parser.add_argument("--pool-size", type=int, default=8192)
-    parser.add_argument("--dim", type=int, default=64)
-    parser.add_argument("--content-dim", type=int, default=16)
-    parser.add_argument("--style-strength", type=float, default=0.8)
-    parser.add_argument("--cross-modal-noise", type=float, default=0.1)
-    parser.add_argument("--held-out-fraction", type=float, default=0.25)
+    cfg = SynthConfig()
+    parser.add_argument("--styles", type=int, default=cfg.n_styles)
+    parser.add_argument("--queries-per-style", type=int, default=cfg.queries_per_style)
+    parser.add_argument("--pool-size", type=int, default=cfg.pool_size)
+    parser.add_argument("--dim", type=int, default=cfg.dim)
+    parser.add_argument("--content-dim", type=int, default=cfg.content_dim)
+    parser.add_argument("--style-strength", type=float, default=cfg.style_strength)
+    parser.add_argument("--cross-modal-noise", type=float, default=cfg.cross_modal_noise)
+    parser.add_argument("--held-out-fraction", type=float, default=cfg.held_out_fraction)
 
 
 def _add_stylize_options(parser: argparse.ArgumentParser) -> None:
@@ -56,13 +59,14 @@ def _add_filter_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_train_options(parser: argparse.ArgumentParser) -> None:
+    cfg = trainer.TrainConfig()
     parser.add_argument("--batch-size", type=int, default=128)
-    parser.add_argument("--learning-rate", type=float, default=0.3)
-    parser.add_argument("--momentum", type=float, default=0.9)
+    parser.add_argument("--learning-rate", type=float, default=cfg.learning_rate)
+    parser.add_argument("--momentum", type=float, default=cfg.momentum)
     parser.add_argument("--epochs", type=int, default=3)
     parser.add_argument("--tau", type=float, default=trainer.DEFAULT_TAU)
     # stale queue negatives (no momentum encoder here) cost recall; off by default
-    parser.add_argument("--queue-capacity", type=int, default=0)
+    parser.add_argument("--queue-capacity", type=int, default=cfg.queue_capacity)
     parser.add_argument("--threads", type=int, default=0,
                         help="adapters trained at once, 0 = available parallelism")
 
@@ -78,11 +82,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         description="Build styled text-video pairs from unpaired text and train retrieval adapters",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    created = []
+    created = {}
 
-    def add_parser(*args, **kwargs):
-        p = sub.add_parser(*args, **kwargs)
-        created.append(p)
+    def add_parser(name, **kwargs):
+        created[name] = p = sub.add_parser(name, **kwargs)
         return p
 
     p = add_parser("synth", help="generate the seeded synthetic benchmark")
@@ -147,10 +150,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_synth_options(p)
     _add_train_options(p)
 
-    for target in created:
-        _add_common(target)
+    for name, target in created.items():
+        _add_common(target, seeded=name in _SEEDED_COMMANDS)
     if defaults:
-        _install_config(created, defaults)
+        _install_config(created.values(), defaults)
     return parser
 
 

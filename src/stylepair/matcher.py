@@ -13,7 +13,7 @@ import numpy as np
 
 from . import container
 from .embedcore import EmbeddingSet, for_dot_blocks
-from .errors import DimMismatch, DuplicateId, NotNormalized, PoolExhausted
+from .errors import DimMismatch, DuplicateId, EmptyStyleSet, NotNormalized, PoolExhausted
 
 ORDER_QUERY_ID = "query_id"   # the one processing order; recorded in pair-file headers
 HEADER_FIELDS = {"query_set": str, "clip_set": str, "policy": str}   # pair-file keys and types
@@ -59,6 +59,8 @@ def match_exclusive(queries: EmbeddingSet, clips: EmbeddingSet) -> PseudoPairSet
     if not queries.normalized or not clips.normalized:
         raise NotNormalized("matching requires normalized query and clip sets")
     n_q, n_c = queries.count, clips.count
+    if n_q == 0:
+        raise EmptyStyleSet("the query set holds no queries")
     if n_q > n_c:
         raise PoolExhausted(f"{n_q} queries but only {n_c} clips")
 

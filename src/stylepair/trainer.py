@@ -147,26 +147,6 @@ class NegativeQueue:
         self._len = keep + new
 
 
-class LossWorkspace:
-    """Matrices one `train` call reuses for every info_nce_loss step.
-
-    Each (rows, cols) matrix is a C-contiguous view at the start of its own
-    buffer, so a step sees the layout of freshly allocated arrays and
-    computes the same bits. A buffer grows only when a step needs more.
-    """
-
-    def __init__(self):
-        self._buffers = [np.empty(0) for _ in range(3)]
-
-    def matrices(self, rows: int, cols: int) -> list[np.ndarray]:
-        """(logits, text->video gradient, video->text gradient) buffers."""
-        size = rows * cols
-        if self._buffers[0].size < size:
-            self._buffers.clear()   # the smaller buffers go before the larger ones exist
-            self._buffers.extend(np.empty(size) for _ in range(3))
-        return [buf[:size].reshape(rows, cols) for buf in self._buffers]
-
-
 def project(head: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm float64 projections of `rows` through `head`, and their raw norms."""
     raw = np.asarray(rows, dtype=np.float64) @ head.T
@@ -188,16 +168,12 @@ def info_nce_loss(
     batch_texts: np.ndarray,
     batch_videos: np.ndarray,
     queue: NegativeQueue | None = None,
-    *,
-    workspace: LossWorkspace | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Symmetric temperature-scaled contrastive loss and its exact gradients.
 
     Returns (loss, d loss / d text_head, d loss / d video_head). The loss
     averages the text-to-video and video-to-text softmax cross-entropies
     over the batch; queue entries add negative columns in both directions.
-    A `workspace` lets repeated calls reuse their (B, B + queue) matrices;
-    without one they are allocated fresh. Either way the bits are the same.
     """
     texts = np.asarray(batch_texts, dtype=np.float64)
     videos = np.asarray(batch_videos, dtype=np.float64)
@@ -213,9 +189,9 @@ def info_nce_loss(
     x, x_norms = project(model.text_head, texts)    # (B, p) unit rows
     y, y_norms = project(model.video_head, videos)
     cols_t, cols_v = queue.columns(x, y) if queue is not None and len(queue) else (x, y)
-    if workspace is None:
-        workspace = LossWorkspace()
-    logits, g_tv, g_vt = workspace.matrices(b, cols_v.shape[0])
+    logits = np.empty((b, cols_v.shape[0]))
+    g_tv = np.empty_like(logits)
+    g_vt = np.empty_like(logits)
 
     diag = np.arange(b)
     log_diag = []
@@ -366,7 +342,6 @@ def train(
     vel_t = np.zeros_like(model.text_head)
     vel_v = np.zeros_like(model.video_head)
     log_rows: list[StepRecord] = []
-    workspace = LossWorkspace()
 
     for tag, indices in batches:
         # widening float32 rows to float64 is exact, so the batch bits do not depend on
@@ -375,8 +350,7 @@ def train(
         batch_v = videos[indices].astype(np.float64)
         queue = queues.get(tag)
         try:
-            loss, grad_t, grad_v = info_nce_loss(model, batch_t, batch_v, queue,
-                                                 workspace=workspace)
+            loss, grad_t, grad_v = info_nce_loss(model, batch_t, batch_v, queue)
             vel_t = config.momentum * vel_t + grad_t
             vel_v = config.momentum * vel_v + grad_v
             model.text_head -= config.learning_rate * vel_t

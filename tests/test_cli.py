@@ -138,13 +138,28 @@ class TestStageCommands:
         assert not (d / "adapter.iemb").exists()
 
     def test_threads_only_on_commands_that_train(self, data_dir, tmp_path, capsys):
-        with pytest.raises(SystemExit) as usage:
-            main(["match", "--queries", str(data_dir / "queries_style0.iemb"),
-                  "--pool", str(data_dir / "pool.iemb"),
-                  "--out", str(tmp_path / "pairs.jsonl"), "--threads", "2"])
-        assert usage.value.code == 2
-        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
-        assert not (tmp_path / "pairs.jsonl").exists()
+        # --threads only on train and pipeline; --seed only where a stage draws randomness
+        out = tmp_path / "out"
+        match = ["match", "--queries", str(data_dir / "queries_style0.iemb"),
+                 "--pool", str(data_dir / "pool.iemb"), "--out", str(out)]
+        styled = ["--styled", str(data_dir / "queries_style0.iemb"),
+                  "--pool", str(data_dir / "pool.iemb")]
+        cases = [
+            (match + ["--threads", "2"], "--threads 2"),
+            (match + ["--seed", "1"], "--seed 1"),
+            (["filter", *styled, "--out", str(out), "--seed", "1"], "--seed 1"),
+            (["sweep", *styled, "--out", str(out), "--seed", "1"], "--seed 1"),
+            (["eval", "--captions", str(data_dir / "test_captions_style0.iemb"),
+              "--candidates", str(data_dir / "test_clips.iemb"),
+              "--truth", str(data_dir / "truth.jsonl"),
+              "--out", str(out), "--seed", "1"], "--seed 1"),
+        ]
+        for argv, extra in cases:
+            with pytest.raises(SystemExit) as usage:
+                main(argv)
+            assert usage.value.code == 2
+            assert f"unrecognized arguments: {extra}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_oversized_container_header_exits_1(self, tmp_path, caplog):
         # a 24-byte file whose header claims 2**40 rows (8 TiB of ids)
@@ -156,6 +171,17 @@ class TestStageCommands:
         assert rc == 1
         assert "error=TruncatedFile" in caplog.text
         assert "Traceback" not in caplog.text
+        assert not (tmp_path / "pairs.jsonl").exists()
+
+    def test_match_on_empty_query_set_exits_1_before_writing(self, tmp_path, caplog):
+        rng = np.random.default_rng(0)
+        save_embeddings(make_set(np.empty((0, 16))), tmp_path / "queries.iemb")
+        save_embeddings(random_unit_set(rng, 24, 16), tmp_path / "pool.iemb")
+        rc = main(["match", "--queries", str(tmp_path / "queries.iemb"),
+                   "--pool", str(tmp_path / "pool.iemb"), "--out", str(tmp_path / "pairs.jsonl")])
+        assert rc == 1
+        assert "error=EmptyStyleSet" in caplog.text
+        assert "mean_sim" not in caplog.text
         assert not (tmp_path / "pairs.jsonl").exists()
 
     def test_filter_keeping_nothing_still_succeeds(self, tmp_path):

@@ -15,7 +15,6 @@ from stylepair.errors import (
 from stylepair.styler import GeneratedPairSet
 from stylepair.trainer import (
     AdapterModel,
-    LossWorkspace,
     NegativeQueue,
     TrainConfig,
     batch_projections,
@@ -139,29 +138,26 @@ def reference_loss(model, texts, videos, q_texts=None, q_videos=None):
     return loss, d_u.T @ texts, d_w.T @ videos
 
 
-class TestLossWorkspace:
-    def test_reused_workspace_gives_the_bits_of_fresh_arrays(self):
+class TestQueuedLoss:
+    def test_queue_columns_give_the_bits_of_concatenated_negatives(self):
         rng = np.random.default_rng(17)
         dim, proj = 7, 5
         model = random_model(rng, dim, proj)
         queue = NegativeQueue(capacity=10)
-        workspace = LossWorkspace()
         fills, pushed = [], []
         # the batch size changes mid-way, and the queue goes empty -> partial -> full -> wrapped
         for b in (4, 4, 4, 6, 6, 3, 4, 4):
             t, v = unit_rows(rng, b, dim), unit_rows(rng, b, dim)
             fills.append(len(queue))
             want = reference_loss(model, t, v, queue.text_negatives, queue.video_negatives)
-            fresh = info_nce_loss(model, t, v, queue)
-            reused = info_nce_loss(model, t, v, queue, workspace=workspace)
-            for got in (fresh, reused):
-                assert got[0] == want[0]
-                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+            got = info_nce_loss(model, t, v, queue)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
             x, y = batch_projections(model, t, v)
             queue.push(x, y)
             pushed.append(x)
             assert np.array_equal(queue.text_negatives, np.concatenate(pushed)[-10:])
-            model.text_head -= 0.1 * reused[1]
+            model.text_head -= 0.1 * got[1]
         assert fills == [0, 4, 8, 10, 10, 10, 10, 10]
 
     def test_train_peak_memory_does_not_grow_with_steps(self):
@@ -183,7 +179,8 @@ class TestLossWorkspace:
 
         short, long = peak(16), peak(32)   # the queue fills at step 8 and then wraps
         assert long <= short + matrix_bytes // 4
-        # three reused matrices (logits and two gradients) plus the queue's column buffers
+        # one step's three matrices (logits and two gradients, freed when it returns)
+        # plus the queue's column buffers
         assert short < 5 * matrix_bytes
 
 
