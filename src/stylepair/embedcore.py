@@ -3,7 +3,9 @@
 An EmbeddingSet is an immutable id-keyed matrix of float32 row vectors.
 All similarity math takes float32 inputs and accumulates in float64, and
 matrix products are always evaluated over the same fixed row partition, so
-a block streamed on its own carries the same bits as the full product.
+a block streamed on its own carries the same bits as the full product. A
+block's columns may be streamed too, in the fixed tiles of column_tiles,
+which carry the bits of the whole block product.
 """
 
 import ctypes
@@ -22,6 +24,7 @@ from .errors import (CorruptField, DuplicateId, NonFiniteValue, NotNormalized, U
 NORM_FLAG_TOL = 1e-4   # how far a "normalized" row may drift from unit norm
 _FLAG_NORMALIZED = 1
 _CHUNK_ROWS = 512      # fixed partition for similarity products
+TILE_COLS = 2048       # column tile of a streamed block product
 
 
 @dataclass(frozen=True)
@@ -165,25 +168,27 @@ def for_row_blocks(n_rows: int, run) -> None:
         run(lo, min(lo + _CHUNK_ROWS, n_rows))
 
 
-def for_dot_blocks(a: np.ndarray, b: np.ndarray, run) -> None:
-    """Call run(lo, hi, a[lo:hi] @ b.T) in float64 once per fixed row block.
+def column_tiles(n_cols: int) -> list[tuple[int, int]]:
+    """Fixed column tiles (c0, c1) of TILE_COLS columns, in ascending order.
 
-    Blocks follow for_row_blocks: they arrive in ascending order and only
-    one is alive at a time.
+    A ragged remainder joins the last full tile: on OpenBLAS a product a few
+    hundred columns wide or less can take another kernel, and other bits,
+    than the same columns of the whole block product.
     """
-    a64 = a.astype(np.float64)
-    b64t = b.astype(np.float64).T
-    for_row_blocks(a64.shape[0], lambda lo, hi: run(lo, hi, a64[lo:hi] @ b64t))
+    edges = [*range(0, max(n_cols - TILE_COLS, 0) + 1, TILE_COLS), n_cols]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row dot products a @ b.T in float64 over a fixed row partition."""
+    a64 = a.astype(np.float64)
+    b64t = b.astype(np.float64).T
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
 
-    def run(lo, hi, block):
-        out[lo:hi] = block
+    def run(lo, hi):
+        out[lo:hi] = a64[lo:hi] @ b64t
 
-    for_dot_blocks(a, b, run)
+    for_row_blocks(a.shape[0], run)
     return out
 
 

@@ -4,6 +4,18 @@ Each query takes the highest-similarity clip that has not been claimed by
 an earlier query; the claimed clip leaves the candidate pool. Queries go
 in ascending id order so runs are reproducible, and ties always go to the
 smallest clip id.
+
+Similarities are streamed, one fixed 512-row query block at a time and
+within it one column tile of the pool at a time, so memory holds one
+512 x tile product, never a 512 x pool one. Each query of a block claims
+from its shortlist: every entry of its row, unclaimed when the block
+started, that is at least its threshold theta, the K-th best such entry of
+the first tile that holds K unclaimed clips (earlier tiles keep all their
+unclaimed entries). While the best unclaimed shortlist entry is at least
+theta, it is the best unclaimed entry of the whole row, ties included.
+When it is not, the shortlists of the block's remaining queries are
+rebuilt from the same products with the current claims, so the bits and
+the result are those of one masked argmax per full row.
 """
 
 import os
@@ -12,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, for_dot_blocks
+from .embedcore import EmbeddingSet, column_tiles, for_row_blocks
 from .errors import DimMismatch, DuplicateId, EmptyStyleSet, NotNormalized, PoolExhausted
 
 ORDER_QUERY_ID = "query_id"   # the one processing order; recorded in pair-file headers
 HEADER_FIELDS = {"query_set": str, "clip_set": str, "policy": str}   # pair-file keys and types
 RECORD_FIELDS = {"query_id": int, "clip_id": int, "sim": float}
+SHORTLIST_K = 32   # rank, among a row's unclaimed entries of one tile, of its threshold
 
 
 @dataclass
@@ -45,14 +58,61 @@ class PseudoPairSet:
         return len(self.query_ids)
 
 
+def _tile_entries(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarray):
+    """Stream the block's column tiles and keep the entries of rows start..
+
+    Returns one (rows, cols, sims) triple per tile, each row-major, and the
+    thresholds as an (n, 1) column. Tiles before the one that sets the
+    thresholds keep every unclaimed entry, some of them below it. The
+    products cover the whole block, so they carry its bits whichever rows
+    are kept. The tile buffers are freed on return, before the caller
+    groups the entries by row.
+    """
+    n = block.shape[0] - start
+    tiles = column_tiles(pool.shape[0])
+    widest = max(c1 - c0 for c0, c1 in tiles)
+    prod_buf = np.empty(block.shape[0] * widest)
+    keep_buf = np.empty(n * widest, dtype=bool)
+    theta = np.full((n, 1), np.finfo(np.float64).min)   # keeps every unclaimed entry
+    theta_set = False
+    entries = []
+    for c0, c1 in tiles:
+        w = c1 - c0
+        prod = np.matmul(block, pool[c0:c1].astype(np.float64).T,
+                         out=prod_buf[:block.shape[0] * w].reshape(-1, w))[start:]
+        claimed = taken[c0:c1]
+        prod[:, claimed] = -np.inf
+        if not theta_set and w - np.count_nonzero(claimed) >= SHORTLIST_K:
+            kth = w - SHORTLIST_K
+            theta = np.partition(prod, kth, axis=1)[:, kth:kth + 1].copy()
+            theta_set = True
+        flat = np.flatnonzero(np.greater_equal(prod, theta, out=keep_buf[:n * w].reshape(n, w)))
+        row, col = np.divmod(flat, w)
+        entries.append((row.astype(np.int32), (col + c0).astype(np.int32), prod.ravel()[flat]))
+    return entries, theta
+
+
+def _shortlists(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarray):
+    """Shortlists of rows start.. of a float64 query block against the pool.
+
+    Returns (ptr, cols, sims, theta), ptr and theta as lists: row start + k
+    holds cols[ptr[k]:ptr[k + 1]], ascending, their sims, and its threshold
+    theta[k].
+    """
+    entries, theta = _tile_entries(block, start, pool, taken)
+    rows, cols, sims = (np.concatenate(part) for part in zip(*entries))
+    del entries
+    order = np.argsort(rows, kind="stable")   # per row, tiles and columns stay ascending
+    ptr = [0, *np.cumsum(np.bincount(rows, minlength=len(theta))).tolist()]
+    return ptr, cols[order], sims[order], theta.ravel().tolist()
+
+
 def match_exclusive(queries: EmbeddingSet, clips: EmbeddingSet) -> PseudoPairSet:
     """Assign every query its best still-unclaimed clip.
 
-    Similarities are streamed one fixed 512-row query block at a time, in
-    ascending order, and each query takes the argmax of its row with the
-    claimed clips masked to -inf (the first maximum, so ties go to the
-    smallest clip id). That is the masked-argmax oracle itself, at
-    O(n_clips) per query, with one block alive instead of the full matrix.
+    Query blocks go in ascending order, and so do the queries of a block:
+    each takes the first maximum of its row with the claimed clips masked
+    to -inf, as one argmax over the full row would (module docstring).
     """
     if queries.dim != clips.dim:
         raise DimMismatch(f"dims differ: {queries.dim} vs {clips.dim}")
@@ -68,14 +128,23 @@ def match_exclusive(queries: EmbeddingSet, clips: EmbeddingSet) -> PseudoPairSet
     chosen_sim = np.empty(n_q, dtype=np.float64)
     taken = np.zeros(n_c, dtype=bool)
 
-    def claim(lo, hi, block):
-        for qi, row in enumerate(block, start=lo):
-            col = int(np.argmax(np.where(taken, -np.inf, row)))
-            taken[col] = True
-            chosen_col[qi] = col
-            chosen_sim[qi] = row[col]
+    def claim(lo, hi):
+        block = queries.data[lo:hi].astype(np.float64)
+        qi = lo
+        while qi < hi:
+            ptr, cols, sims, theta = _shortlists(block, qi - lo, clips.data, taken)
+            for k, threshold in enumerate(theta):
+                short = cols[ptr[k]:ptr[k + 1]]
+                free = np.where(taken[short], -np.inf, sims[ptr[k]:ptr[k + 1]])
+                j = free.argmax()
+                if free[j] < threshold:
+                    break   # a better clip may lie outside the shortlist: rebuild from here
+                taken[short[j]] = True
+                chosen_col[qi] = short[j]
+                chosen_sim[qi] = free[j]
+                qi += 1
 
-    for_dot_blocks(queries.data, clips.data, claim)
+    for_row_blocks(n_q, claim)
     return PseudoPairSet(
         query_ids=queries.ids.copy(),
         clip_ids=clips.ids[chosen_col],

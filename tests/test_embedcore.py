@@ -7,8 +7,10 @@ import pytest
 
 from stylepair import embedcore
 from stylepair.embedcore import (
+    TILE_COLS,
     EmbeddingSet,
     blas_thread_controls,
+    column_tiles,
     for_each,
     for_row_blocks,
     load_embeddings,
@@ -160,6 +162,34 @@ class TestForRowBlocks:
 
         want = [(lo, min(lo + 512, n_rows)) for lo in range(0, n_rows, 512)]
         assert for_each(range(threads), blocks, threads) == [want] * threads
+
+
+class TestColumnTiles:
+    @pytest.mark.parametrize("n_cols", [1, TILE_COLS - 1, TILE_COLS, 2 * TILE_COLS - 1,
+                                        2 * TILE_COLS, 3 * TILE_COLS + 5])
+    def test_tiles_cover_every_column_once_in_order(self, n_cols):
+        tiles = column_tiles(n_cols)
+        assert tiles[0][0] == 0 and tiles[-1][1] == n_cols
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(tiles, tiles[1:]))
+        # a remainder joins the last full tile, so only a pool narrower than one tile is narrower
+        widths = [c1 - c0 for c0, c1 in tiles]
+        assert all(TILE_COLS <= w < 2 * TILE_COLS for w in widths) or widths == [n_cols]
+
+    @pytest.mark.parametrize("dim", [12, 64, 128])
+    @pytest.mark.parametrize("remainder", [0, 5, 191, 1500])
+    @pytest.mark.parametrize("rows", [512, 300])
+    def test_tiles_carry_the_bits_of_the_whole_block_product(self, dim, remainder, rows):
+        # the premise of the streamed matcher: a query block's product over
+        # the pool may be taken one column tile at a time, last tile included.
+        # (A one-row block is a vector-matrix product, which OpenBLAS splits
+        # across its threads by width, so only one BLAS thread pins its bits.)
+        rng = np.random.default_rng(dim * 10_000 + remainder * 10 + rows)
+        block = rng.normal(size=(rows, dim)).astype(np.float32).astype(np.float64)
+        pool = rng.normal(size=(3 * TILE_COLS + remainder, dim)).astype(np.float32)
+        whole = block @ pool.astype(np.float64).T
+        tiled = np.concatenate([block @ pool[c0:c1].astype(np.float64).T
+                                for c0, c1 in column_tiles(len(pool))], axis=1)
+        assert np.array_equal(whole, tiled)
 
 
 class TestForEach:

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stylepair import matcher
 from stylepair.container import read_records
+from stylepair.embedcore import TILE_COLS
 from stylepair.errors import DimMismatch, PoolExhausted
 from stylepair.matcher import (
+    SHORTLIST_K,
     PseudoPairSet,
     match_exclusive,
     read_pseudo_pairs,
@@ -89,6 +92,21 @@ class TestMatchExclusive:
         finally:
             tracemalloc.stop()
         assert peak < q.count * c.count * 8 / 2
+
+    def test_memory_does_not_grow_with_the_pool(self):
+        # doubling the pool once added 512 x 20,000 float64 entries to the block
+        rng = np.random.default_rng(13)
+        q = random_unit_set(rng, 1600, 8)
+        peaks = []
+        for n_c in (20_000, 40_000):
+            c = random_unit_set(rng, n_c, 8)
+            tracemalloc.start()
+            try:
+                match_exclusive(q, c)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 512 * 20_000 * 8 / 8
 
     def test_pool_exhausted(self):
         q = make_set([[1.0, 0.0], [0.0, 1.0]])
@@ -175,3 +193,76 @@ class TestPairPersistence:
     def test_duplicate_clip_rejected(self):
         with pytest.raises(Exception, match="clip"):
             PseudoPairSet(query_ids=[0, 1], clip_ids=[5, 5], sims=[0.5, 0.4])
+
+
+def assert_matches_oracle(q, c):
+    # the oracle's one product has the bits of the matcher's blocks while q fits one block
+    assert q.count <= 512
+    cols, vals = masked_argmax_reference(q, c)
+    out = match_exclusive(q, c)
+    assert np.array_equal(out.clip_ids, c.ids[cols])
+    assert np.array_equal(out.sims, vals)
+
+
+@pytest.fixture
+def shortlist_builds(monkeypatch):
+    """The start row of every shortlist build; a build that makes no progress fails."""
+    starts = []
+    build = matcher._shortlists
+
+    def counted(block, start, pool, taken):
+        starts.append(start)
+        assert len(starts) <= 64, "shortlist rebuilds make no progress"
+        return build(block, start, pool, taken)
+
+    monkeypatch.setattr(matcher, "_shortlists", counted)
+    return starts
+
+
+class TestTiledPool:
+    """Pools wider than one column tile, against the full-row oracle bit for bit."""
+
+    def test_several_tiles_with_a_remainder_narrower_than_k(self):
+        rng = np.random.default_rng(20)
+        q = random_unit_set(rng, 512, 12)
+        c = random_unit_set(rng, 3 * TILE_COLS + SHORTLIST_K // 2, 12)
+        assert_matches_oracle(q, c)
+
+    def test_duplicate_clips_on_both_sides_of_a_tile_boundary(self, shortlist_builds):
+        rng = np.random.default_rng(21)
+        raw = rng.normal(size=(2 * TILE_COLS + 300, 16))
+        dup = rng.normal(size=(8, 16))
+        for k, row in enumerate(dup):
+            raw[TILE_COLS - 8 + k] = raw[TILE_COLS + k] = row   # just below and above the boundary
+        # more than K copies of the first vector in each tile: for its queries
+        # the threshold ties with every copy, and all of them must be kept
+        raw[100:100 + 40 * 20:20] = dup[0]
+        raw[TILE_COLS + 100:TILE_COLS + 100 + 40 * 20:20] = dup[0]
+        queries = np.concatenate([np.repeat(dup, 12, axis=0), rng.normal(size=(200, 16))])
+        assert_matches_oracle(make_set(queries[rng.permutation(len(queries))]), make_set(raw))
+        assert shortlist_builds == [0]   # the tied copies outnumber their queries: no rebuild
+
+    def test_identical_queries_exhaust_their_shortlists(self, shortlist_builds):
+        rng = np.random.default_rng(22)
+        c = random_unit_set(rng, 2 * TILE_COLS + 40, 10)
+        raw = rng.normal(size=(400, 10))
+        raw[50:350] = raw[0]   # 301 identical queries in one block, far more than K
+        assert_matches_oracle(make_set(raw), c)
+        assert len(shortlist_builds) > 1   # one block, so every later build is a rebuild
+
+    def test_rows_kept_below_the_threshold_do_not_shadow_the_pool(self, shortlist_builds):
+        # earlier blocks claim all but a few clips of the first tile, so every
+        # row keeps those few whatever their sims; once the identical queries
+        # of the next block have claimed every entry at or above their
+        # threshold, a better clip than those few lies in the tiles beyond
+        rng = np.random.default_rng(23)
+        u, v = np.eye(8)[0], np.eye(8)[1]
+        clips = rng.normal(size=(3 * TILE_COLS, 8))
+        clips[:TILE_COLS] = u + 0.1 * clips[:TILE_COLS]
+        queries = np.concatenate([u + 0.05 * rng.normal(size=(TILE_COLS - 18, 8)),
+                                  np.tile(v, (200, 1))])
+        q, c = make_set(queries), make_set(clips)
+        cols, vals = masked_argmax_reference(q, c)
+        out = match_exclusive(q, c)
+        assert np.array_equal(out.clip_ids, c.ids[cols])
+        assert np.array_equal(out.sims, vals)
