@@ -135,9 +135,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--captions", required=True)
     p.add_argument("--candidates", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--adapter")
-    p.add_argument("--zero-shot", action="store_true",
-                   help="ignore any adapter and use raw cosine")
+    p.add_argument("--adapter", help="adapter to project through; without it, raw cosine")
     p.add_argument("--out", help="optional JSON output path")
     p.add_argument("--no-ranks", action="store_true", help="omit per-query ranks")
     p.add_argument("--ranks-csv", help="optional per-query rank CSV path")
@@ -403,9 +401,7 @@ def cmd_eval(args) -> int:
     captions = load_embeddings(args.captions)
     candidates = load_embeddings(args.candidates)
     truth = synthgen.read_truth(args.truth)
-    model = None
-    if args.adapter and not args.zero_shot:
-        model = trainer.load_adapter(args.adapter)
+    model = trainer.load_adapter(args.adapter) if args.adapter else None
     rep = eval_stage(captions, candidates, truth, model, args.ranks_csv)
     _emit_json(rep.to_dict(include_ranks=not args.no_ranks), args.out)
     return 0

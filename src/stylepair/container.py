@@ -62,8 +62,8 @@ def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
 
 def read_array(f: BinaryIO, dtype: str, count: int, what: str) -> np.ndarray:
     dt = np.dtype(dtype)
-    buf = read_exact(f, dt.itemsize * count, what)
-    return np.frombuffer(buf, dtype=dt).copy()
+    # read-only, over the bytes read: a copy would hold the rows twice
+    return np.frombuffer(read_exact(f, dt.itemsize * count, what), dtype=dt)
 
 
 def write_array(f: BinaryIO, arr: np.ndarray, dtype: str) -> None:

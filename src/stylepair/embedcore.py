@@ -1,11 +1,11 @@
 """Embedding sets, the similarity product, and the worker pool.
 
 An EmbeddingSet is an immutable id-keyed matrix of float32 row vectors.
-All similarity math takes float32 inputs and accumulates in float64, and
-matrix products are always evaluated over the same fixed row partition, so
-a block streamed on its own carries the same bits as the full product. A
-block's columns may be streamed too, in the fixed tiles of column_tiles,
-which carry the bits of the whole block product.
+All row-wise math (normalizing, the flag check, aligned and pairwise dot
+products) takes float32 inputs and works in float64 one fixed block of
+row_blocks at a time, so a block streamed on its own carries the same bits
+as the whole set. A block's columns may be streamed too, in the fixed
+tiles of column_tiles, which carry the bits of the whole block product.
 """
 
 import ctypes
@@ -58,8 +58,8 @@ class EmbeddingSet:
                 raise ValueError("ids must be sorted ascending")
         if not np.isfinite(data).all():
             raise NonFiniteValue("embedding matrix contains non-finite entries")
-        if self.normalized and len(ids):
-            norms = np.linalg.norm(data.astype(np.float64), axis=1)
+        for lo, hi in row_blocks(len(ids)) if self.normalized else []:
+            norms = np.linalg.norm(data[lo:hi].astype(np.float64), axis=1)
             worst = float(np.abs(norms - 1.0).max())
             if worst > NORM_FLAG_TOL:
                 raise NotNormalized(
@@ -87,15 +87,27 @@ class EmbeddingSet:
         return np.searchsorted(self.ids, wanted)
 
 
+def unit_rows(ids: np.ndarray, dim: int, rows64) -> EmbeddingSet:
+    """A normalized set with one unit float32 row per id.
+
+    rows64 yields the float64 rows of each block of row_blocks(len(ids)), in
+    order; each is divided by its norms and narrowed on its own, so no more
+    than one block is ever held in float64. A zero row is a ZeroVectorRow.
+    """
+    out = np.empty((len(ids), dim), dtype=np.float32)
+    for (lo, hi), block in zip(row_blocks(len(ids)), rows64):
+        norms = np.linalg.norm(block, axis=1)
+        zero = norms == 0.0
+        if zero.any():
+            raise ZeroVectorRow(f"row id {int(ids[lo:hi][zero][0])} is the zero vector")
+        out[lo:hi] = block / norms[:, None]
+    return EmbeddingSet(ids=ids.copy(), data=out, normalized=True)
+
+
 def normalize(emb: EmbeddingSet) -> EmbeddingSet:
     """Return a copy whose rows are rescaled to unit L2 norm."""
-    data64 = emb.data.astype(np.float64)
-    norms = np.linalg.norm(data64, axis=1)
-    zero = norms == 0.0
-    if zero.any():
-        raise ZeroVectorRow(f"row id {int(emb.ids[zero][0])} is the zero vector")
-    out = (data64 / norms[:, None]).astype(np.float32)
-    return EmbeddingSet(ids=emb.ids.copy(), data=out, normalized=True)
+    return unit_rows(emb.ids, emb.dim,
+                     (emb.data[lo:hi].astype(np.float64) for lo, hi in row_blocks(emb.count)))
 
 
 @functools.cache
@@ -162,10 +174,9 @@ def for_each(items, run, threads: int = 1) -> list:
         set_(saved)
 
 
-def for_row_blocks(n_rows: int, run) -> None:
-    """Call run(lo, hi) once per fixed block of _CHUNK_ROWS rows, in ascending order."""
-    for lo in range(0, n_rows, _CHUNK_ROWS):
-        run(lo, min(lo + _CHUNK_ROWS, n_rows))
+def row_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """Fixed row blocks (lo, hi) of _CHUNK_ROWS rows, in ascending order."""
+    return [(lo, min(lo + _CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, _CHUNK_ROWS)]
 
 
 def column_tiles(n_cols: int) -> list[tuple[int, int]]:
@@ -181,14 +192,19 @@ def column_tiles(n_cols: int) -> list[tuple[int, int]]:
 
 def pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row dot products a @ b.T in float64 over a fixed row partition."""
-    a64 = a.astype(np.float64)
     b64t = b.astype(np.float64).T
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+    for lo, hi in row_blocks(a.shape[0]):
+        out[lo:hi] = a[lo:hi].astype(np.float64) @ b64t
+    return out
 
-    def run(lo, hi):
-        out[lo:hi] = a64[lo:hi] @ b64t
 
-    for_row_blocks(a.shape[0], run)
+def aligned_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b, in float64, block by block."""
+    out = np.empty(a.shape[0], dtype=np.float64)
+    for lo, hi in row_blocks(a.shape[0]):
+        out[lo:hi] = np.einsum("ij,ij->i", a[lo:hi].astype(np.float64),
+                               b[lo:hi].astype(np.float64))
     return out
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, column_tiles, for_row_blocks
+from .embedcore import EmbeddingSet, column_tiles, row_blocks
 from .errors import DimMismatch, DuplicateId, EmptyStyleSet, NotNormalized, PoolExhausted
 
 ORDER_QUERY_ID = "query_id"   # the one processing order; recorded in pair-file headers
@@ -128,7 +128,7 @@ def match_exclusive(queries: EmbeddingSet, clips: EmbeddingSet) -> PseudoPairSet
     chosen_sim = np.empty(n_q, dtype=np.float64)
     taken = np.zeros(n_c, dtype=bool)
 
-    def claim(lo, hi):
+    for lo, hi in row_blocks(n_q):
         block = queries.data[lo:hi].astype(np.float64)
         qi = lo
         while qi < hi:
@@ -143,8 +143,6 @@ def match_exclusive(queries: EmbeddingSet, clips: EmbeddingSet) -> PseudoPairSet
                 chosen_col[qi] = short[j]
                 chosen_sim[qi] = free[j]
                 qi += 1
-
-    for_row_blocks(n_q, claim)
     return PseudoPairSet(
         query_ids=queries.ids.copy(),
         clip_ids=clips.ids[chosen_col],

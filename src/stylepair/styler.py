@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, for_row_blocks
+from .embedcore import EmbeddingSet, aligned_dots, row_blocks, unit_rows
 from .errors import CorruptField, CountMismatch, DimMismatch, NotNormalized, SingularSystem
 from .matcher import PseudoPairSet
 
@@ -217,30 +217,25 @@ def generate_styled(
     Noise for row i comes from the PCG64 generator that spawn (i,) of the
     seed would seed, so any row partition reproduces the row-by-row
     output bit for bit. The states are derived a block at a time and
-    loaded into one reused generator.
+    loaded into one reused generator, and each row block is mapped,
+    jittered and normalized on its own. A clip whose styled caption is the
+    zero vector is a ZeroVectorRow naming its id.
     """
     if style.dim_in != clips.dim:
         raise DimMismatch(f"style expects dim {style.dim_in}, clips have {clips.dim}")
-    data64 = clips.data.astype(np.float64)
-    out = np.empty((clips.count, style.dim_out), dtype=np.float64)
     wt = style.weight.T
     rng = np.random.Generator(np.random.PCG64(0))
 
-    def run(lo, hi):
-        block = data64[lo:hi] @ wt + style.bias
-        if style.noise_sigma > 0.0:
-            for row, state in zip(block, _spawned_pcg64_states(seed, lo, hi)):
-                rng.bit_generator.state = state
-                row += rng.normal(0.0, style.noise_sigma, style.dim_out)
-        out[lo:hi] = block
+    def styled_rows():
+        for lo, hi in row_blocks(clips.count):
+            block = clips.data[lo:hi].astype(np.float64) @ wt + style.bias
+            if style.noise_sigma > 0.0:
+                for row, state in zip(block, _spawned_pcg64_states(seed, lo, hi)):
+                    rng.bit_generator.state = state
+                    row += rng.normal(0.0, style.noise_sigma, style.dim_out)
+            yield block
 
-    for_row_blocks(clips.count, run)
-
-    norms = np.linalg.norm(out, axis=1)
-    if (norms == 0.0).any():
-        raise ValueError("a styled caption collapsed to the zero vector")
-    styled = (out / norms[:, None]).astype(np.float32)
-    return EmbeddingSet(ids=clips.ids.copy(), data=styled, normalized=True)
+    return unit_rows(clips.ids, style.dim_out, styled_rows())
 
 
 def _aligned_sims(styled: EmbeddingSet, clips: EmbeddingSet) -> np.ndarray:
@@ -250,11 +245,7 @@ def _aligned_sims(styled: EmbeddingSet, clips: EmbeddingSet) -> np.ndarray:
         raise DimMismatch(f"dims differ: {styled.dim} vs {clips.dim}")
     if not styled.normalized or not clips.normalized:
         raise NotNormalized("filtering requires normalized sets")
-    return np.einsum(
-        "ij,ij->i",
-        styled.data.astype(np.float64),
-        clips.data.astype(np.float64),
-    )
+    return aligned_dots(styled.data, clips.data)
 
 
 def filter_pairs(styled: EmbeddingSet, clips: EmbeddingSet, th: float) -> GeneratedPairSet:

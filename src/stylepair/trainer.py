@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet
+from .embedcore import EmbeddingSet, aligned_dots
 from .errors import (
     BatchTooLarge,
     ConfigInvalid,
@@ -229,8 +229,8 @@ def batch_projections(model: AdapterModel, batch_texts, batch_videos):
     return project(model.text_head, batch_texts)[0], project(model.video_head, batch_videos)[0]
 
 
-def _per_set_rng(seed: int, set_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(set_index,)))
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def plan_epoch(
@@ -273,7 +273,7 @@ def plan_epoch(
             )
         per_set: list[list[np.ndarray]] = []
         for s, size in enumerate(sizes):
-            perm = _per_set_rng(seed, s).permutation(size) + offsets[s]
+            perm = _rng(seed, s).permutation(size) + offsets[s]
             n_batches = size // batch_size
             per_set.append([
                 perm[i * batch_size:(i + 1) * batch_size] for i in range(n_batches)
@@ -297,7 +297,7 @@ def plan_epoch(
         n_pairs = sum(sizes)
         if batch_size > n_pairs:
             raise BatchTooLarge(f"batch_size {batch_size} exceeds {n_pairs} total pairs")
-        perm = np.random.default_rng(np.random.SeedSequence(entropy=seed)).permutation(n_pairs)
+        perm = _rng(seed).permutation(n_pairs)
         for i in range(n_pairs // batch_size):
             batches.append((MIXED_TAG, perm[i * batch_size:(i + 1) * batch_size]))
 
@@ -401,9 +401,7 @@ def build_training_arrays(
         hi = lo + len(gen)
         texts[lo:hi] = styled.data[gen.rows]
         videos[lo:hi] = clips.data[clips.row_for_id(gen.clip_ids)]
-        sims = np.einsum("ij,ij->i", texts[lo:hi].astype(np.float64),
-                         videos[lo:hi].astype(np.float64))
-        drift = np.abs(sims - gen.sims)
+        drift = np.abs(aligned_dots(texts[lo:hi], videos[lo:hi]) - gen.sims)
         if len(gen) and drift.max() > SIM_TOLERANCE:
             raise CountMismatch(
                 f"style set {gen.style_tag!r}: a pair's similarity differs from its "

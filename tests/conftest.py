@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ def at_blas_threads(count, compute):
         return compute()
     finally:
         set_(saved)
+
+
+def traced_peak(compute) -> int:
+    """Peak bytes tracemalloc sees allocated while compute() runs."""
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_set(rows, ids=None, unit=True) -> EmbeddingSet:

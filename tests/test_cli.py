@@ -300,7 +300,7 @@ class TestStageCommands:
         write_truth(tmp_path / "truth.jsonl", {i: i for i in range(3)})
         rc = main(["eval", "--captions", str(tmp_path / "caps.iemb"),
                    "--candidates", str(tmp_path / "cands.iemb"),
-                   "--truth", str(tmp_path / "truth.jsonl"), "--zero-shot",
+                   "--truth", str(tmp_path / "truth.jsonl"),
                    "--ranks-csv", str(tmp_path / "ranks.csv")])
         assert rc == 0
         lines = (tmp_path / "ranks.csv").read_text().strip().splitlines()
@@ -329,11 +329,20 @@ class TestStageCommands:
         write_truth(tmp_path / "truth.jsonl", {i: i for i in range(5)})
         rc = main(["eval", "--captions", str(tmp_path / "caps.iemb"),
                    "--candidates", str(tmp_path / "cands.iemb"),
-                   "--truth", str(tmp_path / "truth.jsonl"), "--zero-shot"])
+                   "--truth", str(tmp_path / "truth.jsonl")])
         assert rc == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["r1"] == 100.0
         assert rep["median_rank"] == 1.0
+
+    def test_eval_zero_shot_flag_is_a_usage_error(self, tmp_path, capsys):
+        # eval without --adapter is zero-shot, so no flag asks for it
+        with pytest.raises(SystemExit) as usage:
+            main(["eval", "--captions", str(tmp_path / "caps.iemb"),
+                  "--candidates", str(tmp_path / "cands.iemb"),
+                  "--truth", str(tmp_path / "truth.jsonl"), "--zero-shot"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments: --zero-shot" in capsys.readouterr().err
 
     def test_sweep_counts_monotone(self, data_dir, tmp_path, capsys):
         queries = str(data_dir / "queries_style0.iemb")

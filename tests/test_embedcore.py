@@ -12,10 +12,10 @@ from stylepair.embedcore import (
     blas_thread_controls,
     column_tiles,
     for_each,
-    for_row_blocks,
     load_embeddings,
     normalize,
     pairwise_dots,
+    row_blocks,
     save_embeddings,
 )
 from stylepair.errors import (
@@ -30,7 +30,7 @@ from stylepair.errors import (
     ZeroVectorRow,
 )
 
-from conftest import at_blas_threads, make_set, needs_blas_controls, random_unit_set
+from conftest import at_blas_threads, make_set, needs_blas_controls, random_unit_set, traced_peak
 
 
 def cosine_oracle(a, b):
@@ -71,6 +71,14 @@ class TestEmbeddingSet:
             EmbeddingSet(ids=np.array([0]), data=np.array([[3.0, 4.0]], np.float32),
                          normalized=True)
 
+    @pytest.mark.parametrize("bad_row", [0, 511, 512, 1099])
+    def test_lying_flag_caught_in_any_row_block(self, bad_row):
+        data = np.zeros((1100, 4), np.float32)
+        data[:, 0] = 1.0
+        data[bad_row, 0] = 1.01
+        with pytest.raises(NotNormalized, match="1.00e-02"):
+            EmbeddingSet(ids=np.arange(1100), data=data, normalized=True)
+
     def test_rows_are_read_only(self):
         es = make_set([[1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -103,6 +111,20 @@ class TestNormalize:
         data = np.array([[1.0, 0.0], [0.0, 0.0]], np.float32)
         with pytest.raises(ZeroVectorRow, match="7"):
             normalize(EmbeddingSet(ids=np.array([3, 7]), data=data))
+
+    def test_zero_row_in_a_later_block_reports_its_id(self):
+        data = np.ones((1100, 3), np.float32)
+        data[1050] = 0.0
+        with pytest.raises(ZeroVectorRow, match="row id 2050 "):
+            normalize(EmbeddingSet(ids=np.arange(1000, 2100), data=data))
+
+    def test_bits_equal_the_whole_array_float64_code(self):
+        # three row blocks, the last one ragged
+        raw = np.random.default_rng(5).normal(size=(1100, 64)).astype(np.float32)
+        data64 = raw.astype(np.float64)
+        want = (data64 / np.linalg.norm(data64, axis=1)[:, None]).astype(np.float32)
+        got = normalize(EmbeddingSet(ids=np.arange(1100), data=raw))
+        assert got.data.tobytes() == want.tobytes()
 
 
 class TestSimMatrix:
@@ -154,14 +176,28 @@ class TestForRowBlocks:
     @pytest.mark.parametrize("n_rows", [0, 1, 512, 513, 1100])
     @pytest.mark.parametrize("threads", [1, 4])
     def test_fixed_blocks_cover_every_row_once(self, n_rows, threads):
-        # each of `threads` concurrent callers sees its own blocks, in ascending order
-        def blocks(_):
-            seen = []
-            for_row_blocks(n_rows, lambda lo, hi: seen.append((lo, hi)))
-            return seen
-
+        # each of `threads` concurrent callers gets the same blocks, in ascending order
         want = [(lo, min(lo + 512, n_rows)) for lo in range(0, n_rows, 512)]
-        assert for_each(range(threads), blocks, threads) == [want] * threads
+        assert for_each(range(threads), lambda _: row_blocks(n_rows), threads) == [want] * threads
+
+
+class TestRowBlockMemory:
+    """Row-wise passes widen one block to float64, never the whole set."""
+
+    def test_normalize_peak_grows_by_the_float32_rows(self):
+        raw = np.random.default_rng(6).normal(size=(40_000, 64)).astype(np.float32)
+        parts = [EmbeddingSet(ids=np.arange(n), data=raw[:n]) for n in (20_000, 40_000)]
+        peaks = [traced_peak(lambda: normalize(part)) for part in parts]
+        # 20,000 float32 rows added, plus a quarter of one float64 copy of them
+        assert peaks[1] - peaks[0] < 20_000 * 64 * 4 * 3 // 2
+
+    def test_load_embeddings_peak_grows_by_the_float32_rows(self, tmp_path):
+        rng = np.random.default_rng(7)
+        paths = [tmp_path / f"{n}.iemb" for n in (20_000, 40_000)]
+        for path, n in zip(paths, (20_000, 40_000)):
+            save_embeddings(random_unit_set(rng, n, 64), path)
+        peaks = [traced_peak(lambda: load_embeddings(path)) for path in paths]
+        assert peaks[1] - peaks[0] < 20_000 * 64 * 4 * 3 // 2
 
 
 class TestColumnTiles:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,7 @@ from stylepair.matcher import (
     write_pseudo_pairs,
 )
 
-from conftest import make_set, random_unit_set
+from conftest import make_set, random_unit_set, traced_peak
 
 
 def pair_rows(pairs):
@@ -85,13 +83,7 @@ class TestMatchExclusive:
         rng = np.random.default_rng(12)
         q = random_unit_set(rng, 1600, 8)
         c = random_unit_set(rng, 20_000, 8)
-        tracemalloc.start()
-        try:
-            match_exclusive(q, c)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < q.count * c.count * 8 / 2
+        assert traced_peak(lambda: match_exclusive(q, c)) < q.count * c.count * 8 / 2
 
     def test_memory_does_not_grow_with_the_pool(self):
         # doubling the pool once added 512 x 20,000 float64 entries to the block
@@ -100,12 +92,7 @@ class TestMatchExclusive:
         peaks = []
         for n_c in (20_000, 40_000):
             c = random_unit_set(rng, n_c, 8)
-            tracemalloc.start()
-            try:
-                match_exclusive(q, c)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: match_exclusive(q, c)))
         assert peaks[1] - peaks[0] < 512 * 20_000 * 8 / 8
 
     def test_pool_exhausted(self):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stylepair.embedcore import EmbeddingSet, normalize
-from stylepair.errors import CountMismatch, DimMismatch, SingularSystem, StylePairError
+from stylepair.errors import (CountMismatch, DimMismatch, SingularSystem, StylePairError,
+                              ZeroVectorRow)
 from stylepair.matcher import PseudoPairSet
 from stylepair.styler import (
     GeneratedPairSet,
@@ -18,7 +19,8 @@ from stylepair.styler import (
     write_generated_pairs,
 )
 
-from conftest import at_blas_threads, make_set, needs_blas_controls, random_unit_set
+from conftest import (at_blas_threads, make_set, needs_blas_controls, random_unit_set,
+                      traced_peak)
 
 
 def pairs_over(queries, clips):
@@ -162,6 +164,33 @@ class TestGenerateStyled:
         with pytest.raises(DimMismatch):
             generate_styled(clips, style, seed=0)
 
+    def test_zero_styled_caption_is_a_typed_error_naming_the_clip(self):
+        clips = make_set([[1.0, 0.0], [0.0, 1.0]], ids=[41, 42])
+        style = StyleTransform(weight=np.zeros((3, 2)), bias=np.zeros(3),
+                               ridge_lambda=0.0, noise_sigma=0.0)
+        with pytest.raises(ZeroVectorRow, match="row id 41 "):
+            generate_styled(clips, style, seed=0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_bits_equal_the_whole_array_float64_code(self, sigma):
+        rng = np.random.default_rng(18)
+        clips = random_unit_set(rng, 1100, 64)   # three row blocks, the last one ragged
+        style = StyleTransform(weight=rng.normal(size=(64, 64)), bias=rng.normal(size=64),
+                               ridge_lambda=0.0, noise_sigma=sigma)
+        got = generate_styled(clips, style, seed=7)
+        assert got.data.tobytes() == styled_reference(clips, style, 7).tobytes()
+
+    def test_peak_grows_by_the_float32_rows(self):
+        rng = np.random.default_rng(19)
+        clips = random_unit_set(rng, 40_000, 64)
+        style = StyleTransform(weight=rng.normal(size=(64, 64)), bias=rng.normal(size=64),
+                               ridge_lambda=0.0, noise_sigma=0.05)
+        parts = [EmbeddingSet(ids=clips.ids[:n], data=clips.data[:n], normalized=True)
+                 for n in (20_000, 40_000)]
+        peaks = [traced_peak(lambda: generate_styled(part, style, seed=3)) for part in parts]
+        # 20,000 float32 rows added, plus a quarter of one float64 copy of them
+        assert peaks[1] - peaks[0] < 20_000 * 64 * 4 * 3 // 2
+
 
 def spawned_states(seed, n_rows):
     """Derived PCG64 states of rows 0..n_rows-1, a 512-row block at a time."""
@@ -170,12 +199,13 @@ def spawned_states(seed, n_rows):
 
 
 def styled_reference(clips, style, seed):
-    """generate_styled with a SeedSequence and a Generator of its own per row."""
+    """generate_styled with a SeedSequence and a Generator of its own per row,
+    normalized over the whole float64 array at once."""
     data64 = clips.data.astype(np.float64)
     raw = np.empty((clips.count, style.dim_out))
     for lo in range(0, clips.count, 512):   # the affine map on the same row blocks
         raw[lo:lo + 512] = data64[lo:lo + 512] @ style.weight.T + style.bias
-    for i in range(clips.count):
+    for i in range(clips.count if style.noise_sigma > 0.0 else 0):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         raw[i] += rng.normal(0.0, style.noise_sigma, style.dim_out)
     return (raw / np.linalg.norm(raw, axis=1)[:, None]).astype(np.float32)
@@ -257,6 +287,26 @@ class TestFilterPairs:
             if s > th:
                 expect.append((int(clips.ids[i]), i))
         assert list(zip(kept.clip_ids.tolist(), kept.rows.tolist())) == expect
+
+    def test_sims_equal_the_whole_array_float64_code(self):
+        rng = np.random.default_rng(20)
+        styled = random_unit_set(rng, 1100, 64)   # three row blocks, the last one ragged
+        clips = random_unit_set(rng, 1100, 64)
+        want = np.einsum("ij,ij->i", styled.data.astype(np.float64),
+                         clips.data.astype(np.float64))
+        kept = filter_pairs(styled, clips, th=-2.0)
+        assert kept.sims.tobytes() == want.tobytes()
+
+    def test_peak_grows_by_less_than_a_quarter_of_the_float32_rows(self):
+        rng = np.random.default_rng(21)
+        styled = random_unit_set(rng, 40_000, 64)
+        clips = random_unit_set(rng, 40_000, 64)
+        parts = [(EmbeddingSet(ids=styled.ids[:n], data=styled.data[:n], normalized=True),
+                  EmbeddingSet(ids=clips.ids[:n], data=clips.data[:n], normalized=True))
+                 for n in (20_000, 40_000)]
+        peaks = [traced_peak(lambda: filter_pairs(s, c, 0.28)) for s, c in parts]
+        # a quarter of one float64 copy of the 20,000 rows added
+        assert peaks[1] - peaks[0] < 20_000 * 64 * 8 // 4
 
     def test_count_mismatch(self):
         rng = np.random.default_rng(12)
