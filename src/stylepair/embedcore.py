@@ -56,15 +56,16 @@ class EmbeddingSet:
                 raise DuplicateId(f"id {dup} appears more than once")
             if (diffs < 0).any():
                 raise ValueError("ids must be sorted ascending")
-        if not np.isfinite(data).all():
-            raise NonFiniteValue("embedding matrix contains non-finite entries")
-        for lo, hi in row_blocks(len(ids)) if self.normalized else []:
-            norms = np.linalg.norm(data[lo:hi].astype(np.float64), axis=1)
-            worst = float(np.abs(norms - 1.0).max())
-            if worst > NORM_FLAG_TOL:
-                raise NotNormalized(
-                    f"normalized flag set but a row norm deviates by {worst:.2e}"
-                )
+        for lo, hi in row_blocks(len(ids)):
+            block = data[lo:hi]
+            if not np.isfinite(block).all():
+                raise NonFiniteValue("embedding matrix contains non-finite entries")
+            if self.normalized:
+                norms = np.linalg.norm(block.astype(np.float64), axis=1)
+                worst = float(np.abs(norms - 1.0).max())
+                if worst > NORM_FLAG_TOL:
+                    raise NotNormalized(
+                        f"normalized flag set but a row norm deviates by {worst:.2e}")
         ids.setflags(write=False)
         data.setflags(write=False)
         object.__setattr__(self, "ids", ids)

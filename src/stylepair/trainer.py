@@ -10,6 +10,7 @@ All loss and gradient math runs in float64 with fixed-order reductions,
 so training is bit-deterministic for any worker count.
 """
 
+import csv
 import os
 from dataclasses import dataclass
 
@@ -156,13 +157,6 @@ def project(head: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return raw / norms[:, None], norms
 
 
-def _log_softmax_rows(logits: np.ndarray, scratch: np.ndarray) -> None:
-    """Turn `logits` into its row-wise log-softmax in place; `scratch` takes exp on the way."""
-    logits -= logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(logits, out=scratch).sum(axis=1))
-    logits -= log_z[:, None]
-
-
 def info_nce_loss(
     model: AdapterModel,
     batch_texts: np.ndarray,
@@ -174,6 +168,15 @@ def info_nce_loss(
     Returns (loss, d loss / d text_head, d loss / d video_head). The loss
     averages the text-to-video and video-to-text softmax cross-entropies
     over the batch; queue entries add negative columns in both directions.
+
+    Each direction holds one (B, C) matrix, C = B + queue length:
+    E = exp(l - rowmax) of its logits l = (rows / tau) @ cols.T, with row
+    sums z; row i's loss term is log z_i - (l_ii - max_i). With
+    a = 1 / (2 B tau) and s = 1 / z, the gradients with respect to the
+    unit projections x (texts) and y (videos) scale only (B, p) rows:
+
+        d_x = a [(E_tv @ cols_v) s_tv + E_vt[:, :B].T @ (y s_vt) - 2 y]
+        d_y = a [(E_vt @ cols_t) s_vt + E_tv[:, :B].T @ (x s_tv) - 2 x]
     """
     texts = np.asarray(batch_texts, dtype=np.float64)
     videos = np.asarray(batch_videos, dtype=np.float64)
@@ -189,31 +192,26 @@ def info_nce_loss(
     x, x_norms = project(model.text_head, texts)    # (B, p) unit rows
     y, y_norms = project(model.video_head, videos)
     cols_t, cols_v = queue.columns(x, y) if queue is not None and len(queue) else (x, y)
-    logits = np.empty((b, cols_v.shape[0]))
-    g_tv = np.empty_like(logits)
-    g_vt = np.empty_like(logits)
 
-    diag = np.arange(b)
     log_diag = []
-    # text -> video, then video -> text; each leaves its softmax in its gradient buffer
-    for rows, cols, grad in ((x, cols_v, g_tv), (y, cols_t, g_vt)):
-        np.matmul(rows, cols.T, out=logits)
-        logits /= tau
-        _log_softmax_rows(logits, grad)
-        log_diag.append(logits[diag, diag].sum())
-        np.exp(logits, out=grad)
+    exps = []   # (E, s) of text -> video, then of video -> text
+    for rows, cols in ((x, cols_v), (y, cols_t)):
+        e = (rows / tau) @ cols.T
+        e -= e.max(axis=1, keepdims=True)
+        shifted_diag = e.diagonal().copy()   # l_ii - max_i, read before exp overwrites e
+        np.exp(e, out=e)
+        z = e.sum(axis=1)
+        log_diag.append((shifted_diag - np.log(z)).sum())
+        exps.append((e, 1.0 / z))
     # + 0.0 canonicalizes the -0.0 that the B=1 case would otherwise produce
     loss = float(-(log_diag[0] + log_diag[1]) / (2.0 * b) + 0.0)
     if not np.isfinite(loss):
         raise NonFiniteLoss("contrastive loss is non-finite")
 
-    # d loss / d logits = (softmax - onehot) / (2B); logits = sims / tau
-    for grad in (g_tv, g_vt):
-        grad[diag, diag] -= 1.0
-        grad /= 2.0 * b * tau
-
-    d_x = g_tv @ cols_v + g_vt[:, :b].T @ y
-    d_y = g_vt @ cols_t + g_tv[:, :b].T @ x
+    (e_tv, s_tv), (e_vt, s_vt) = exps
+    a = 1.0 / (2.0 * b * tau)
+    d_x = a * ((e_tv @ cols_v) * s_tv[:, None] + e_vt[:, :b].T @ (y * s_vt[:, None]) - 2.0 * y)
+    d_y = a * ((e_vt @ cols_t) * s_vt[:, None] + e_tv[:, :b].T @ (x * s_tv[:, None]) - 2.0 * x)
 
     # back through the renormalization x = u / ||u||
     d_u = (d_x - (d_x * x).sum(axis=1, keepdims=True) * x) / x_norms[:, None]
@@ -445,10 +443,10 @@ def train_epochs(
 
 
 def write_loss_log(rows: list[StepRecord], path: str | os.PathLike) -> None:
-    with container.atomic_write(path, "w", encoding="utf-8") as f:
-        f.write("step,style_tag,loss\n")
-        for step, row in enumerate(rows):
-            f.write(f"{step},{row.style_tag},{row.loss!r}\n")
+    with container.atomic_write(path, "w", encoding="utf-8", newline="") as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(("step", "style_tag", "loss"))
+        out.writerows((step, row.style_tag, repr(row.loss)) for step, row in enumerate(rows))
 
 
 # ---- persistence ----

@@ -66,6 +66,15 @@ class TestEmbeddingSet:
         with pytest.raises(NonFiniteValue):
             EmbeddingSet(ids=np.array([0, 1]), data=data)
 
+    @pytest.mark.parametrize("normalized", [False, True])
+    @pytest.mark.parametrize("bad_row", [0, 511, 512, 1099])
+    def test_non_finite_caught_in_any_row_block(self, bad_row, normalized):
+        data = np.zeros((1100, 4), np.float32)
+        data[:, 0] = 1.0
+        data[bad_row, 2] = np.nan
+        with pytest.raises(NonFiniteValue):
+            EmbeddingSet(ids=np.arange(1100), data=data, normalized=normalized)
+
     def test_lying_normalized_flag_rejected(self):
         with pytest.raises(NotNormalized):
             EmbeddingSet(ids=np.array([0]), data=np.array([[3.0, 4.0]], np.float32),
@@ -190,6 +199,13 @@ class TestRowBlockMemory:
         peaks = [traced_peak(lambda: normalize(part)) for part in parts]
         # 20,000 float32 rows added, plus a quarter of one float64 copy of them
         assert peaks[1] - peaks[0] < 20_000 * 64 * 4 * 3 // 2
+
+    def test_building_a_set_peaks_under_one_megabyte(self):
+        # the checks hold one block's bool and float64 arrays, not a whole-set bool array
+        # (2.56 MB at 40,000 x 64)
+        data = random_unit_set(np.random.default_rng(8), 40_000, 64).data
+        ids = np.arange(40_000)
+        assert traced_peak(lambda: EmbeddingSet(ids=ids, data=data, normalized=True)) < 1_000_000
 
     def test_load_embeddings_peak_grows_by_the_float32_rows(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from stylepair.styler import GeneratedPairSet
 from stylepair.trainer import (
     AdapterModel,
     NegativeQueue,
+    StepRecord,
     TrainConfig,
     batch_projections,
     build_training_arrays,
@@ -54,8 +56,8 @@ def random_model(rng, dim, proj):
                         video_head=rng.normal(size=(proj, dim)), tau=0.05)
 
 
-def filled_queue(rng, model, dim, n):
-    q = NegativeQueue(capacity=64)
+def filled_queue(rng, model, dim, n, capacity=64):
+    q = NegativeQueue(capacity=capacity)
     x, y = batch_projections(model, unit_rows(rng, n, dim), unit_rows(rng, n, dim))
     q.push(x, y)
     return q
@@ -106,21 +108,53 @@ class TestLossIdentities:
             info_nce_loss(model, np.eye(3), np.eye(3)[:2])
 
 
-def reference_loss(model, texts, videos, q_texts=None, q_videos=None):
-    """The contrastive loss and gradients with fresh arrays and concatenated queue columns."""
-    b, tau = texts.shape[0], model.tau
+def reference_project(head, rows):
+    raw = rows @ head.T
+    norms = np.linalg.norm(raw, axis=1)
+    return raw / norms[:, None], norms
 
-    def project(head, rows):
-        raw = rows @ head.T
-        norms = np.linalg.norm(raw, axis=1)
-        return raw / norms[:, None], norms
+
+def reference_backward(texts, videos, x, x_norms, y, y_norms, d_x, d_y):
+    d_u = (d_x - (d_x * x).sum(axis=1, keepdims=True) * x) / x_norms[:, None]
+    d_w = (d_y - (d_y * y).sum(axis=1, keepdims=True) * y) / y_norms[:, None]
+    return d_u.T @ texts, d_w.T @ videos
+
+
+def reference_loss(model, texts, videos, q_texts=None, q_videos=None):
+    """info_nce_loss's formula with fresh arrays and concatenated queue columns."""
+    b, tau = texts.shape[0], model.tau
+    x, x_norms = reference_project(model.text_head, texts)
+    y, y_norms = reference_project(model.video_head, videos)
+    cols_v = y if q_videos is None else np.concatenate([y, q_videos])
+    cols_t = x if q_texts is None else np.concatenate([x, q_texts])
+    diag = np.arange(b)
+    log_diag, exps = [], []
+    for rows, cols in ((x, cols_v), (y, cols_t)):
+        logits = (rows / tau) @ cols.T
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        z = e.sum(axis=1)
+        log_diag.append((shifted[diag, diag] - np.log(z)).sum())
+        exps.append((e, 1.0 / z))
+    loss = float(-(log_diag[0] + log_diag[1]) / (2.0 * b) + 0.0)
+    (e_tv, s_tv), (e_vt, s_vt) = exps
+    a = 1.0 / (2.0 * b * tau)
+    d_x = a * ((e_tv @ cols_v) * s_tv[:, None] + e_vt[:, :b].T @ (y * s_vt[:, None]) - 2.0 * y)
+    d_y = a * ((e_vt @ cols_t) * s_vt[:, None] + e_tv[:, :b].T @ (x * s_tv[:, None]) - 2.0 * x)
+    return (loss, *reference_backward(texts, videos, x, x_norms, y, y_norms, d_x, d_y))
+
+
+def log_softmax_reference_loss(model, texts, videos, q_texts=None, q_videos=None):
+    """The loss and gradients through the full log-softmax and a second exp for the softmax,
+    with every scaling applied to the (B, C) matrices."""
+    b, tau = texts.shape[0], model.tau
 
     def log_softmax(logits):
         shifted = logits - logits.max(axis=1, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
 
-    x, x_norms = project(model.text_head, texts)
-    y, y_norms = project(model.video_head, videos)
+    x, x_norms = reference_project(model.text_head, texts)
+    y, y_norms = reference_project(model.video_head, videos)
     cols_v = y if q_videos is None else np.concatenate([y, q_videos])
     cols_t = x if q_texts is None else np.concatenate([x, q_texts])
     logp_tv = log_softmax((x @ cols_v.T) / tau)
@@ -133,9 +167,7 @@ def reference_loss(model, texts, videos, q_texts=None, q_videos=None):
         g /= 2.0 * b * tau
     d_x = g_tv @ cols_v + g_vt[:, :b].T @ y
     d_y = g_vt @ cols_t + g_tv[:, :b].T @ x
-    d_u = (d_x - (d_x * x).sum(axis=1, keepdims=True) * x) / x_norms[:, None]
-    d_w = (d_y - (d_y * y).sum(axis=1, keepdims=True) * y) / y_norms[:, None]
-    return loss, d_u.T @ texts, d_w.T @ videos
+    return (loss, *reference_backward(texts, videos, x, x_norms, y, y_norms, d_x, d_y))
 
 
 class TestQueuedLoss:
@@ -160,6 +192,23 @@ class TestQueuedLoss:
             model.text_head -= 0.1 * got[1]
         assert fills == [0, 4, 8, 10, 10, 10, 10, 10]
 
+    @pytest.mark.parametrize("tau", [0.002, 0.05, 0.2, 1.0])
+    @pytest.mark.parametrize("b", [1, 2, 7, 128])
+    def test_step_agrees_with_the_log_softmax_reference(self, tau, b):
+        rng = np.random.default_rng(23)
+        dim, proj = 12, 6
+        model = random_model(rng, dim, proj)
+        model.tau = tau
+        for fill in (0, 3, 40):
+            t, v = unit_rows(rng, b, dim), unit_rows(rng, b, dim)
+            queue = filled_queue(rng, model, dim, fill) if fill else None
+            negatives = (queue.text_negatives, queue.video_negatives) if fill else ()
+            want = log_softmax_reference_loss(model, t, v, *negatives)
+            got = info_nce_loss(model, t, v, queue)
+            assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+            for g, w in zip(got[1:], want[1:]):
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
     def test_train_peak_memory_does_not_grow_with_steps(self):
         rng = np.random.default_rng(18)
         b, capacity, dim = 64, 512, 8
@@ -179,9 +228,26 @@ class TestQueuedLoss:
 
         short, long = peak(16), peak(32)   # the queue fills at step 8 and then wraps
         assert long <= short + matrix_bytes // 4
-        # one step's three matrices (logits and two gradients, freed when it returns)
-        # plus the queue's column buffers
+        # one step's matrices (freed when it returns) plus the queue's column buffers
         assert short < 5 * matrix_bytes
+
+    def test_one_call_peaks_under_three_step_matrices(self):
+        rng = np.random.default_rng(24)
+        b, capacity, dim = 64, 512, 8
+        model = init_adapter(dim)
+        queue = filled_queue(rng, model, dim, capacity, capacity=capacity)
+        t, v = unit_rows(rng, b, dim), unit_rows(rng, b, dim)
+        info_nce_loss(model, t, v, queue)   # the queue lays its column buffers out for B
+        matrix_bytes = b * (b + capacity) * 8   # one (B, B + queue) float64 matrix
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            info_nce_loss(model, t, v, queue)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # E of each direction, plus (B, p) rows and the (B, B) operand of a backward product
+        assert peak < 3 * matrix_bytes
 
 
 class TestGradCheck:
@@ -489,6 +555,23 @@ class TestTrain:
             outputs.append([(tmp_path / f"{name}{i}.{ext}").read_bytes()
                             for name, ext in (("adapter", "iemb"), ("loss", "csv"))])
         assert outputs[0] == outputs[1]
+
+
+class TestWriteLossLog:
+    @pytest.mark.parametrize("tag", ["a,b", 'x"y', "p\nq", "p\r\nq"])
+    def test_a_tag_with_csv_syntax_reads_back_as_one_field(self, tmp_path, tag):
+        path = tmp_path / "loss.csv"
+        write_loss_log([StepRecord(tag, 1.7693), StepRecord("plain", 0.25)], path)
+        with open(path, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows == [["step", "style_tag", "loss"], ["0", tag, "1.7693"],
+                        ["1", "plain", "0.25"]]
+
+    def test_plain_tags_keep_their_bytes(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        write_loss_log([StepRecord("style0", 1.7693), StepRecord("", 0.1),
+                        StepRecord("mixed", 2.0)], path)
+        assert path.read_bytes() == b"step,style_tag,loss\n0,style0,1.7693\n1,,0.1\n2,mixed,2.0\n"
 
 
 class TestBuildTrainingArrays:
