@@ -6,8 +6,9 @@ compares the trained adapter against the zero-shot baseline (and in-style
 against mixed scheduling when more than one style is present).
 
 Logs are line-oriented key=value on stderr; machine-readable results go
-to stdout or files. Exit codes: 0 success, 1 a StylePairError or OS error,
-2 usage/config error or a missing input; anything else is a bug's traceback.
+to stdout or files. Exit codes: 0 success, 1 a StylePairError, OS error or
+failed allocation, 2 usage/config error or a missing input; anything else
+is a bug's traceback.
 """
 
 import argparse
@@ -291,16 +292,16 @@ def train_stage(args, pool, gen_sets, styled_sets, runs):
     The runs share only read-only inputs, so they train concurrently; files
     and log lines follow in `runs` order once every run has finished.
     """
-    texts, videos = trainer.build_training_arrays(gen_sets, styled_sets, pool)
-    config = trainer.TrainConfig(
+    gather = trainer.build_training_arrays(gen_sets, styled_sets, pool)
+    config = trainer.TrainConfig(   # a queue empties every epoch: it never outgrows the pairs
         learning_rate=args.learning_rate,
         momentum=args.momentum,
-        queue_capacity=min(args.queue_capacity, len(texts)),   # a queue empties every epoch
+        queue_capacity=min(args.queue_capacity, sum(len(g) for g in gen_sets)),
     )
 
     def fit(mode):
         return trainer.train_epochs(
-            trainer.init_adapter(dim=pool.dim, tau=args.tau), gen_sets, texts, videos,
+            trainer.init_adapter(dim=pool.dim, tau=args.tau), gen_sets, gather,
             mode=mode, epochs=args.epochs,
             batch_size=args.batch_size, config=config, seed=args.seed,
         )
@@ -311,8 +312,7 @@ def train_stage(args, pool, gen_sets, styled_sets, runs):
         if loss_log:
             trainer.write_loss_log(rows, loss_log)
         log.info("stage=train mode=%s steps=%d first_loss=%.6f last_loss=%.6f",
-                 mode, len(rows), rows[0].loss if rows else float("nan"),
-                 rows[-1].loss if rows else float("nan"))
+                 mode, len(rows), rows[0].loss, rows[-1].loss)
     return results
 
 
@@ -536,6 +536,9 @@ def main(argv=None) -> int:
         return 2
     except (StylePairError, OSError) as exc:
         log.error("error=%s detail=%s", type(exc).__name__, exc)
+        return 1
+    except MemoryError as exc:   # numpy raises a private subclass; name the public type
+        log.error("error=MemoryError detail=%s", exc)
         return 1
 
 

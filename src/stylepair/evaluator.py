@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, pairwise_dots
+from .embedcore import EmbeddingSet, pairwise_dots, row_blocks
 from .errors import DimMismatch, EmptyRanks, MissingTruth, NotNormalized
 from .trainer import AdapterModel, project
 
@@ -64,11 +64,13 @@ def rank_queries(
     else:
         q_rows = project(model.text_head, queries.data)[0]
         c_rows = project(model.video_head, candidates.data)[0]
-    sims = pairwise_dots(q_rows, c_rows)
-
-    s_true = sims[np.arange(queries.count), truth_cols][:, None]
-    tied_before = (sims == s_true) & (candidates.ids < candidates.ids[truth_cols][:, None])
-    return 1 + (sims > s_true).sum(axis=1) + tied_before.sum(axis=1)
+    ranks = np.empty(queries.count, dtype=np.int64)
+    for lo, hi in row_blocks(queries.count):   # one block of similarities at a time
+        sims = pairwise_dots(q_rows[lo:hi], c_rows)
+        s_true = sims[np.arange(hi - lo), truth_cols[lo:hi]][:, None]
+        tied_before = (sims == s_true) & (candidates.ids < candidates.ids[truth_cols[lo:hi], None])
+        ranks[lo:hi] = 1 + (sims > s_true).sum(axis=1) + tied_before.sum(axis=1)
+    return ranks
 
 
 def report(ranks) -> RetrievalReport:

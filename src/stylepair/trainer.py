@@ -12,12 +12,13 @@ so training is bit-deterministic for any worker count.
 
 import csv
 import os
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, aligned_dots
+from .embedcore import EmbeddingSet, aligned_dots, row_blocks
 from .errors import (
     BatchTooLarge,
     ConfigInvalid,
@@ -240,7 +241,8 @@ def plan_epoch(
     """One epoch's minibatches as (style tag, global pair indices), in order.
 
     Set s owns the indices [offsets[s], offsets[s] + len(set s)) of the
-    concatenation of the style sets, as build_training_arrays lays them out.
+    concatenation of the style sets; build_training_arrays gathers each
+    batch's rows from the same index space.
     in_style: shuffle inside each set, cut homogeneous batches, and
     interleave the sets proportionally to their batch counts (largest
     accumulated credit first, ties to the lower set index); each batch
@@ -317,35 +319,23 @@ class StepRecord:
 
 def train(
     model: AdapterModel,
-    batches: list[tuple[str, np.ndarray]],
-    texts: np.ndarray,
-    videos: np.ndarray,
+    batches: Iterable[tuple[str, np.ndarray, np.ndarray]],
     config: TrainConfig,
 ) -> tuple[AdapterModel, list[StepRecord]]:
-    """Run one pass over `batches` (from plan_epoch) with SGD; return the model and loss log.
+    """One SGD pass over `batches` of (style tag, texts, videos); return the model and loss log.
 
-    `texts`/`videos` are row-aligned with the batches' global pair indices.
     After each step the batch's projections are pushed into that tag's
     queue; a queue only ever serves batches with its own tag. The queues
     belong to this call, so each epoch of `train_epochs` starts with them
     empty.
     """
-    texts = np.asarray(texts)
-    videos = np.asarray(videos)
-    n = texts.shape[0]
-    if videos.shape[0] != n or any(idx.min() < 0 or idx.max() >= n for _, idx in batches):
-        raise CountMismatch(f"a batch indexes past the {n} text / {videos.shape[0]} video rows")
     model = model.copy()
     queues: dict[str, NegativeQueue] = {}
     vel_t = np.zeros_like(model.text_head)
     vel_v = np.zeros_like(model.video_head)
     log_rows: list[StepRecord] = []
 
-    for tag, indices in batches:
-        # widening float32 rows to float64 is exact, so the batch bits do not depend on
-        # the precision the arrays are held in
-        batch_t = texts[indices].astype(np.float64)
-        batch_v = videos[indices].astype(np.float64)
+    for tag, batch_t, batch_v in batches:
         queue = queues.get(tag)
         try:
             loss, grad_t, grad_v = info_nce_loss(model, batch_t, batch_v, queue)
@@ -370,22 +360,20 @@ def build_training_arrays(
     gen_sets: list[GeneratedPairSet],
     styled_sets: list[EmbeddingSet],
     clips: EmbeddingSet,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-align styled captions and their clips for the plan's index space.
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Check every pair against the loaded sets; return the gather of a batch's rows.
 
-    Both arrays keep the float32 of the embedding files; `train` widens
-    each batch to float64. Global pair index offsets follow the set order,
-    matching plan_epoch.
+    The result maps global pair indices, laid out as in plan_epoch, to the
+    batch's float64 (texts, videos): each pair's row of its styled set and
+    its clip's row in `clips`. A row is read only when its batch is
+    gathered, and widening float32 is exact, so a batch holds the loaded bits.
     Every pair's row must hold the styled caption of that pair's clip, and
     the pair's recorded similarity must be that caption's cosine with the
     clip's row in `clips`, so a pool other than the filter's is rejected.
     """
-    if len(gen_sets) != len(styled_sets):
-        raise CountMismatch("one styled set per generated-pair set required")
-    total = sum(len(gen) for gen in gen_sets)
-    texts = np.empty((total, clips.dim), dtype=np.float32)
-    videos = np.empty((total, clips.dim), dtype=np.float32)
-    lo = 0
+    if not gen_sets or len(gen_sets) != len(styled_sets):
+        raise CountMismatch("one styled set per generated-pair set, and at least one, required")
+    clip_rows = []
     for gen, styled in zip(gen_sets, styled_sets):
         if len(gen) and (gen.rows.min() < 0 or gen.rows.max() >= styled.count):
             raise RangeOutOfBounds(
@@ -396,17 +384,28 @@ def build_training_arrays(
         if styled.dim != clips.dim:
             raise DimMismatch(
                 f"style set {gen.style_tag!r}: styled dim {styled.dim} vs pool dim {clips.dim}")
-        hi = lo + len(gen)
-        texts[lo:hi] = styled.data[gen.rows]
-        videos[lo:hi] = clips.data[clips.row_for_id(gen.clip_ids)]
-        drift = np.abs(aligned_dots(texts[lo:hi], videos[lo:hi]) - gen.sims)
-        if len(gen) and drift.max() > SIM_TOLERANCE:
-            raise CountMismatch(
-                f"style set {gen.style_tag!r}: a pair's similarity differs from its "
-                f"recorded value by {drift.max():.3g}; the pool is not the one it was "
-                f"filtered against")
-        lo = hi
-    return texts, videos
+        clip_rows.append(clips.row_for_id(gen.clip_ids))
+        for lo, hi in row_blocks(len(gen)):
+            sims = aligned_dots(styled.data[gen.rows[lo:hi]], clips.data[clip_rows[-1][lo:hi]])
+            drift = np.abs(sims - gen.sims[lo:hi]).max()
+            if drift > SIM_TOLERANCE:
+                raise CountMismatch(
+                    f"style set {gen.style_tag!r}: a pair's similarity differs from its "
+                    f"recorded value by {drift:.3g}; the pool is not the one it was "
+                    f"filtered against")
+    pair_set = np.repeat(np.arange(len(gen_sets)), [len(gen) for gen in gen_sets])
+    pair_row = np.concatenate([gen.rows for gen in gen_sets])
+    pair_clip_row = np.concatenate(clip_rows)
+
+    def rows(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sets, text_rows = pair_set[indices], pair_row[indices]
+        texts = np.empty((len(indices), clips.dim))
+        for s, styled in enumerate(styled_sets):
+            mine = sets == s
+            texts[mine] = styled.data[text_rows[mine]]
+        return texts, clips.data[pair_clip_row[indices]].astype(np.float64)
+
+    return rows
 
 
 def _epoch_seed(seed: int, epoch: int) -> int:
@@ -416,8 +415,7 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 def train_epochs(
     model: AdapterModel,
     style_sets: list[GeneratedPairSet],
-    texts: np.ndarray,
-    videos: np.ndarray,
+    rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     mode: str,
     epochs: int,
     batch_size: int,
@@ -426,19 +424,16 @@ def train_epochs(
 ) -> tuple[AdapterModel, list[StepRecord]]:
     """Fresh plan per epoch; the loss log runs on across epochs.
 
-    `texts`/`videos` must hold exactly the sets' pairs, as build_training_arrays lays them out.
+    `rows` maps a batch's global pair indices to its (texts, videos), as
+    build_training_arrays returns it; each batch is gathered as it is trained.
     """
     if epochs < 1:
         raise ConfigInvalid("epochs must be at least 1")
-    total = sum(len(s) for s in style_sets)
-    if texts.shape[0] != total or videos.shape[0] != total:
-        raise CountMismatch(f"style sets hold {total} pairs but arrays hold "
-                            f"{texts.shape[0]}/{videos.shape[0]} rows")
     all_rows: list[StepRecord] = []
     for epoch in range(epochs):
         batches = plan_epoch(style_sets, batch_size, mode=mode, seed=_epoch_seed(seed, epoch))
-        model, rows = train(model, batches, texts, videos, config)
-        all_rows.extend(rows)
+        model, epoch_rows = train(model, ((tag, *rows(idx)) for tag, idx in batches), config)
+        all_rows.extend(epoch_rows)
     return model, all_rows
 
 

@@ -119,6 +119,20 @@ class TestStageCommands:
         assert "error=IsADirectoryError" in caplog.text
         assert "Traceback" not in caplog.text
 
+    def test_memory_error_exits_1_without_traceback(self, tmp_path, caplog, monkeypatch):
+        # numpy raises a MemoryError subclass for a request it cannot allocate, e.g. at
+        # `synth --pool-size 1000000000000`; raising one here allocates nothing
+        detail = "Unable to allocate 7.28 TiB for an array with shape (1000000000000, 8)"
+
+        def generate(cfg):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr("stylepair.synthgen.generate", generate)
+        assert main(["synth", "--out", str(tmp_path / "d")] + SMALL_SYNTH) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"error=MemoryError detail={detail}"]
+        assert "Traceback" not in caplog.text
+
     def test_negative_threads_exit_2(self, data_dir, tmp_path, caplog):
         queries = str(data_dir / "queries_style0.iemb")
         pool = str(data_dir / "pool.iemb")

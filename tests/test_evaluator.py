@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from stylepair.embedcore import pairwise_dots
 from stylepair.errors import EmptyRanks, MissingTruth, StylePairError, UnknownCandidate
 from stylepair.evaluator import rank_queries, report
-from stylepair.trainer import AdapterModel
+from stylepair.trainer import AdapterModel, project
 
-from conftest import make_set, random_unit_set
+from conftest import make_set, random_unit_set, traced_peak
 
 
 def sort_rank_oracle(sims_row, cand_ids, truth_col):
@@ -28,7 +28,58 @@ def per_query_loop_ranks(sims, cand_ids, truth_cols):
     return ranks
 
 
+def whole_matrix_ranks(queries, cands, truth, model=None):
+    """rank_queries as it ranked before its query blocks: from one (queries, candidates) matrix."""
+    if model is None:
+        q_rows, c_rows = queries.data, cands.data
+    else:
+        q_rows = project(model.text_head, queries.data)[0]
+        c_rows = project(model.video_head, cands.data)[0]
+    sims = pairwise_dots(q_rows, c_rows)
+    truth_cols = cands.row_for_id([truth[qid] for qid in queries.ids.tolist()])
+    s_true = sims[np.arange(queries.count), truth_cols][:, None]
+    tied_before = (sims == s_true) & (cands.ids < cands.ids[truth_cols][:, None])
+    return 1 + (sims > s_true).sum(axis=1) + tied_before.sum(axis=1)
+
+
+def tie_heavy_sets(rng, n_queries, n_cands, dim=8):
+    """Candidates drawn from 40 distinct rows, and queries that repeat some of them."""
+    rows = rng.normal(size=(40, dim))
+    cands = make_set(rows[rng.integers(0, 40, n_cands)],
+                     ids=np.sort(rng.choice(10 * n_cands, n_cands, replace=False)))
+    queries = make_set(rows[rng.integers(0, 40, n_queries)], ids=range(n_queries))
+    truth = {q: int(cands.ids[c]) for q, c in enumerate(rng.integers(0, n_cands, n_queries))}
+    return queries, cands, truth
+
+
 class TestRankQueries:
+    @pytest.mark.parametrize("n_queries", [1, 511, 512, 513, 1100, 2048])
+    def test_query_blocks_rank_as_the_whole_matrix(self, n_queries):
+        # 1,100 rows leave a ragged 76-row last block
+        rng = np.random.default_rng(n_queries)
+        queries, cands, truth = tie_heavy_sets(rng, n_queries, 300)
+        model = AdapterModel(text_head=rng.normal(size=(6, 8)),
+                             video_head=rng.normal(size=(6, 8)))
+        ranks = rank_queries(queries, cands, truth)
+        assert np.array_equal(ranks, whole_matrix_ranks(queries, cands, truth))
+        assert (ranks > 1).any()   # ties against lower ids do occur
+        assert np.array_equal(rank_queries(queries, cands, truth, model=model),
+                              whole_matrix_ranks(queries, cands, truth, model=model))
+
+    def test_peak_memory_stays_flat_as_queries_grow(self):
+        rng = np.random.default_rng(3)
+        n_cands = 2048
+        cands = random_unit_set(rng, n_cands, 16)
+        block_bytes = 512 * n_cands * 8   # one query block's float64 similarities
+        peaks = []
+        for n_queries in (1100, 2600):
+            queries = random_unit_set(rng, n_queries, 16)
+            truth = {q: int(rng.integers(0, n_cands)) for q in range(n_queries)}
+            peaks.append(traced_peak(lambda: rank_queries(queries, cands, truth)))
+        assert peaks[1] < peaks[0] + block_bytes // 4
+        # a block's product beside its copy into pairwise_dots' output, and the last block
+        assert peaks[1] < 4 * block_bytes
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_the_per_query_loop_on_tie_heavy_sets(self, seed):
         rng = np.random.default_rng(seed)

@@ -71,8 +71,9 @@ def test_traced_training_reports_its_steps():
     tr.install()
     try:
         for mode in (trainer.MODE_IN_STYLE, trainer.MODE_MIXED):
-            trainer.train_epochs(trainer.init_adapter(4), sets, texts, texts, mode=mode,
-                                 epochs=2, batch_size=4, config=trainer.TrainConfig(), seed=1)
+            trainer.train_epochs(trainer.init_adapter(4), sets, lambda idx: (texts[idx],) * 2,
+                                 mode=mode, epochs=2, batch_size=4,
+                                 config=trainer.TrainConfig(), seed=1)
     finally:
         tr.uninstall()
     metrics = tracer.layer_metrics([[tr.dump()]])

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stylepair import trainer
+from stylepair import cli, trainer
 from stylepair.errors import (
     BatchTooLarge,
     ConfigInvalid,
@@ -31,7 +32,7 @@ from stylepair.trainer import (
     write_loss_log,
 )
 
-from conftest import golden, grad_check, random_unit_set
+from conftest import golden, grad_check, random_unit_set, traced_peak
 
 
 def unit_rows(rng, n, dim):
@@ -49,6 +50,16 @@ def filter_sims(styled, clips, rows):
     """The similarities filter_pairs records for `rows` of an aligned styled set."""
     return np.einsum("ij,ij->i", styled.data[rows].astype(np.float64),
                      clips.data[rows].astype(np.float64))
+
+
+def row_gather(texts, videos):
+    """The batch gather of row-aligned arrays, in the form build_training_arrays returns."""
+    return lambda idx: (texts[idx], videos[idx])
+
+
+def gathered(plan, texts, videos):
+    """`train`'s (tag, texts, videos) batches for a plan over row-aligned arrays."""
+    return [(tag, texts[idx], videos[idx]) for tag, idx in plan]
 
 
 def random_model(rng, dim, proj):
@@ -217,11 +228,12 @@ class TestQueuedLoss:
         matrix_bytes = b * (b + capacity) * 8   # one (B, B + queue) float64 matrix
 
         def peak(steps):
-            plan = [("a", rng.permutation(n)[:b]) for _ in range(steps)]
+            batches = gathered([("a", rng.permutation(n)[:b]) for _ in range(steps)],
+                               texts, videos)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                train(init_adapter(dim), plan, texts, videos, TrainConfig(queue_capacity=capacity))
+                train(init_adapter(dim), batches, TrainConfig(queue_capacity=capacity))
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -403,7 +415,7 @@ class TestTrain:
         model = init_adapter(8, tau=0.05)
         before_t = model.text_head.copy()
         plan = plan_epoch(sets, 4, mode="in_style", seed=1)
-        out, rows = train(model, plan, texts, videos,
+        out, rows = train(model, gathered(plan, texts, videos),
                           TrainConfig(learning_rate=0.0, momentum=0.0))
         assert np.array_equal(out.text_head, before_t)
         assert np.array_equal(out.video_head, model.video_head)
@@ -414,7 +426,7 @@ class TestTrain:
         sets, texts, videos = separable_fixture(rng)
         model = init_adapter(8, tau=0.05)
         config = TrainConfig(learning_rate=0.3, momentum=0.0, queue_capacity=0)
-        model, rows = train_epochs(model, sets, texts, videos, mode="in_style",
+        model, rows = train_epochs(model, sets, row_gather(texts, videos), mode="in_style",
                                    epochs=5, batch_size=4, config=config, seed=9)
         assert len(rows) == 100
         first = float(np.mean([r.loss for r in rows[:10]]))
@@ -431,7 +443,7 @@ class TestTrain:
         outcomes = {}
         for tau in (0.05, 1.0):
             model = init_adapter(8, tau=tau)
-            model, rows = train_epochs(model, sets, texts, videos, mode="in_style",
+            model, rows = train_epochs(model, sets, row_gather(texts, videos), mode="in_style",
                                        epochs=5, batch_size=4,
                                        config=TrainConfig(learning_rate=0.3, momentum=0.0,
                                                           queue_capacity=0), seed=4)
@@ -447,7 +459,7 @@ class TestTrain:
         logs = []
         for _ in range(2):
             model = init_adapter(8, tau=0.05)
-            _, rows = train_epochs(model, sets, texts, videos, mode="in_style",
+            _, rows = train_epochs(model, sets, row_gather(texts, videos), mode="in_style",
                                    epochs=2, batch_size=4,
                                    config=TrainConfig(queue_capacity=32), seed=21)
             logs.append([(r.style_tag, r.loss) for r in rows])
@@ -459,7 +471,7 @@ class TestTrain:
         config = TrainConfig(learning_rate=0.2, momentum=0.0, queue_capacity=12)
         plan = plan_epoch(sets, 4, mode="in_style", seed=5)
 
-        model, rows = train(init_adapter(8, tau=0.05), plan, texts, videos, config)
+        model, rows = train(init_adapter(8, tau=0.05), gathered(plan, texts, videos), config)
 
         replay = init_adapter(8, tau=0.05)
         queues = {}
@@ -488,8 +500,9 @@ class TestTrain:
     def test_a_capacity_past_every_pair_trains_like_one_of_all_pairs(self, mode):
         # a queue empties every epoch, so it never holds more than the epoch's pairs
         sets, texts, videos = separable_fixture(np.random.default_rng(12))
-        runs = [train_epochs(init_adapter(8), sets, texts, videos, mode=mode, epochs=2,
-                             batch_size=4, config=TrainConfig(queue_capacity=capacity), seed=3)
+        runs = [train_epochs(init_adapter(8), sets, row_gather(texts, videos), mode=mode,
+                             epochs=2, batch_size=4, config=TrainConfig(queue_capacity=capacity),
+                             seed=3)
                 for capacity in (len(texts), 7 * len(texts))]
         (a, rows_a), (b, rows_b) = runs
         assert np.array_equal(a.text_head, b.text_head)
@@ -520,25 +533,7 @@ class TestTrain:
             model = init_adapter(4)
             model.step_count = step_count
             with pytest.raises(NonFiniteLoss, match=name):
-                train(model, plan, texts, videos, TrainConfig())
-
-    def test_array_count_mismatch(self):
-        plan = plan_epoch([gen_set("a", 4)], 2, seed=0)
-        with pytest.raises(CountMismatch):
-            train(init_adapter(3), plan, np.eye(3), np.eye(3), TrainConfig())
-        with pytest.raises(CountMismatch):
-            train(init_adapter(3), plan, np.eye(4, 3), np.eye(5, 3), TrainConfig())
-
-    @pytest.mark.parametrize("extra", [1, -1])
-    def test_train_epochs_needs_exactly_the_sets_pairs(self, extra):
-        sets, texts, videos = separable_fixture(np.random.default_rng(20))
-        rows = len(texts) + extra
-        texts = np.resize(texts, (rows, texts.shape[1]))
-        videos = np.resize(videos, (rows, videos.shape[1]))
-        with pytest.raises(CountMismatch, match="arrays hold"):
-            train_epochs(init_adapter(8), sets, texts, videos, mode="in_style", epochs=1,
-                         batch_size=4, config=TrainConfig(), seed=0)
-
+                train(model, gathered(plan, texts, videos), TrainConfig())
 
     def test_float32_and_float64_arrays_give_the_same_bytes(self, tmp_path):
         rng = np.random.default_rng(19)
@@ -547,9 +542,9 @@ class TestTrain:
         outputs = []
         for i, (t, v) in enumerate([(texts32, videos32),
                                     (texts32.astype(np.float64), videos32.astype(np.float64))]):
-            model, rows = train_epochs(init_adapter(8), sets, t, v, mode="in_style", epochs=2,
-                                       batch_size=4, config=TrainConfig(queue_capacity=12),
-                                       seed=3)
+            model, rows = train_epochs(init_adapter(8), sets, row_gather(t, v), mode="in_style",
+                                       epochs=2, batch_size=4,
+                                       config=TrainConfig(queue_capacity=12), seed=3)
             save_adapter(model, tmp_path / f"adapter{i}.iemb")
             write_loss_log(rows, tmp_path / f"loss{i}.csv")
             outputs.append([(tmp_path / f"{name}{i}.{ext}").read_bytes()
@@ -574,6 +569,44 @@ class TestWriteLossLog:
         assert path.read_bytes() == b"step,style_tag,loss\n0,style0,1.7693\n1,,0.1\n2,mixed,2.0\n"
 
 
+def unaligned_style_sets(rng, dim=12):
+    """A pool and two styles whose styled sets differ in count and in row order from it.
+
+    Style "a" captions every pool clip, so its rows are the pool's; style "b"
+    captions a subset, so its row i holds another clip than pool row i.
+    Each style keeps a shuffled subset of its rows, with filter_pairs' sims.
+    """
+    pool = random_unit_set(rng, 200, dim, ids=np.arange(1000, 1200))
+    styled_sets = [random_unit_set(rng, 200, dim, ids=pool.ids),
+                   random_unit_set(rng, 90, dim, ids=np.sort(rng.choice(pool.ids, 90, False)))]
+    gen_sets = []
+    for tag, styled, keep in zip(("a", "b"), styled_sets, (120, 70)):
+        rows = rng.permutation(styled.count)[:keep]
+        clip_rows = pool.row_for_id(styled.ids[rows])
+        sims = np.einsum("ij,ij->i", styled.data[rows].astype(np.float64),
+                         pool.data[clip_rows].astype(np.float64))
+        gen_sets.append(GeneratedPairSet(clip_ids=styled.ids[rows], rows=rows, sims=sims,
+                                         threshold=-1.0, style_tag=tag))
+    return pool, gen_sets, styled_sets
+
+
+def copy_path_rows(gen_sets, styled_sets, clips):
+    """The float32 copy of every pair that training gathered its batches from before.
+
+    Each batch is widened to float64 from the two (pairs, dim) arrays.
+    """
+    total = sum(len(gen) for gen in gen_sets)
+    texts = np.empty((total, clips.dim), dtype=np.float32)
+    videos = np.empty((total, clips.dim), dtype=np.float32)
+    lo = 0
+    for gen, styled in zip(gen_sets, styled_sets):
+        hi = lo + len(gen)
+        texts[lo:hi] = styled.data[gen.rows]
+        videos[lo:hi] = clips.data[clips.row_for_id(gen.clip_ids)]
+        lo = hi
+    return lambda idx: (texts[idx].astype(np.float64), videos[idx].astype(np.float64))
+
+
 class TestBuildTrainingArrays:
     def test_rows_follow_pair_order(self):
         rng = np.random.default_rng(15)
@@ -582,9 +615,59 @@ class TestBuildTrainingArrays:
         gen = GeneratedPairSet(clip_ids=[103, 101, 108], rows=[3, 1, 8],
                                sims=filter_sims(styled, clips, [3, 1, 8]), threshold=-1.0,
                                style_tag="a")
-        texts, videos = build_training_arrays([gen], [styled], clips)
+        texts, videos = build_training_arrays([gen], [styled], clips)(np.array([0, 1, 2]))
+        assert texts.dtype == videos.dtype == np.float64
         assert np.array_equal(texts, styled.data[[3, 1, 8]].astype(np.float64))
         assert np.array_equal(videos, clips.data[[3, 1, 8]].astype(np.float64))
+
+    def test_a_mixed_batch_reads_each_pair_from_its_own_sets(self):
+        pool, gen_sets, styled_sets = unaligned_style_sets(np.random.default_rng(21))
+        offsets = [0, len(gen_sets[0])]
+        picks = [(1, 5), (0, 2), (1, 0), (0, 2), (0, 17)]   # (set, pair), a pair repeated
+        texts, videos = build_training_arrays(gen_sets, styled_sets, pool)(
+            np.array([offsets[s] + i for s, i in picks]))
+        for row, (s, i) in enumerate(picks):
+            gen = gen_sets[s]
+            assert np.array_equal(texts[row], styled_sets[s].data[gen.rows[i]])
+            assert np.array_equal(videos[row], pool.data[pool.row_for_id(gen.clip_ids[i])])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_training_writes_the_bytes_of_the_copy_path(self, tmp_path, threads):
+        pool, gen_sets, styled_sets = unaligned_style_sets(np.random.default_rng(22))
+        args = argparse.Namespace(learning_rate=0.3, momentum=0.9, queue_capacity=24,
+                                  tau=0.05, epochs=2, batch_size=16, seed=5, threads=threads)
+        modes = ["in_style", "mixed"]
+        cli.train_stage(args, pool, gen_sets, styled_sets, [
+            (mode, tmp_path / f"adapter_{mode}.iemb", tmp_path / f"loss_{mode}.csv")
+            for mode in modes])
+        config = TrainConfig(learning_rate=0.3, momentum=0.9, queue_capacity=24)
+        for mode in modes:
+            model, rows = train_epochs(init_adapter(pool.dim), gen_sets,
+                                       copy_path_rows(gen_sets, styled_sets, pool), mode=mode,
+                                       epochs=2, batch_size=16, config=config, seed=5)
+            save_adapter(model, tmp_path / "want.iemb")
+            write_loss_log(rows, tmp_path / "want.csv")
+            for got, want in ((f"adapter_{mode}.iemb", "want.iemb"),
+                              (f"loss_{mode}.csv", "want.csv")):
+                assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes(), got
+
+    def test_rows_and_one_epoch_peak_under_the_copies(self):
+        rng = np.random.default_rng(23)
+        n, dim = 4096, 64
+        pool = random_unit_set(rng, n, dim)
+        styled_sets = [random_unit_set(rng, n, dim) for _ in range(2)]
+        gen_sets = [GeneratedPairSet(clip_ids=pool.ids, rows=np.arange(n),
+                                     sims=filter_sims(styled, pool, np.arange(n)),
+                                     threshold=-1.0, style_tag=tag)
+                    for tag, styled in zip(("a", "b"), styled_sets)]
+        copies = 2 * 2 * n * dim * 4   # the float32 texts and videos of every pair
+
+        def rows_and_one_epoch():
+            rows = build_training_arrays(gen_sets, styled_sets, pool)
+            train_epochs(init_adapter(dim), gen_sets, rows, mode="mixed", epochs=1,
+                         batch_size=64, config=TrainConfig(queue_capacity=128), seed=1)
+
+        assert traced_peak(rows_and_one_epoch) < copies
 
     def test_pool_with_same_ids_but_other_rows_rejected(self):
         rng = np.random.default_rng(15)
@@ -597,6 +680,19 @@ class TestBuildTrainingArrays:
         build_training_arrays([gen], [styled], clips)
         with pytest.raises(CountMismatch, match="similarity"):
             build_training_arrays([gen], [styled], other)
+
+    @pytest.mark.parametrize("drifted", [0, 511, 512, 1099])
+    def test_a_drifted_pair_in_any_row_block_is_rejected(self, drifted):
+        rng = np.random.default_rng(16)
+        clips = random_unit_set(rng, 1100, 4)
+        styled = random_unit_set(rng, 1100, 4)
+        rows = np.arange(1100)
+        sims = filter_sims(styled, clips, rows)
+        sims[drifted] += 1e-6
+        gen = GeneratedPairSet(clip_ids=rows, rows=rows, sims=sims, threshold=-2.0,
+                               style_tag="a")
+        with pytest.raises(CountMismatch, match="similarity"):
+            build_training_arrays([gen], [styled], clips)
 
     @pytest.mark.parametrize("bad_row", [10, 1_000_000, -1])
     def test_row_outside_styled_set_rejected(self, bad_row):
