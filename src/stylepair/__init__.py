@@ -23,6 +23,7 @@ from .styler import (
     filter_pairs,
     fit_style,
     generate_styled,
+    generate_styled_sets,
     threshold_sweep,
 )
 from .synthgen import SynthConfig, SynthDataset, generate
@@ -52,6 +53,7 @@ __all__ = [
     "fit_style",
     "generate",
     "generate_styled",
+    "generate_styled_sets",
     "info_nce_loss",
     "init_adapter",
     "load_embeddings",

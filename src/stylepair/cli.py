@@ -262,18 +262,19 @@ def match_stage(queries, pool, out, query_set, clip_set) -> matcher.PseudoPairSe
     return pairs
 
 
-def stylize_stage(args, queries, pool, pseudo, style_out, styled_out, tag) -> EmbeddingSet:
-    style = styler.fit_style(
-        pseudo, queries, pool,
-        ridge_lambda=args.ridge_lambda,
-        noise_sigma=args.noise_sigma,
-        style_tag=tag,
-    )
-    styler.save_style(style, style_out)
-    styled = styler.generate_styled(pool, style, seed=args.seed)
-    save_embeddings(styled, styled_out)
-    log.info("stage=stylize tag=%s styled=%d", tag, styled.count)
-    return styled
+def stylize_stage(args, queries, pool, pairs, style_outs, styled_outs, tags) -> list[EmbeddingSet]:
+    """Fit and save one style per query set, then caption the pool in every style at once."""
+    styles = []
+    for style_queries, pseudo, style_out, tag in zip(queries, pairs, style_outs, tags):
+        styles.append(styler.fit_style(pseudo, style_queries, pool,
+                                       ridge_lambda=args.ridge_lambda,
+                                       noise_sigma=args.noise_sigma, style_tag=tag))
+        styler.save_style(styles[-1], style_out)
+    styled_sets = styler.generate_styled_sets(pool, styles, seed=args.seed)
+    for styled, styled_out, tag in zip(styled_sets, styled_outs, tags):
+        save_embeddings(styled, styled_out)
+        log.info("stage=stylize tag=%s styled=%d", tag, styled.count)
+    return styled_sets
 
 
 def filter_stage(args, styled, pool, out, tag) -> styler.GeneratedPairSet:
@@ -350,7 +351,7 @@ def cmd_stylize(args) -> int:
     queries = load_embeddings(args.queries)
     pool = load_embeddings(args.pool)
     pseudo = matcher.read_pseudo_pairs(args.pairs)
-    stylize_stage(args, queries, pool, pseudo, args.style_out, args.styled_out, args.tag)
+    stylize_stage(args, [queries], pool, [pseudo], [args.style_out], [args.styled_out], [args.tag])
     return 0
 
 
@@ -453,14 +454,12 @@ def run_pipeline(args) -> dict:
                                os.path.join(workdir, f"pseudo_pairs_{tag}.jsonl"),
                                f"queries_{tag}", "pool")
                    for tag, style_queries in zip(tags, queries)]
-    gen_sets, styled_sets = [], []
-    for tag, style_queries, pseudo in zip(tags, queries, pseudo_sets):
-        styled = stylize_stage(args, style_queries, pool, pseudo,
-                               os.path.join(workdir, f"style_{tag}.iemb"),
-                               os.path.join(workdir, f"styled_{tag}.iemb"), tag)
-        gen_sets.append(filter_stage(args, styled, pool,
-                                     os.path.join(workdir, f"generated_pairs_{tag}.jsonl"), tag))
-        styled_sets.append(styled)
+    styled_sets = stylize_stage(args, queries, pool, pseudo_sets,
+                                [os.path.join(workdir, f"style_{t}.iemb") for t in tags],
+                                [os.path.join(workdir, f"styled_{t}.iemb") for t in tags], tags)
+    gen_sets = [filter_stage(args, styled, pool,
+                             os.path.join(workdir, f"generated_pairs_{tag}.jsonl"), tag)
+                for tag, styled in zip(tags, styled_sets)]
 
     modes = [trainer.MODE_IN_STYLE] + ([trainer.MODE_MIXED] if cfg.n_styles > 1 else [])
     trained = train_stage(args, pool, gen_sets, styled_sets, [

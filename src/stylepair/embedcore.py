@@ -23,7 +23,7 @@ from .errors import (CorruptField, DuplicateId, NonFiniteValue, NotNormalized, U
 
 NORM_FLAG_TOL = 1e-4   # how far a "normalized" row may drift from unit norm
 _FLAG_NORMALIZED = 1
-_CHUNK_ROWS = 512      # fixed partition for similarity products
+BLOCK_ROWS = 512       # fixed row block of every row-wise float64 pass
 TILE_COLS = 2048       # column tile of a streamed block product
 
 
@@ -88,27 +88,29 @@ class EmbeddingSet:
         return np.searchsorted(self.ids, wanted)
 
 
-def unit_rows(ids: np.ndarray, dim: int, rows64) -> EmbeddingSet:
-    """A normalized set with one unit float32 row per id.
+def unit_block(ids: np.ndarray, rows64: np.ndarray, out: np.ndarray) -> None:
+    """Divide one block's float64 rows by their norms and narrow them into `out`.
 
-    rows64 yields the float64 rows of each block of row_blocks(len(ids)), in
-    order; each is divided by its norms and narrowed on its own, so no more
-    than one block is ever held in float64. A zero row is a ZeroVectorRow.
+    A row of non-finite norm (an overflow or an infinity) is a NonFiniteValue,
+    a zero row a ZeroVectorRow; each names the first such id of `ids`.
     """
-    out = np.empty((len(ids), dim), dtype=np.float32)
-    for (lo, hi), block in zip(row_blocks(len(ids)), rows64):
-        norms = np.linalg.norm(block, axis=1)
-        zero = norms == 0.0
-        if zero.any():
-            raise ZeroVectorRow(f"row id {int(ids[lo:hi][zero][0])} is the zero vector")
-        out[lo:hi] = block / norms[:, None]
-    return EmbeddingSet(ids=ids.copy(), data=out, normalized=True)
+    with np.errstate(over="ignore"):   # an overflowed norm is reported below
+        norms = np.linalg.norm(rows64, axis=1)
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        raise NonFiniteValue(f"row id {int(ids[bad][0])} has a non-finite norm")
+    zero = norms == 0.0
+    if zero.any():
+        raise ZeroVectorRow(f"row id {int(ids[zero][0])} is the zero vector")
+    out[:] = rows64 / norms[:, None]
 
 
 def normalize(emb: EmbeddingSet) -> EmbeddingSet:
-    """Return a copy whose rows are rescaled to unit L2 norm."""
-    return unit_rows(emb.ids, emb.dim,
-                     (emb.data[lo:hi].astype(np.float64) for lo, hi in row_blocks(emb.count)))
+    """Return a copy whose rows are rescaled to unit L2 norm, one row block at a time."""
+    out = np.empty_like(emb.data)
+    for lo, hi in row_blocks(emb.count):
+        unit_block(emb.ids[lo:hi], emb.data[lo:hi].astype(np.float64), out[lo:hi])
+    return EmbeddingSet(ids=emb.ids.copy(), data=out, normalized=True)
 
 
 @functools.cache
@@ -176,8 +178,8 @@ def for_each(items, run, threads: int = 1) -> list:
 
 
 def row_blocks(n_rows: int) -> list[tuple[int, int]]:
-    """Fixed row blocks (lo, hi) of _CHUNK_ROWS rows, in ascending order."""
-    return [(lo, min(lo + _CHUNK_ROWS, n_rows)) for lo in range(0, n_rows, _CHUNK_ROWS)]
+    """Fixed row blocks (lo, hi) of BLOCK_ROWS rows, in ascending order."""
+    return [(lo, min(lo + BLOCK_ROWS, n_rows)) for lo in range(0, n_rows, BLOCK_ROWS)]
 
 
 def column_tiles(n_cols: int) -> list[tuple[int, int]]:
@@ -192,11 +194,11 @@ def column_tiles(n_cols: int) -> list[tuple[int, int]]:
 
 
 def pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-by-row dot products a @ b.T in float64 over a fixed row partition."""
-    b64t = b.astype(np.float64).T
+    """a @ b.T in float64, each block of row_blocks written straight into its output rows."""
+    b64t = b.astype(np.float64, copy=False).T
     out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
     for lo, hi in row_blocks(a.shape[0]):
-        out[lo:hi] = a[lo:hi].astype(np.float64) @ b64t
+        np.matmul(a[lo:hi].astype(np.float64, copy=False), b64t, out=out[lo:hi])
     return out
 
 

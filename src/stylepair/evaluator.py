@@ -70,6 +70,7 @@ def rank_queries(
         s_true = sims[np.arange(hi - lo), truth_cols[lo:hi]][:, None]
         tied_before = (sims == s_true) & (candidates.ids < candidates.ids[truth_cols[lo:hi], None])
         ranks[lo:hi] = 1 + (sims > s_true).sum(axis=1) + tied_before.sum(axis=1)
+        del sims, tied_before   # freed before the next block's product
     return ranks
 
 

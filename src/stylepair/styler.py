@@ -1,10 +1,10 @@
 """Caption-style surrogate: a ridge-regularized affine map in embedding space.
 
 fit_style learns (W, b) from pseudo pairs so that W @ clip + b lands near
-the matched query embedding. generate_styled applies the map (plus
-optional seeded Gaussian jitter) to every clip in the pool, and
-filter_pairs keeps only rows whose styled caption stays similar enough to
-its own clip in the fixed judge space.
+the matched query embedding. generate_styled_sets maps the whole pool
+through every style in one pass (plus seeded Gaussian jitter, drawn once
+per clip), and filter_pairs keeps only rows whose styled caption stays
+similar enough to its own clip in the fixed judge space.
 """
 
 import logging
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, aligned_dots, row_blocks, unit_rows
-from .errors import CorruptField, CountMismatch, DimMismatch, NotNormalized, SingularSystem
+from .embedcore import BLOCK_ROWS, EmbeddingSet, aligned_dots, row_blocks, unit_block
+from .errors import (ConfigInvalid, CorruptField, CountMismatch, DimMismatch, NotNormalized,
+                     SingularSystem)
 from .matcher import PseudoPairSet
 
 log = logging.getLogger(__name__)
@@ -207,35 +208,47 @@ def _spawned_pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
     return states
 
 
-def generate_styled(
-    clips: EmbeddingSet,
-    style: StyleTransform,
-    seed: int,
-) -> EmbeddingSet:
-    """Styled caption embedding per clip: normalize(W v + b + noise).
+def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform],
+                         seed: int) -> list[EmbeddingSet]:
+    """One styled caption set per style: normalize(W v + b + noise) for each clip v.
 
     Noise for row i comes from the PCG64 generator that spawn (i,) of the
-    seed would seed, so any row partition reproduces the row-by-row
-    output bit for bit. The states are derived a block at a time and
-    loaded into one reused generator, and each row block is mapped,
-    jittered and normalized on its own. A clip whose styled caption is the
-    zero vector is a ZeroVectorRow naming its id.
+    seed would seed, so any row partition reproduces the row-by-row output
+    bit for bit. It does not depend on the style: each row block's states
+    are derived and its noise drawn once, and then every style maps,
+    jitters and normalizes the block. Styles must share dim_in (the pool's)
+    and dim_out (DimMismatch) and noise_sigma (ConfigInvalid). A zero
+    styled caption is a ZeroVectorRow naming its clip.
     """
-    if style.dim_in != clips.dim:
-        raise DimMismatch(f"style expects dim {style.dim_in}, clips have {clips.dim}")
-    wt = style.weight.T
+    if not styles:
+        return []
+    dim_out, sigma = styles[0].dim_out, styles[0].noise_sigma
+    for style in styles:
+        if style.dim_in != clips.dim or style.dim_out != dim_out:
+            raise DimMismatch(f"style {style.style_tag!r} maps {style.dim_in} -> {style.dim_out}; "
+                              f"clips have dim {clips.dim}, style 0 maps to {dim_out}")
+        if style.noise_sigma != sigma:
+            raise ConfigInvalid(f"styles mix noise_sigma {sigma} and {style.noise_sigma}")
+    outs = [np.empty((clips.count, dim_out), dtype=np.float32) for _ in styles]
+    noise = np.empty((min(clips.count, BLOCK_ROWS), dim_out))
     rng = np.random.Generator(np.random.PCG64(0))
+    for lo, hi in row_blocks(clips.count):
+        block = clips.data[lo:hi].astype(np.float64)
+        if sigma > 0.0:
+            for row, state in zip(noise, _spawned_pcg64_states(seed, lo, hi)):
+                rng.bit_generator.state = state
+                row[:] = rng.normal(0.0, sigma, dim_out)
+        for style, out in zip(styles, outs):
+            rows = block @ style.weight.T + style.bias
+            if sigma > 0.0:
+                rows += noise[:hi - lo]
+            unit_block(clips.ids[lo:hi], rows, out[lo:hi])
+    return [EmbeddingSet(ids=clips.ids.copy(), data=out, normalized=True) for out in outs]
 
-    def styled_rows():
-        for lo, hi in row_blocks(clips.count):
-            block = clips.data[lo:hi].astype(np.float64) @ wt + style.bias
-            if style.noise_sigma > 0.0:
-                for row, state in zip(block, _spawned_pcg64_states(seed, lo, hi)):
-                    rng.bit_generator.state = state
-                    row += rng.normal(0.0, style.noise_sigma, style.dim_out)
-            yield block
 
-    return unit_rows(clips.ids, style.dim_out, styled_rows())
+def generate_styled(clips: EmbeddingSet, style: StyleTransform, seed: int) -> EmbeddingSet:
+    """generate_styled_sets for one style."""
+    return generate_styled_sets(clips, [style], seed)[0]
 
 
 def _aligned_sims(styled: EmbeddingSet, clips: EmbeddingSet) -> np.ndarray:

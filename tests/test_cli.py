@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ class TestStageCommands:
         assert rc == 1
         assert "error=IsADirectoryError" in caplog.text
         assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e308"])
+    def test_overflowing_styled_norm_exits_1_naming_the_clip(self, data_dir, tmp_path, caplog,
+                                                             capsys, sigma):
+        queries = str(data_dir / "queries_style0.iemb")
+        pool = str(data_dir / "pool.iemb")
+        assert main(["match", "--queries", queries, "--pool", pool,
+                     "--out", str(tmp_path / "pairs.jsonl")]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")   # print warnings as a plain run would
+            rc = main(["stylize", "--queries", queries, "--pool", pool,
+                       "--pairs", str(tmp_path / "pairs.jsonl"),
+                       "--style-out", str(tmp_path / "style.iemb"),
+                       "--styled-out", str(tmp_path / "styled.iemb"), "--noise-sigma", sigma])
+        assert rc == 1
+        assert "error=NonFiniteValue detail=row id " in caplog.text
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        assert not (tmp_path / "styled.iemb").exists()
 
     def test_memory_error_exits_1_without_traceback(self, tmp_path, caplog, monkeypatch):
         # numpy raises a MemoryError subclass for a request it cannot allocate, e.g. at
@@ -270,36 +289,45 @@ class TestStageCommands:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_stage_chain_matches_pipeline(self, data_dir, tmp_path):
-        d, w = tmp_path / "chain", tmp_path / "w"
+    def test_stage_chain_matches_pipeline(self, tmp_path):
+        # two styles: the pipeline stylizes both in one pass, each subcommand run one
+        data, d, w = tmp_path / "data", tmp_path / "chain", tmp_path / "w"
         d.mkdir()
-        queries = str(data_dir / "queries_style0.iemb")
-        pool = str(data_dir / "pool.iemb")
+        assert main(["synth", "--out", str(data), "--seed", "7", "--styles", "2"]
+                    + SMALL_SYNTH) == 0
+        pool = str(data / "pool.iemb")
         flags = ["--seed", "5", "--batch-size", "16", "--epochs", "2"]
-        assert main(["match", "--queries", queries, "--pool", pool,
-                     "--out", str(d / "pseudo.jsonl")]) == 0
-        assert main(["stylize", "--queries", queries, "--pool", pool,
-                     "--pairs", str(d / "pseudo.jsonl"), "--style-out", str(d / "style.iemb"),
-                     "--styled-out", str(d / "styled.iemb"),
-                     "--tag", "style0", "--seed", "5"]) == 0
-        assert main(["filter", "--styled", str(d / "styled.iemb"), "--pool", pool,
-                     "--out", str(d / "gen.jsonl")]) == 0
-        assert main(["train", "--pool", pool, "--styled", str(d / "styled.iemb"),
-                     "--pairs", str(d / "gen.jsonl"), "--out", str(d / "adapter.iemb"),
-                     "--loss-log", str(d / "loss.csv"), "--mode", "in_style"] + flags) == 0
-        assert main(["pipeline", "--workdir", str(w), "--data-dir", str(data_dir),
-                     "--styles", "1"] + SMALL_SYNTH + flags) == 0
-        for mine, theirs in [("style.iemb", "style_style0.iemb"),
-                             ("styled.iemb", "styled_style0.iemb"),
-                             ("adapter.iemb", "adapter_in_style.iemb"),
-                             ("loss.csv", "loss_in_style.csv")]:
+        train = ["train", "--pool", pool, "--out", str(d / "adapter.iemb"),
+                 "--loss-log", str(d / "loss.csv"), "--mode", "in_style"] + flags
+        for tag in ("style0", "style1"):
+            queries = str(data / f"queries_{tag}.iemb")
+            assert main(["match", "--queries", queries, "--pool", pool,
+                         "--out", str(d / f"pseudo_{tag}.jsonl")]) == 0
+            assert main(["stylize", "--queries", queries, "--pool", pool,
+                         "--pairs", str(d / f"pseudo_{tag}.jsonl"),
+                         "--style-out", str(d / f"style_{tag}.iemb"),
+                         "--styled-out", str(d / f"styled_{tag}.iemb"),
+                         "--tag", tag, "--seed", "5"]) == 0
+            assert main(["filter", "--styled", str(d / f"styled_{tag}.iemb"), "--pool", pool,
+                         "--out", str(d / f"gen_{tag}.jsonl")]) == 0
+            train += ["--styled", str(d / f"styled_{tag}.iemb"),
+                      "--pairs", str(d / f"gen_{tag}.jsonl")]
+        assert main(train) == 0
+        assert main(["pipeline", "--workdir", str(w), "--data-dir", str(data),
+                     "--styles", "2"] + SMALL_SYNTH + flags) == 0
+        same = [("adapter.iemb", "adapter_in_style.iemb"), ("loss.csv", "loss_in_style.csv")]
+        for tag in ("style0", "style1"):
+            same += [(f"style_{tag}.iemb", f"style_{tag}.iemb"),
+                     (f"styled_{tag}.iemb", f"styled_{tag}.iemb")]
+        for mine, theirs in same:
             assert (d / mine).read_bytes() == (w / theirs).read_bytes(), mine
         # the headers name their inputs differently; every record must agree
-        for mine, theirs in [("pseudo.jsonl", "pseudo_pairs_style0.jsonl"),
-                             ("gen.jsonl", "generated_pairs_style0.jsonl")]:
-            ours = (d / mine).read_text().splitlines()
-            pipe = (w / theirs).read_text().splitlines()
-            assert len(ours) > 1 and ours[1:] == pipe[1:], mine
+        for tag in ("style0", "style1"):
+            for mine, theirs in [(f"pseudo_{tag}.jsonl", f"pseudo_pairs_{tag}.jsonl"),
+                                 (f"gen_{tag}.jsonl", f"generated_pairs_{tag}.jsonl")]:
+                ours = (d / mine).read_text().splitlines()
+                pipe = (w / theirs).read_text().splitlines()
+                assert len(ours) > 1 and ours[1:] == pipe[1:], mine
 
     def test_bad_knobs_exit_2(self, tmp_path):
         args = ["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "1"]

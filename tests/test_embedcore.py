@@ -136,6 +136,15 @@ class TestNormalize:
         assert got.data.tobytes() == want.tobytes()
 
 
+def copied_block_dots(a, b):
+    """pairwise_dots as it was before it wrote in place: each block's product, then a copy."""
+    b64t = b.astype(np.float64).T
+    out = np.empty((a.shape[0], b.shape[0]))
+    for lo in range(0, a.shape[0], 512):
+        out[lo:lo + 512] = a[lo:lo + 512].astype(np.float64) @ b64t
+    return out
+
+
 class TestSimMatrix:
     """pairwise_dots of unit rows: the cosine-similarity matrix every stage uses."""
 
@@ -170,6 +179,14 @@ class TestSimMatrix:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             pairwise_dots(make_set([[1.0, 0.0]]).data, make_set([[1.0, 0.0, 0.0]]).data)
+
+    @pytest.mark.parametrize("n_rows", [1, 513, 1100])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])   # float64 rows: an adapter's
+    def test_bits_equal_the_copied_block_products(self, n_rows, dtype):
+        rng = np.random.default_rng(n_rows)
+        a = rng.normal(size=(n_rows, 64)).astype(dtype)
+        b = rng.normal(size=(3000, 64)).astype(dtype)
+        assert pairwise_dots(a, b).tobytes() == copied_block_dots(a, b).tobytes()
 
     @needs_blas_controls
     def test_thread_count_does_not_change_bits(self):

@@ -77,8 +77,20 @@ class TestRankQueries:
             truth = {q: int(rng.integers(0, n_cands)) for q in range(n_queries)}
             peaks.append(traced_peak(lambda: rank_queries(queries, cands, truth)))
         assert peaks[1] < peaks[0] + block_bytes // 4
-        # a block's product beside its copy into pairwise_dots' output, and the last block
-        assert peaks[1] < 4 * block_bytes
+        # one block's similarities and its masks: the product is written in place, and
+        # the previous block's are freed before it
+        assert peaks[1] < 1.5 * block_bytes
+
+    def test_peak_with_an_adapter_holds_one_block_of_similarities(self):
+        rng = np.random.default_rng(4)
+        n_queries, n_cands = 1100, 4096
+        cands = random_unit_set(rng, n_cands, 16)
+        queries = random_unit_set(rng, n_queries, 16)
+        truth = {q: int(rng.integers(0, n_cands)) for q in range(n_queries)}
+        model = AdapterModel(text_head=rng.normal(size=(16, 16)),
+                             video_head=rng.normal(size=(16, 16)))
+        peak = traced_peak(lambda: rank_queries(queries, cands, truth, model=model))
+        assert peak < 1.5 * 512 * n_cands * 8
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_the_per_query_loop_on_tie_heavy_sets(self, seed):

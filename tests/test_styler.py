@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stylepair.embedcore import EmbeddingSet, normalize
-from stylepair.errors import (CountMismatch, DimMismatch, SingularSystem, StylePairError,
-                              ZeroVectorRow)
+from stylepair.errors import (ConfigInvalid, CountMismatch, DimMismatch, NonFiniteValue,
+                              SingularSystem, StylePairError, ZeroVectorRow)
 from stylepair.matcher import PseudoPairSet
 from stylepair.styler import (
     GeneratedPairSet,
@@ -12,6 +12,7 @@ from stylepair.styler import (
     filter_pairs,
     fit_style,
     generate_styled,
+    generate_styled_sets,
     load_style,
     read_generated_pairs,
     save_style,
@@ -171,6 +172,15 @@ class TestGenerateStyled:
         with pytest.raises(ZeroVectorRow, match="row id 41 "):
             generate_styled(clips, style, seed=0)
 
+    @pytest.mark.parametrize("sigma", [1e200, 1e308])
+    def test_overflowing_norm_is_a_non_finite_value_naming_the_clip(self, sigma):
+        # runs with RuntimeWarning as an error: the overflow must not warn either
+        clips = make_set([[1.0, 0.0], [0.0, 1.0]], ids=[41, 42])
+        style = StyleTransform(weight=np.eye(2), bias=np.zeros(2),
+                               ridge_lambda=0.0, noise_sigma=sigma)
+        with pytest.raises(NonFiniteValue, match="row id 41 "):
+            generate_styled(clips, style, seed=0)
+
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     def test_bits_equal_the_whole_array_float64_code(self, sigma):
         rng = np.random.default_rng(18)
@@ -190,6 +200,75 @@ class TestGenerateStyled:
         peaks = [traced_peak(lambda: generate_styled(part, style, seed=3)) for part in parts]
         # 20,000 float32 rows added, plus a quarter of one float64 copy of them
         assert peaks[1] - peaks[0] < 20_000 * 64 * 4 * 3 // 2
+
+
+def style_list(rng, k, sigma, dim_in=64, dim_out=64):
+    return [StyleTransform(weight=rng.normal(size=(dim_out, dim_in)), bias=rng.normal(size=dim_out),
+                           ridge_lambda=0.0, noise_sigma=sigma, style_tag=f"style{i}")
+            for i in range(k)]
+
+
+class TestGenerateStyledSets:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [7, 2**130 + 1])
+    def test_each_set_has_the_bits_of_the_per_row_reference(self, k, sigma, seed):
+        rng = np.random.default_rng(k)
+        clips = random_unit_set(rng, 1100, 64)   # three row blocks, the last one ragged
+        styles = style_list(rng, k, sigma)
+        got = generate_styled_sets(clips, styles, seed)
+        assert len(got) == k
+        for styled, style in zip(got, styles):
+            assert np.array_equal(styled.ids, clips.ids) and styled.normalized
+            assert styled.data.tobytes() == styled_reference(clips, style, seed).tobytes()
+
+    def test_one_style_is_generate_styled(self):
+        rng = np.random.default_rng(30)
+        clips = random_unit_set(rng, 600, 8)
+        style = style_list(rng, 1, 0.2, 8, 8)[0]
+        [styled] = generate_styled_sets(clips, [style], seed=4)
+        assert styled.data.tobytes() == generate_styled(clips, style, seed=4).data.tobytes()
+
+    def test_no_style_gives_no_set(self):
+        assert generate_styled_sets(make_set([[1.0, 0.0]]), [], seed=0) == []
+
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 3)])   # (dim_in, dim_out) of the second style
+    def test_dim_mismatch_is_raised_before_any_row_is_drawn(self, monkeypatch, dims):
+        drawn = []
+        monkeypatch.setattr("stylepair.styler._spawned_pcg64_states",
+                            lambda *args: drawn.append(args) or [])
+        clips = make_set([[1.0, 0.0], [0.0, 1.0]])
+        styles = [StyleTransform(weight=np.eye(2), bias=np.zeros(2), ridge_lambda=0.0,
+                                 noise_sigma=0.1),
+                  StyleTransform(weight=np.ones((dims[1], dims[0])), bias=np.zeros(dims[1]),
+                                 ridge_lambda=0.0, noise_sigma=0.1)]
+        with pytest.raises(DimMismatch):
+            generate_styled_sets(clips, styles, seed=0)
+        assert drawn == []
+
+    def test_styles_of_different_noise_are_a_typed_error(self):
+        clips = make_set([[1.0, 0.0], [0.0, 1.0]])
+        styles = [StyleTransform(weight=np.eye(2), bias=np.zeros(2), ridge_lambda=0.0,
+                                 noise_sigma=sigma) for sigma in (0.1, 0.2)]
+        with pytest.raises(ConfigInvalid, match="noise_sigma"):
+            generate_styled_sets(clips, styles, seed=0)
+
+    def test_zero_row_of_the_second_style_names_its_clip(self):
+        clips = make_set([[1.0, 0.0], [0.0, 1.0]], ids=[41, 42])
+        styles = [StyleTransform(weight=w, bias=np.zeros(2), ridge_lambda=0.0, noise_sigma=0.0)
+                  for w in (np.eye(2), np.diag([1.0, 0.0]))]
+        with pytest.raises(ZeroVectorRow, match="row id 42 "):
+            generate_styled_sets(clips, styles, seed=0)
+
+    def test_peak_holds_the_float32_outputs_and_a_few_blocks(self):
+        rng = np.random.default_rng(31)
+        n, k = 8_000, 3
+        clips = random_unit_set(rng, n, 64)
+        styles = style_list(rng, k, 0.05)
+        peak = traced_peak(lambda: generate_styled_sets(clips, styles, seed=3))
+        outputs = k * n * (64 * 4 + 8)   # float32 rows and a copy of the ids per style
+        block = 512 * 64 * 8             # one float64 row block
+        assert peak < outputs + 8 * block
 
 
 def spawned_states(seed, n_rows):
