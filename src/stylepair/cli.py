@@ -290,8 +290,8 @@ def filter_stage(args, styled, pool, out, tag) -> styler.GeneratedPairSet:
 def train_stage(args, pool, gen_sets, styled_sets, runs):
     """Train one fresh adapter per (mode, adapter path, loss-log path or None) in `runs`.
 
-    The runs share only read-only inputs, so they train concurrently; files
-    and log lines follow in `runs` order once every run has finished.
+    The runs share only read-only inputs, so they train at once in forked
+    workers; files and log lines follow in `runs` order when all are done.
     """
     gather = trainer.build_training_arrays(gen_sets, styled_sets, pool)
     config = trainer.TrainConfig(   # a queue empties every epoch: it never outgrows the pairs

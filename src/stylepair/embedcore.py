@@ -12,7 +12,9 @@ import ctypes
 import functools
 import glob
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ NORM_FLAG_TOL = 1e-4   # how far a "normalized" row may drift from unit norm
 _FLAG_NORMALIZED = 1
 BLOCK_ROWS = 512       # fixed row block of every row-wise float64 pass
 TILE_COLS = 2048       # column tile of a streamed block product
+_PR_SET_PDEATHSIG = 1  # Linux prctl option: a signal for when the parent dies
 
 
 @dataclass(frozen=True)
@@ -133,48 +136,87 @@ def blas_thread_controls():
     return None
 
 
-_M_ARENA_MAX = -8      # glibc mallopt parameter
-
-
-def _share_malloc_arena() -> None:
-    """Make threads started from now on allocate from the main glibc arena.
-
-    By default glibc gives each new thread an arena of its own, which keeps
-    that worker's freed temporaries resident beside the free memory the
-    process already holds. Elsewhere this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
-    mallopt(_M_ARENA_MAX, 1)
-
-
 def for_each(items, run, threads: int = 1) -> list:
     """Return [run(item) for item in items], computed on up to `threads` workers.
 
-    Results come back in item order, and the first error in item order
-    reaches the caller unchanged. While more than one worker runs, BLAS is
-    held to one thread, so workers and BLAS threads do not oversubscribe
-    the cores; where that cannot be done, everything runs on the calling
-    thread. Workers share the main malloc arena, so they do not add an
-    arena's worth of resident memory each.
+    The caller runs items 0, w, 2w, ... and each of w - 1 forked children
+    its own share, sent back pickled through a pipe. Results come back in
+    item order, and the first error in item order reaches the caller (a
+    child's as a copy); a child that ends without a result is a
+    ChildProcessError. No child outlives the call. While workers run, BLAS
+    is held to one thread, so they do not oversubscribe the cores; where
+    that cannot be done, or without os.fork, everything runs inline.
     """
     items = list(items)
     blas = blas_thread_controls()
-    workers = min(threads, len(items)) if blas else 1
+    workers = min(threads, len(items)) if blas and hasattr(os, "fork") else 1
     if workers <= 1:
         return [run(item) for item in items]
-    _share_malloc_arena()
     get, set_ = blas
-    saved = get()
+    saved, parent, children, sent, codes = get(), os.getpid(), [], {}, {}
     set_(1)
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, items))
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                if (pid := os.fork()) == 0:
+                    _serve_share(parent, write_end, run, items, range(w, len(items), workers))
+            except BaseException:
+                os.close(read_end)
+                raise
+            finally:
+                os.close(write_end)
+            children.append((pid, read_end))
+        outcomes = list(_run_share(run, items, range(0, len(items), workers)))
+        for pid, read_end in children:   # to EOF before waitpid: a result can outgrow the pipe
+            with open(read_end, "rb", closefd=False) as pipe:
+                sent[pid] = pipe.read()
     finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            if pid not in sent:   # the caller is unwinding: stop the child, then reap it
+                os.kill(pid, signal.SIGKILL)
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         set_(saved)
+    for pid, code in codes.items():
+        if code:
+            how = (f"exit status {code}" if code > 0
+                   else f"signal {-code} ({signal.strsignal(-code)})")
+            raise ChildProcessError(f"worker process {pid} ended by {how} without a result")
+        outcomes += pickle.loads(sent[pid])
+    outcomes.sort(key=lambda outcome: outcome[0])
+    for _, ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, _, value in outcomes]
+
+
+def _run_share(run, items, indices):
+    """Yield (index, ok, result or exception) for one worker's items, up to its first error."""
+    for i in indices:
+        try:
+            yield i, True, run(items[i])
+        except Exception as exc:   # a later item of this share cannot hold an earlier error
+            yield i, False, exc
+            return
+
+
+def _serve_share(parent: int, write_end: int, run, items, indices) -> None:
+    """In a forked child: pickle one share's outcomes into `write_end` and exit; never returns."""
+    status = 1
+    try:
+        prctl = getattr(ctypes.CDLL(None), "prctl", None)
+        if prctl:   # Linux: die with the parent; getppid catches one that died first
+            prctl.restype, prctl.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_ulong]
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() == parent:
+            with open(write_end, "wb") as pipe:
+                pickle.dump(list(_run_share(run, items, indices)), pipe)
+            status = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
 
 
 def row_blocks(n_rows: int) -> list[tuple[int, int]]:

@@ -1,5 +1,8 @@
+import os
+import signal
 import struct
-import threading
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -261,31 +264,143 @@ class TestColumnTiles:
         assert np.array_equal(whole, tiled)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):   # ECHILD: nothing left to reap, running or not
+        os.waitpid(-1, os.WNOHANG)
+
+
+def process_alive(pid):
+    """Whether `pid` still runs; a zombie that no parent reaps counts as dead."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def fail_at(failing):
+    """run(i) that raises NonFiniteLoss("item i") for each i in `failing`, else returns i."""
+    def run(i):
+        if i in failing:
+            raise NonFiniteLoss(f"item {i}")
+        return i
+    return run
+
+
 class TestForEach:
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_results_come_back_in_item_order(self, threads):
-        workers = set()
-
         def run(i):
-            workers.add(threading.get_ident())
             time.sleep(0.002 * (i % 3))   # later items often finish first
-            return i * i
+            return i * i, os.getpid()
 
-        assert for_each(range(20), run, threads) == [i * i for i in range(20)]
-        if blas_thread_controls() and threads > 1:
-            assert len(workers) > 1
+        results = for_each(range(20), run, threads)
+        assert [square for square, _ in results] == [i * i for i in range(20)]
+        pids = {pid for _, pid in results}
+        assert os.getpid() in pids
+        assert len(pids) == (threads if blas_thread_controls() else 1)
+
+    def test_runs_inline_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert for_each(range(4), lambda i: os.getpid(), 2) == [os.getpid()] * 4
 
     def test_first_error_in_item_order_reaches_caller_unchanged(self):
-        errors = {3: NonFiniteLoss("item 3"), 5: NonFiniteLoss("item 5")}
+        errors = {i: NonFiniteLoss(f"item {i}") for i in (2, 3, 5)}
 
         def run(i):
             if i in errors:
                 raise errors[i]
             return i
 
-        with pytest.raises(NonFiniteLoss) as info:
+        with pytest.raises(NonFiniteLoss) as info:   # item 2 is the caller's own
             for_each(range(8), run, 2)
-        assert info.value is errors[3]
+        assert info.value is errors[2]
+        del errors[2]
+        with pytest.raises(NonFiniteLoss) as info:   # items 3 and 5 run in a child: a copy comes back
+            for_each(range(8), run, 2)
+        assert type(info.value) is NonFiniteLoss and info.value.args == ("item 3",)
+
+    @needs_blas_controls
+    def test_a_childs_error_arrives_with_its_type_and_args(self):
+        def run(i):
+            if i == 1:
+                raise DuplicateId("id 7 appears more than once", i)
+            return i
+
+        with pytest.raises(DuplicateId) as info:
+            for_each(range(2), run, 2)
+        assert info.value.args == ("id 7 appears more than once", 1)
+
+    @needs_blas_controls
+    def test_a_result_larger_than_the_pipe_buffer_comes_back(self):
+        results = for_each(range(3), lambda i: np.full(1 << 17, i, dtype=np.float64), 3)
+        assert [float(r.mean()) for r in results] == [0.0, 1.0, 2.0]
+        assert_no_child_left()
+
+    @needs_blas_controls
+    @pytest.mark.parametrize("failing", [set(), {1}, {0}], ids=["none", "child", "caller"])
+    def test_no_child_outlives_the_call(self, failing):
+        run = fail_at(failing)
+        if failing:
+            with pytest.raises(NonFiniteLoss):
+                for_each(range(4), run, 2)
+        else:
+            assert for_each(range(4), run, 2) == [0, 1, 2, 3]
+        assert_no_child_left()
+
+    @needs_blas_controls
+    def test_caller_unwinding_stops_and_reaps_the_children(self):
+        def run(i):
+            if i == 0:
+                time.sleep(0.05)   # let the children start their items
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            for_each(range(3), run, 3)
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()
+
+    @needs_blas_controls
+    def test_a_child_killed_by_a_signal_is_a_child_process_error(self):
+        def run(i):
+            if i == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        with pytest.raises(ChildProcessError, match=rf"signal {int(signal.SIGKILL)} "):
+            for_each(range(2), run, 2)
+        assert_no_child_left()
+
+    @needs_blas_controls
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+    def test_a_child_dies_with_its_killed_parent(self, tmp_path):
+        pid_file = tmp_path / "child.pid"
+        script = (
+            "import os, time\n"
+            "from stylepair.embedcore import for_each\n"
+            "def run(i):\n"
+            "    if i == 1:\n"
+            f"        open({str(pid_file) + '.tmp'!r}, 'w').write(str(os.getpid()))\n"
+            f"        os.replace({str(pid_file) + '.tmp'!r}, {str(pid_file)!r})\n"
+            "    time.sleep(60)\n"
+            "for_each(range(2), run, 2)\n"
+        )
+        src = os.path.dirname(os.path.dirname(embedcore.__file__))
+        parent = subprocess.Popen([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src})
+        try:
+            deadline = time.monotonic() + 30
+            while not pid_file.exists() and time.monotonic() < deadline and parent.poll() is None:
+                time.sleep(0.02)
+        finally:
+            parent.kill()
+            parent.wait()
+        child = int(pid_file.read_text())
+        deadline = time.monotonic() + 10
+        while process_alive(child) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not process_alive(child)
 
     @pytest.mark.skipif(blas_thread_controls() is None, reason="BLAS thread controls not found")
     def test_blas_held_to_one_thread_and_restored(self):
