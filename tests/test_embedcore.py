@@ -278,15 +278,6 @@ def process_alive(pid):
         return False
 
 
-def fail_at(failing):
-    """run(i) that raises NonFiniteLoss("item i") for each i in `failing`, else returns i."""
-    def run(i):
-        if i in failing:
-            raise NonFiniteLoss(f"item {i}")
-        return i
-    return run
-
-
 class TestForEach:
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_results_come_back_in_item_order(self, threads):
@@ -340,7 +331,11 @@ class TestForEach:
     @needs_blas_controls
     @pytest.mark.parametrize("failing", [set(), {1}, {0}], ids=["none", "child", "caller"])
     def test_no_child_outlives_the_call(self, failing):
-        run = fail_at(failing)
+        def run(i):
+            if i in failing:
+                raise NonFiniteLoss(f"item {i}")
+            return i
+
         if failing:
             with pytest.raises(NonFiniteLoss):
                 for_each(range(4), run, 2)
