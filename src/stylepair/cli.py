@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import container, evaluator, matcher, styler, synthgen, trainer
-from .embedcore import EmbeddingSet, for_each, load_embeddings, save_embeddings
+from .embedcore import EmbeddingSet, for_each, hold_freed_heap, load_embeddings, save_embeddings
 from .errors import ConfigInvalid, StylePairError
 from .synthgen import SynthConfig, dataset_paths
 
@@ -69,7 +69,8 @@ def _add_train_options(parser: argparse.ArgumentParser) -> None:
     # stale queue negatives (no momentum encoder here) cost recall; off by default
     parser.add_argument("--queue-capacity", type=int, default=cfg.queue_capacity)
     parser.add_argument("--threads", type=int, default=0,
-                        help="adapters trained at once, 0 = available parallelism")
+                        help="worker processes for match, stylize and training, at most the "
+                             "CPUs this process may run on; 0 = all of them")
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -192,12 +193,13 @@ def _config_value(action, key, value):
 
 
 def _threads(args) -> int:
-    """Adapters trained at once: --threads, or for 0 the CPUs this process may run on."""
-    if args.threads:
-        return args.threads
+    """Worker processes for match, stylize and training: --threads, or for 0 all
+    the CPUs this process may run on, and never more than those CPUs."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(args.threads or cpus, cpus)
 
 
 # (option, rule its value must meet, the rule in words); a subcommand without the option skips it
@@ -253,24 +255,32 @@ def _emit_json(payload: dict, path: str | None) -> None:
 # ---- stages: one function each, shared by the subcommands and `pipeline` ----
 
 
-def match_stage(queries, pool, out, query_set, clip_set) -> matcher.PseudoPairSet:
-    pairs = matcher.match_exclusive(queries, pool)
-    pairs.query_set = query_set
-    pairs.clip_set = clip_set
-    matcher.write_pseudo_pairs(pairs, out)
-    log.info("stage=match pairs=%d mean_sim=%.4f", len(pairs), float(pairs.sims.mean()))
-    return pairs
+def match_stage(queries, pool, outs, query_sets, clip_set,
+                threads) -> list[matcher.PseudoPairSet]:
+    """Match each query set against the pool, at once in forked workers.
+
+    Pair files and log lines follow in query-set order when all are done.
+    """
+    results = for_each(queries, lambda q: matcher.match_exclusive(q, pool), threads)
+    for pairs, out, query_set in zip(results, outs, query_sets):
+        pairs.query_set = query_set
+        pairs.clip_set = clip_set
+        matcher.write_pseudo_pairs(pairs, out)
+        log.info("stage=match pairs=%d mean_sim=%.4f", len(pairs), float(pairs.sims.mean()))
+    return results
 
 
-def stylize_stage(args, queries, pool, pairs, style_outs, styled_outs, tags) -> list[EmbeddingSet]:
-    """Fit and save one style per query set, then caption the pool in every style at once."""
+def stylize_stage(args, queries, pool, pairs, style_outs, styled_outs, tags,
+                  threads) -> list[EmbeddingSet]:
+    """Fit and save one style per query set, then caption the pool in every style at once,
+    its row blocks spread over `threads` worker processes."""
     styles = []
     for style_queries, pseudo, style_out, tag in zip(queries, pairs, style_outs, tags):
         styles.append(styler.fit_style(pseudo, style_queries, pool,
                                        ridge_lambda=args.ridge_lambda,
                                        noise_sigma=args.noise_sigma, style_tag=tag))
         styler.save_style(styles[-1], style_out)
-    styled_sets = styler.generate_styled_sets(pool, styles, seed=args.seed)
+    styled_sets = styler.generate_styled_sets(pool, styles, seed=args.seed, workers=threads)
     for styled, styled_out, tag in zip(styled_sets, styled_outs, tags):
         save_embeddings(styled, styled_out)
         log.info("stage=stylize tag=%s styled=%d", tag, styled.count)
@@ -307,6 +317,7 @@ def train_stage(args, pool, gen_sets, styled_sets, runs):
             batch_size=args.batch_size, config=config, seed=args.seed,
         )
 
+    hold_freed_heap()   # else each step's matrices may fault in afresh
     results = for_each([mode for mode, _, _ in runs], fit, _threads(args))
     for (mode, out, loss_log), (model, rows) in zip(runs, results):
         trainer.save_adapter(model, out)
@@ -342,8 +353,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_match(args) -> int:
-    match_stage(load_embeddings(args.queries), load_embeddings(args.pool), args.out,
-                os.path.basename(args.queries), os.path.basename(args.pool))
+    match_stage([load_embeddings(args.queries)], load_embeddings(args.pool), [args.out],
+                [os.path.basename(args.queries)], os.path.basename(args.pool), threads=1)
     return 0
 
 
@@ -351,7 +362,8 @@ def cmd_stylize(args) -> int:
     queries = load_embeddings(args.queries)
     pool = load_embeddings(args.pool)
     pseudo = matcher.read_pseudo_pairs(args.pairs)
-    stylize_stage(args, [queries], pool, [pseudo], [args.style_out], [args.styled_out], [args.tag])
+    stylize_stage(args, [queries], pool, [pseudo], [args.style_out], [args.styled_out],
+                  [args.tag], threads=1)
     return 0
 
 
@@ -449,14 +461,14 @@ def run_pipeline(args) -> dict:
 
     zero_shot = evaluate()
     tags = [f"style{s}" for s in range(len(queries))]
-    # every match first, so no match runs beside an earlier style's stylize leftovers
-    pseudo_sets = [match_stage(style_queries, pool,
-                               os.path.join(workdir, f"pseudo_pairs_{tag}.jsonl"),
-                               f"queries_{tag}", "pool")
-                   for tag, style_queries in zip(tags, queries)]
+    threads = _threads(args)
+    pseudo_sets = match_stage(queries, pool,
+                              [os.path.join(workdir, f"pseudo_pairs_{t}.jsonl") for t in tags],
+                              [f"queries_{t}" for t in tags], "pool", threads)
     styled_sets = stylize_stage(args, queries, pool, pseudo_sets,
                                 [os.path.join(workdir, f"style_{t}.iemb") for t in tags],
-                                [os.path.join(workdir, f"styled_{t}.iemb") for t in tags], tags)
+                                [os.path.join(workdir, f"styled_{t}.iemb") for t in tags], tags,
+                                threads)
     gen_sets = [filter_stage(args, styled, pool,
                              os.path.join(workdir, f"generated_pairs_{tag}.jsonl"), tag)
                 for tag, styled in zip(tags, styled_sets)]

@@ -28,6 +28,8 @@ _FLAG_NORMALIZED = 1
 BLOCK_ROWS = 512       # fixed row block of every row-wise float64 pass
 TILE_COLS = 2048       # column tile of a streamed block product
 _PR_SET_PDEATHSIG = 1  # Linux prctl option: a signal for when the parent dies
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc mallopt parameters
+_HEAP_HOLD_BYTES = 32 << 20   # glibc's ceiling for its dynamic mmap threshold
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,22 @@ def blas_thread_controls():
         set_.restype, set_.argtypes = None, [ctypes.c_int]
         return get, set_
     return None
+
+
+def hold_freed_heap() -> None:
+    """Fix glibc malloc's mmap threshold at 32 MiB and its trim threshold at twice that.
+
+    By default a freed block of a megabyte or so goes back to the kernel
+    (unmapped, or trimmed off the heap top) and faults in zero-filled on its
+    next use, as a training step's matrices did on every step. These are the
+    values glibc's own dynamic thresholds stop at. Without mallopt
+    (another C library), nothing changes.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt:
+        mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+        mallopt(_M_MMAP_THRESHOLD, _HEAP_HOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_HOLD_BYTES)
 
 
 def for_each(items, run, threads: int = 1) -> list:

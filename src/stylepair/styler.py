@@ -8,13 +8,15 @@ similar enough to its own clip in the fixed judge space.
 """
 
 import logging
+import mmap
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import container
-from .embedcore import BLOCK_ROWS, EmbeddingSet, aligned_dots, row_blocks, unit_block
+from .embedcore import (BLOCK_ROWS, EmbeddingSet, aligned_dots, for_each, row_blocks,
+                        unit_block)
 from .errors import (ConfigInvalid, CorruptField, CountMismatch, DimMismatch, NotNormalized,
                      SingularSystem)
 from .matcher import PseudoPairSet
@@ -209,16 +211,20 @@ def _spawned_pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
 
 
 def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform],
-                         seed: int) -> list[EmbeddingSet]:
+                         seed: int, workers: int = 1) -> list[EmbeddingSet]:
     """One styled caption set per style: normalize(W v + b + noise) for each clip v.
 
     Noise for row i comes from the PCG64 generator that spawn (i,) of the
     seed would seed, so any row partition reproduces the row-by-row output
     bit for bit. It does not depend on the style: each row block's states
     are derived and its noise drawn once, and then every style maps,
-    jitters and normalizes the block. Styles must share dim_in (the pool's)
-    and dim_out (DimMismatch) and noise_sigma (ConfigInvalid). A zero
-    styled caption is a ZeroVectorRow naming its clip.
+    jitters and normalizes the block. The row blocks run through
+    embedcore.for_each on `workers` workers, each writing straight into the
+    styles' float32 outputs: anonymous shared mappings made before any
+    fork, so a forked worker sends nothing back. Styles must share dim_in
+    (the pool's) and dim_out (DimMismatch) and noise_sigma (ConfigInvalid).
+    A zero styled caption is a ZeroVectorRow naming its clip; the first
+    failing block in row order is the one reported.
     """
     if not styles:
         return []
@@ -229,10 +235,14 @@ def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform],
                               f"clips have dim {clips.dim}, style 0 maps to {dim_out}")
         if style.noise_sigma != sigma:
             raise ConfigInvalid(f"styles mix noise_sigma {sigma} and {style.noise_sigma}")
-    outs = [np.empty((clips.count, dim_out), dtype=np.float32) for _ in styles]
-    noise = np.empty((min(clips.count, BLOCK_ROWS), dim_out))
+    nbytes = 4 * clips.count * dim_out   # float32 rows; an anonymous mapping cannot be empty
+    outs = [np.ndarray((clips.count, dim_out), np.float32, mmap.mmap(-1, max(nbytes, 1)))
+            for _ in styles]
+    noise = np.empty((min(clips.count, BLOCK_ROWS), dim_out))   # one per worker, after the fork
     rng = np.random.Generator(np.random.PCG64(0))
-    for lo, hi in row_blocks(clips.count):
+
+    def stylize_block(bounds):
+        lo, hi = bounds
         block = clips.data[lo:hi].astype(np.float64)
         if sigma > 0.0:
             for row, state in zip(noise, _spawned_pcg64_states(seed, lo, hi)):
@@ -243,6 +253,8 @@ def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform],
             if sigma > 0.0:
                 rows += noise[:hi - lo]
             unit_block(clips.ids[lo:hi], rows, out[lo:hi])
+
+    for_each(row_blocks(clips.count), stylize_block, workers)
     return [EmbeddingSet(ids=clips.ids.copy(), data=out, normalized=True) for out in outs]
 
 

@@ -1,14 +1,19 @@
 import argparse
+import ctypes
 import hashlib
 import json
+import logging
 import os
 import pathlib
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from stylepair import embedcore
 from stylepair.cli import _emit_json, _threads, main
 from stylepair.embedcore import save_embeddings
 from stylepair.styler import GeneratedPairSet, read_generated_pairs, write_generated_pairs
@@ -35,6 +40,27 @@ def write_truth(path, mapping):
 SMALL_SYNTH = ["--queries-per-style", "32", "--pool-size", "192",
                "--dim", "16", "--content-dim", "6"]
 SMALL_TRAIN = ["--batch-size", "32"]
+BLOCKED_POOL = ["--pool-size", "1100"]   # three row blocks of stylize, the last one ragged
+FORK = getattr(os, "fork", None)
+forks_workers = pytest.mark.skipif(embedcore.blas_thread_controls() is None or FORK is None,
+                                   reason="the worker pool runs inline")
+
+
+def count_forks(monkeypatch, cpus, limit):
+    """Give this process `cpus` CPUs and count the children forked; past `limit` a fork fails."""
+    forks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    def counted():
+        if len(forks) >= limit:
+            raise OSError(f"fork {len(forks) + 1} is past the limit of {limit}")
+        pid = FORK()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 class TestSynthCommand:
@@ -418,9 +444,45 @@ def test_threads_zero_uses_the_cpus_this_process_may_run_on(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
     assert _threads(argparse.Namespace(threads=0)) == 2
-    assert _threads(argparse.Namespace(threads=5)) == 5
+    assert _threads(argparse.Namespace(threads=1)) == 1
+    assert _threads(argparse.Namespace(threads=5)) == 2   # never more than those CPUs
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert _threads(argparse.Namespace(threads=0)) == 64
+    assert _threads(argparse.Namespace(threads=5)) == 5
+
+
+FAULTS_PER_STEP = """
+import resource, sys
+from stylepair import cli, trainer
+faults, step = [], trainer.info_nce_loss
+def counted(*args):
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return step(*args)
+trainer.info_nce_loss = counted
+assert cli.main(sys.argv[1:]) == 0
+print((faults[-1] - faults[0]) / (len(faults) - 1), len(faults))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or getattr(ctypes.CDLL(None), "mallopt", None) is None,
+                    reason="glibc malloc on Linux")
+def test_standalone_train_does_not_fault_in_its_step_matrices_every_step(tmp_path):
+    # each step makes two (128, 128 + 1,024) float64 matrices of 1.2 MB
+    w = tmp_path / "w"
+    assert main(["pipeline", "--workdir", str(w), "--seed", "7", "--epochs", "1",
+                 "--queries-per-style", "256", "--pool-size", "4096"]) == 0
+    argv = ["train", "--pool", str(w / "data" / "pool.iemb"), "--out", str(tmp_path / "a.iemb"),
+            "--queue-capacity", "1024", "--epochs", "2", "--threads", "1"]
+    for tag in ("style0", "style1"):
+        argv += ["--styled", str(w / f"styled_{tag}.iemb"),
+                 "--pairs", str(w / f"generated_pairs_{tag}.jsonl")]
+    src = os.path.dirname(os.path.dirname(embedcore.__file__))
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    per_step, steps = out.split()
+    assert int(steps) > 40
+    assert float(per_step) < 50
 
 
 def test_json_output_refuses_non_finite_numbers(tmp_path, capsys):
@@ -528,6 +590,60 @@ class TestPipelineCommand:
             "generated_counts": rep["pair_counts"]["generated"],
             "in_style_final_loss": rep["in_style"]["final_loss"],
         })
+
+    @forks_workers
+    def test_split_match_and_stylize_write_the_serial_bytes_and_logs(self, tmp_path, caplog,
+                                                                      monkeypatch):
+        # three styles over three row blocks: every pool forks; criterion 9's 384-row pool is
+        # one block, so it never splits stylize
+        args = ["pipeline", "--styles", "3", "--seed", "7", "--epochs", "1"] + SMALL_SYNTH \
+            + BLOCKED_POOL + SMALL_TRAIN
+        caplog.set_level(logging.INFO)
+        trees, logs = [], []
+        for threads, children in [(1, 0), (2, 3), (3, 5)]:   # match, stylize, train: 1+1+1, 2+2+1
+            forks = count_forks(monkeypatch, cpus=3, limit=children)
+            caplog.clear()
+            assert main(args + ["--workdir", str(tmp_path / f"t{threads}"),
+                                "--threads", str(threads)]) == 0
+            assert len(forks) == children
+            trees.append(tree_hashes(tmp_path / f"t{threads}"))
+            logs.append([r.getMessage() for r in caplog.records
+                         if r.getMessage().startswith("stage=")])
+        assert trees[0] == trees[1] == trees[2]
+        assert logs[0] == logs[1] == logs[2]
+        stylized = [line for line in logs[0] if line.startswith("stage=stylize")]
+        assert stylized == [f"stage=stylize tag=style{s} styled=1100" for s in range(3)]
+        assert sum(line.startswith("stage=match") for line in logs[0]) == 3
+
+    @forks_workers
+    def test_threads_past_the_cpus_fork_no_more_workers(self, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch, cpus=2, limit=3)   # one child for each of three pools
+        assert main(["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "2",
+                     "--seed", "7", "--epochs", "1", "--threads", "1000000"]
+                    + SMALL_SYNTH + BLOCKED_POOL + SMALL_TRAIN) == 0
+        assert len(forks) == 3
+
+    def test_failing_stylize_blocks_report_the_serial_error_quietly(self, tmp_path, caplog,
+                                                                   capfd):
+        # every block overflows, the children's too; a child's write would reach fd 2
+        args = ["pipeline", "--styles", "2", "--seed", "7", "--epochs", "1",
+                "--noise-sigma", "1e200"] + SMALL_SYNTH + BLOCKED_POOL + SMALL_TRAIN
+        errors = []
+        for threads in (1, 2):
+            caplog.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("default")   # print warnings as a plain run would
+                rc = main(args + ["--workdir", str(tmp_path / f"t{threads}"),
+                                  "--threads", str(threads)])
+            assert rc == 1
+            errors.append([r.getMessage() for r in caplog.records
+                           if r.getMessage().startswith("error=")])
+            assert not list((tmp_path / f"t{threads}").glob("styled_*.iemb"))
+        assert errors[0] == errors[1]
+        [error] = errors[0]
+        assert error.startswith("error=NonFiniteValue detail=row id ")
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
     def test_concurrent_training_writes_the_serial_bytes(self, tmp_path):
         # three styles with queue negatives: criterion 9 covers neither

@@ -260,6 +260,26 @@ class TestGenerateStyledSets:
         with pytest.raises(ZeroVectorRow, match="row id 42 "):
             generate_styled_sets(clips, styles, seed=0)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_write_the_bits_of_one(self, workers):
+        # data of its own per case, so no freed output of an earlier call holds the rows
+        rng = np.random.default_rng(32 + workers)
+        clips = random_unit_set(rng, 1100, 16)   # three row blocks, the last one ragged
+        styles = style_list(rng, 2, 0.05, 16, 16)
+        got = [s.data.tobytes() for s in generate_styled_sets(clips, styles, 5, workers)]
+        assert got == [s.data.tobytes() for s in generate_styled_sets(clips, styles, 5)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_failing_block_in_row_order_is_raised(self, workers):
+        # rows 600 (block 1: a child's at 2 workers) and 1050 (block 2: the caller's) map to zero
+        rng = np.random.default_rng(33)
+        data = rng.normal(size=(1100, 4))
+        data[[600, 1050]] = [1.0, 0.0, 0.0, 0.0]
+        style = StyleTransform(weight=np.diag([0.0, 1.0, 1.0, 1.0]), bias=np.zeros(4),
+                               ridge_lambda=0.0, noise_sigma=0.0)
+        with pytest.raises(ZeroVectorRow, match="row id 600 "):
+            generate_styled_sets(make_set(data), [style], seed=0, workers=workers)
+
     def test_peak_holds_the_float32_outputs_and_a_few_blocks(self):
         rng = np.random.default_rng(31)
         n, k = 8_000, 3
