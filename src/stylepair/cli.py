@@ -68,9 +68,6 @@ def _add_train_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau", type=float, default=trainer.DEFAULT_TAU)
     # stale queue negatives (no momentum encoder here) cost recall; off by default
     parser.add_argument("--queue-capacity", type=int, default=cfg.queue_capacity)
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker processes for match, stylize and training, at most the "
-                             "CPUs this process may run on; 0 = all of them")
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -149,6 +146,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_stylize_options(p)
     _add_synth_options(p)
     _add_train_options(p)
+    p.add_argument("--threads", type=int, default=0,
+                   help="worker processes for match, stylize and training, at most the "
+                        "CPUs this process may run on; 0 = all of them")
 
     for name, target in created.items():
         _add_common(target, seeded=name in _SEEDED_COMMANDS)
@@ -190,16 +190,6 @@ def _config_value(action, key, value):
         return action.type(value) if action.type else value
     except OverflowError as exc:   # an int too large for a float flag
         raise ConfigInvalid(f"config key {key!r}: {exc}") from exc
-
-
-def _threads(args) -> int:
-    """Worker processes for match, stylize and training: --threads, or for 0 all
-    the CPUs this process may run on, and never more than those CPUs."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(args.threads or cpus, cpus)
 
 
 # (option, rule its value must meet, the rule in words); a subcommand without the option skips it
@@ -297,18 +287,15 @@ def filter_stage(args, styled, pool, out, tag) -> styler.GeneratedPairSet:
     return gen
 
 
-def train_stage(args, pool, gen_sets, styled_sets, runs):
+def train_stage(args, pool, gen_sets, styled_sets, runs, threads):
     """Train one fresh adapter per (mode, adapter path, loss-log path or None) in `runs`.
 
-    The runs share only read-only inputs, so they train at once in forked
-    workers; files and log lines follow in `runs` order when all are done.
+    The runs share only read-only inputs, so they train at once on `threads`
+    forked workers; files and log lines follow in `runs` order when all are done.
     """
     gather = trainer.build_training_arrays(gen_sets, styled_sets, pool)
-    config = trainer.TrainConfig(   # a queue empties every epoch: it never outgrows the pairs
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        queue_capacity=min(args.queue_capacity, sum(len(g) for g in gen_sets)),
-    )
+    config = trainer.TrainConfig(learning_rate=args.learning_rate, momentum=args.momentum,
+                                 queue_capacity=args.queue_capacity)
 
     def fit(mode):
         return trainer.train_epochs(
@@ -318,7 +305,7 @@ def train_stage(args, pool, gen_sets, styled_sets, runs):
         )
 
     hold_freed_heap()   # else each step's matrices may fault in afresh
-    results = for_each([mode for mode, _, _ in runs], fit, _threads(args))
+    results = for_each([mode for mode, _, _ in runs], fit, threads)
     for (mode, out, loss_log), (model, rows) in zip(runs, results):
         trainer.save_adapter(model, out)
         if loss_log:
@@ -406,7 +393,8 @@ def _load_style_sets(pair_paths, styled_paths):
 def cmd_train(args) -> int:
     pool = load_embeddings(args.pool)
     gen_sets, styled_sets = _load_style_sets(args.pairs, args.styled)
-    train_stage(args, pool, gen_sets, styled_sets, [(args.mode, args.out, args.loss_log)])
+    train_stage(args, pool, gen_sets, styled_sets, [(args.mode, args.out, args.loss_log)],
+                threads=1)
     return 0
 
 
@@ -461,14 +449,13 @@ def run_pipeline(args) -> dict:
 
     zero_shot = evaluate()
     tags = [f"style{s}" for s in range(len(queries))]
-    threads = _threads(args)
     pseudo_sets = match_stage(queries, pool,
                               [os.path.join(workdir, f"pseudo_pairs_{t}.jsonl") for t in tags],
-                              [f"queries_{t}" for t in tags], "pool", threads)
+                              [f"queries_{t}" for t in tags], "pool", args.threads)
     styled_sets = stylize_stage(args, queries, pool, pseudo_sets,
                                 [os.path.join(workdir, f"style_{t}.iemb") for t in tags],
                                 [os.path.join(workdir, f"styled_{t}.iemb") for t in tags], tags,
-                                threads)
+                                args.threads)
     gen_sets = [filter_stage(args, styled, pool,
                              os.path.join(workdir, f"generated_pairs_{tag}.jsonl"), tag)
                 for tag, styled in zip(tags, styled_sets)]
@@ -476,7 +463,7 @@ def run_pipeline(args) -> dict:
     modes = [trainer.MODE_IN_STYLE] + ([trainer.MODE_MIXED] if cfg.n_styles > 1 else [])
     trained = train_stage(args, pool, gen_sets, styled_sets, [
         (mode, os.path.join(workdir, f"adapter_{mode}.iemb"),
-         os.path.join(workdir, f"loss_{mode}.csv")) for mode in modes])
+         os.path.join(workdir, f"loss_{mode}.csv")) for mode in modes], args.threads)
 
     config = {**asdict(cfg), "match_order": matcher.ORDER_QUERY_ID}
     config.update({key: getattr(args, key) for key in (
@@ -493,7 +480,7 @@ def run_pipeline(args) -> dict:
     for mode, (model, rows) in zip(modes, trained):
         section = evaluate(model)
         section["steps"] = len(rows)
-        section["final_loss"] = rows[-1].loss if rows else None
+        section["final_loss"] = rows[-1].loss
         report[mode] = section
     return report
 

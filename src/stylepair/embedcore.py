@@ -157,17 +157,23 @@ def hold_freed_heap() -> None:
 def for_each(items, run, threads: int = 1) -> list:
     """Return [run(item) for item in items], computed on up to `threads` workers.
 
-    The caller runs items 0, w, 2w, ... and each of w - 1 forked children
-    its own share, sent back pickled through a pipe. Results come back in
-    item order, and the first error in item order reaches the caller (a
-    child's as a copy); a child that ends without a result is a
-    ChildProcessError. No child outlives the call. While workers run, BLAS
-    is held to one thread, so they do not oversubscribe the cores; where
-    that cannot be done, or without os.fork, everything runs inline.
+    `threads` 0 means every CPU this process may run on, and no value gets
+    more workers than those CPUs or than the items. The caller runs items
+    0, w, 2w, ... and each of w - 1 forked children its own share, sent
+    back pickled through a pipe. Results come back in item order, and the
+    first error in item order reaches the caller (a child's as a copy); a
+    child that ends without a result is a ChildProcessError. No child
+    outlives the call. While workers run, BLAS is held to one thread, so
+    they do not oversubscribe the cores; where that cannot be done, or
+    without os.fork, everything runs inline.
     """
     items = list(items)
     blas = blas_thread_controls()
-    workers = min(threads, len(items)) if blas and hasattr(os, "fork") else 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(threads or cpus, cpus, len(items)) if blas and hasattr(os, "fork") else 1
     if workers <= 1:
         return [run(item) for item in items]
     get, set_ = blas

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, column_tiles, row_blocks
+from .embedcore import BLOCK_ROWS, EmbeddingSet, column_tiles, row_blocks
 from .errors import DimMismatch, DuplicateId, EmptyStyleSet, NotNormalized, PoolExhausted
 
 ORDER_QUERY_ID = "query_id"   # the one processing order; recorded in pair-file headers
@@ -58,25 +58,24 @@ class PseudoPairSet:
         return len(self.query_ids)
 
 
-def _tile_entries(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarray):
-    """Stream the block's column tiles and keep the entries of rows start..
+def _shortlists(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarray,
+                prod_buf: np.ndarray, keep_buf: np.ndarray):
+    """Shortlists of rows start.. of a float64 query block against the pool.
 
-    Returns one (rows, cols, sims) triple per tile, each row-major, and the
-    thresholds as an (n, 1) column. Tiles before the one that sets the
+    Returns (ptr, cols, sims, theta), ptr and theta as lists: row start + k
+    holds cols[ptr[k]:ptr[k + 1]], ascending, their sims, and its threshold
+    theta[k]. Each column tile's product goes into the flat float64
+    `prod_buf` and its keep mask into the flat bool `keep_buf`, each at
+    least a block by the widest tile. Tiles before the one that sets the
     thresholds keep every unclaimed entry, some of them below it. The
     products cover the whole block, so they carry its bits whichever rows
-    are kept. The tile buffers are freed on return, before the caller
-    groups the entries by row.
+    are kept.
     """
     n = block.shape[0] - start
-    tiles = column_tiles(pool.shape[0])
-    widest = max(c1 - c0 for c0, c1 in tiles)
-    prod_buf = np.empty(block.shape[0] * widest)
-    keep_buf = np.empty(n * widest, dtype=bool)
     theta = np.full((n, 1), np.finfo(np.float64).min)   # keeps every unclaimed entry
     theta_set = False
     entries = []
-    for c0, c1 in tiles:
+    for c0, c1 in column_tiles(pool.shape[0]):
         w = c1 - c0
         prod = np.matmul(block, pool[c0:c1].astype(np.float64).T,
                          out=prod_buf[:block.shape[0] * w].reshape(-1, w))[start:]
@@ -89,21 +88,10 @@ def _tile_entries(block: np.ndarray, start: int, pool: np.ndarray, taken: np.nda
         flat = np.flatnonzero(np.greater_equal(prod, theta, out=keep_buf[:n * w].reshape(n, w)))
         row, col = np.divmod(flat, w)
         entries.append((row.astype(np.int32), (col + c0).astype(np.int32), prod.ravel()[flat]))
-    return entries, theta
-
-
-def _shortlists(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarray):
-    """Shortlists of rows start.. of a float64 query block against the pool.
-
-    Returns (ptr, cols, sims, theta), ptr and theta as lists: row start + k
-    holds cols[ptr[k]:ptr[k + 1]], ascending, their sims, and its threshold
-    theta[k].
-    """
-    entries, theta = _tile_entries(block, start, pool, taken)
     rows, cols, sims = (np.concatenate(part) for part in zip(*entries))
     del entries
     order = np.argsort(rows, kind="stable")   # per row, tiles and columns stay ascending
-    ptr = [0, *np.cumsum(np.bincount(rows, minlength=len(theta))).tolist()]
+    ptr = [0, *np.cumsum(np.bincount(rows, minlength=n)).tolist()]
     return ptr, cols[order], sims[order], theta.ravel().tolist()
 
 
@@ -127,12 +115,15 @@ def match_exclusive(queries: EmbeddingSet, clips: EmbeddingSet) -> PseudoPairSet
     chosen_col = np.empty(n_q, dtype=np.int64)
     chosen_sim = np.empty(n_q, dtype=np.float64)
     taken = np.zeros(n_c, dtype=bool)
+    size = min(n_q, BLOCK_ROWS) * max(c1 - c0 for c0, c1 in column_tiles(n_c))
+    prod_buf, keep_buf = np.empty(size), np.empty(size, dtype=bool)
 
     for lo, hi in row_blocks(n_q):
         block = queries.data[lo:hi].astype(np.float64)
         qi = lo
         while qi < hi:
-            ptr, cols, sims, theta = _shortlists(block, qi - lo, clips.data, taken)
+            ptr, cols, sims, theta = _shortlists(block, qi - lo, clips.data, taken,
+                                                 prod_buf, keep_buf)
             for k, threshold in enumerate(theta):
                 short = cols[ptr[k]:ptr[k + 1]]
                 free = np.where(taken[short], -np.inf, sims[ptr[k]:ptr[k + 1]])

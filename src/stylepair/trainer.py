@@ -13,7 +13,7 @@ so training is bit-deterministic for any worker count.
 import csv
 import os
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -426,9 +426,12 @@ def train_epochs(
 
     `rows` maps a batch's global pair indices to its (texts, videos), as
     build_training_arrays returns it; each batch is gathered as it is trained.
+    A queue empties every epoch, so its capacity is capped at the pairs.
     """
     if epochs < 1:
         raise ConfigInvalid("epochs must be at least 1")
+    config = replace(config, queue_capacity=min(config.queue_capacity,
+                                                sum(len(s) for s in style_sets)))
     all_rows: list[StepRecord] = []
     for epoch in range(epochs):
         batches = plan_epoch(style_sets, batch_size, mode=mode, seed=_epoch_seed(seed, epoch))

@@ -12,6 +12,26 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 needs_blas_controls = pytest.mark.skipif(blas_thread_controls() is None,
                                          reason="BLAS thread controls not found")
+FORK = getattr(os, "fork", None)
+forks_workers = pytest.mark.skipif(blas_thread_controls() is None or FORK is None,
+                                   reason="the worker pool runs inline")
+
+
+def count_forks(monkeypatch, cpus, limit):
+    """Give this process `cpus` CPUs and count the children forked; past `limit` a fork fails."""
+    forks = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    def counted():
+        if len(forks) >= limit:
+            raise OSError(f"fork {len(forks) + 1} is past the limit of {limit}")
+        pid = FORK()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 def at_blas_threads(count, compute):

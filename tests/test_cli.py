@@ -1,4 +1,3 @@
-import argparse
 import ctypes
 import hashlib
 import json
@@ -14,12 +13,12 @@ import numpy as np
 import pytest
 
 from stylepair import embedcore
-from stylepair.cli import _emit_json, _threads, main
+from stylepair.cli import _emit_json, main
 from stylepair.embedcore import save_embeddings
 from stylepair.styler import GeneratedPairSet, read_generated_pairs, write_generated_pairs
 from stylepair.trainer import init_adapter, save_adapter
 
-from conftest import golden, make_set, random_unit_set
+from conftest import count_forks, forks_workers, golden, make_set, random_unit_set
 
 
 def tree_hashes(root):
@@ -41,26 +40,6 @@ SMALL_SYNTH = ["--queries-per-style", "32", "--pool-size", "192",
                "--dim", "16", "--content-dim", "6"]
 SMALL_TRAIN = ["--batch-size", "32"]
 BLOCKED_POOL = ["--pool-size", "1100"]   # three row blocks of stylize, the last one ragged
-FORK = getattr(os, "fork", None)
-forks_workers = pytest.mark.skipif(embedcore.blas_thread_controls() is None or FORK is None,
-                                   reason="the worker pool runs inline")
-
-
-def count_forks(monkeypatch, cpus, limit):
-    """Give this process `cpus` CPUs and count the children forked; past `limit` a fork fails."""
-    forks = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-    def counted():
-        if len(forks) >= limit:
-            raise OSError(f"fork {len(forks) + 1} is past the limit of {limit}")
-        pid = FORK()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
 
 
 class TestSynthCommand:
@@ -178,26 +157,15 @@ class TestStageCommands:
             f"error=MemoryError detail={detail}"]
         assert "Traceback" not in caplog.text
 
-    def test_negative_threads_exit_2(self, data_dir, tmp_path, caplog):
-        queries = str(data_dir / "queries_style0.iemb")
-        pool = str(data_dir / "pool.iemb")
-        d = tmp_path
-        assert main(["match", "--queries", queries, "--pool", pool,
-                     "--out", str(d / "pseudo.jsonl")]) == 0
-        assert main(["stylize", "--queries", queries, "--pool", pool,
-                     "--pairs", str(d / "pseudo.jsonl"), "--style-out", str(d / "style.iemb"),
-                     "--styled-out", str(d / "styled.iemb")]) == 0
-        assert main(["filter", "--styled", str(d / "styled.iemb"), "--pool", pool,
-                     "--out", str(d / "gen.jsonl")]) == 0
-        rc = main(["train", "--pool", pool, "--styled", str(d / "styled.iemb"),
-                   "--pairs", str(d / "gen.jsonl"), "--out", str(d / "adapter.iemb"),
-                   "--threads", "-5"] + SMALL_TRAIN)
+    def test_negative_threads_exit_2(self, tmp_path, caplog):
+        w = tmp_path / "w"
+        rc = main(["pipeline", "--workdir", str(w), "--threads", "-5"] + SMALL_SYNTH)
         assert rc == 2
         assert "error=ConfigInvalid" in caplog.text
-        assert not (d / "adapter.iemb").exists()
+        assert not w.exists()
 
     def test_threads_only_on_commands_that_train(self, data_dir, tmp_path, capsys):
-        # --threads only on train and pipeline; --seed only where a stage draws randomness
+        # --threads only on pipeline; --seed only where a stage draws randomness
         out = tmp_path / "out"
         match = ["match", "--queries", str(data_dir / "queries_style0.iemb"),
                  "--pool", str(data_dir / "pool.iemb"), "--out", str(out)]
@@ -205,6 +173,8 @@ class TestStageCommands:
                   "--pool", str(data_dir / "pool.iemb")]
         cases = [
             (match + ["--threads", "2"], "--threads 2"),
+            (["train", *styled, "--pairs", str(out), "--out", str(out), "--threads", "2"],
+             "--threads 2"),
             (match + ["--seed", "1"], "--seed 1"),
             (["filter", *styled, "--out", str(out), "--seed", "1"], "--seed 1"),
             (["sweep", *styled, "--out", str(out), "--seed", "1"], "--seed 1"),
@@ -440,17 +410,6 @@ class TestStageCommands:
         assert capsys.readouterr().out == ""
 
 
-def test_threads_zero_uses_the_cpus_this_process_may_run_on(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    assert _threads(argparse.Namespace(threads=0)) == 2
-    assert _threads(argparse.Namespace(threads=1)) == 1
-    assert _threads(argparse.Namespace(threads=5)) == 2   # never more than those CPUs
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _threads(argparse.Namespace(threads=0)) == 64
-    assert _threads(argparse.Namespace(threads=5)) == 5
-
-
 FAULTS_PER_STEP = """
 import resource, sys
 from stylepair import cli, trainer
@@ -473,7 +432,7 @@ def test_standalone_train_does_not_fault_in_its_step_matrices_every_step(tmp_pat
     assert main(["pipeline", "--workdir", str(w), "--seed", "7", "--epochs", "1",
                  "--queries-per-style", "256", "--pool-size", "4096"]) == 0
     argv = ["train", "--pool", str(w / "data" / "pool.iemb"), "--out", str(tmp_path / "a.iemb"),
-            "--queue-capacity", "1024", "--epochs", "2", "--threads", "1"]
+            "--queue-capacity", "1024", "--epochs", "2"]
     for tag in ("style0", "style1"):
         argv += ["--styled", str(w / f"styled_{tag}.iemb"),
                  "--pairs", str(w / f"generated_pairs_{tag}.jsonl")]
@@ -494,9 +453,10 @@ def test_json_output_refuses_non_finite_numbers(tmp_path, capsys):
 
 class TestConfigPrecedence:
     def test_config_file_sets_defaults_and_flags_win(self, tmp_path):
+        # `threads` names only pipeline's flag, and loads for synth too
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 3, "styles": 1, "queries_per_style": 32,
-                                   "pool_size": 192, "dim": 16, "content_dim": 6}))
+                                   "pool_size": 192, "dim": 16, "content_dim": 6, "threads": 2}))
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         assert main(["synth", "--out", str(a), "--config", str(cfg)]) == 0
         assert main(["synth", "--out", str(b), "--seed", "3", "--styles", "1",

@@ -33,7 +33,8 @@ from stylepair.errors import (
     ZeroVectorRow,
 )
 
-from conftest import at_blas_threads, make_set, needs_blas_controls, random_unit_set, traced_peak
+from conftest import (at_blas_threads, count_forks, forks_workers, make_set, needs_blas_controls,
+                      random_unit_set, traced_peak)
 
 
 def cosine_oracle(a, b):
@@ -280,7 +281,9 @@ def process_alive(pid):
 
 class TestForEach:
     @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_results_come_back_in_item_order(self, threads):
+    def test_results_come_back_in_item_order(self, threads, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
         def run(i):
             time.sleep(0.002 * (i % 3))   # later items often finish first
             return i * i, os.getpid()
@@ -290,6 +293,26 @@ class TestForEach:
         pids = {pid for _, pid in results}
         assert os.getpid() in pids
         assert len(pids) == (threads if blas_thread_controls() else 1)
+
+    @forks_workers
+    def test_threads_past_the_cpus_fork_no_more_workers(self, monkeypatch):
+        forks = count_forks(monkeypatch, cpus=2, limit=1)
+        assert for_each(range(8), lambda i: i, 8) == list(range(8))
+        assert len(forks) == 1
+
+    @forks_workers
+    def test_threads_zero_uses_the_cpus_this_process_may_run_on(self, monkeypatch):
+        def workers(threads):
+            return len(set(for_each(range(8), lambda i: os.getpid(), threads)))
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert workers(0) == 2
+        assert workers(1) == 1
+        assert workers(5) == 2   # never more than those CPUs
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert workers(0) == 8   # all 64, capped at the items
+        assert workers(5) == 5
 
     def test_runs_inline_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")

@@ -197,10 +197,10 @@ def shortlist_builds(monkeypatch):
     starts = []
     build = matcher._shortlists
 
-    def counted(block, start, pool, taken):
+    def counted(block, start, pool, taken, *buffers):
         starts.append(start)
         assert len(starts) <= 64, "shortlist rebuilds make no progress"
-        return build(block, start, pool, taken)
+        return build(block, start, pool, taken, *buffers)
 
     monkeypatch.setattr(matcher, "_shortlists", counted)
     return starts

@@ -498,16 +498,17 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", ["in_style", "mixed"])
     def test_a_capacity_past_every_pair_trains_like_one_of_all_pairs(self, mode):
-        # a queue empties every epoch, so it never holds more than the epoch's pairs
+        # a queue empties every epoch, so it never holds more than the epoch's pairs;
+        # 2**40 rows would not fit in memory
         sets, texts, videos = separable_fixture(np.random.default_rng(12))
-        runs = [train_epochs(init_adapter(8), sets, row_gather(texts, videos), mode=mode,
-                             epochs=2, batch_size=4, config=TrainConfig(queue_capacity=capacity),
-                             seed=3)
-                for capacity in (len(texts), 7 * len(texts))]
-        (a, rows_a), (b, rows_b) = runs
-        assert np.array_equal(a.text_head, b.text_head)
-        assert np.array_equal(a.video_head, b.video_head)
-        assert [r.loss for r in rows_a] == [r.loss for r in rows_b]
+        (a, rows_a), *runs = [
+            train_epochs(init_adapter(8), sets, row_gather(texts, videos), mode=mode, epochs=2,
+                         batch_size=4, config=TrainConfig(queue_capacity=capacity), seed=3)
+            for capacity in (len(texts), 7 * len(texts), 2**40)]
+        for b, rows_b in runs:
+            assert np.array_equal(a.text_head, b.text_head)
+            assert np.array_equal(a.video_head, b.video_head)
+            assert [r.loss for r in rows_a] == [r.loss for r in rows_b]
 
     def test_queue_capacity_trims_fifo(self):
         rng = np.random.default_rng(14)
@@ -635,11 +636,11 @@ class TestBuildTrainingArrays:
     def test_training_writes_the_bytes_of_the_copy_path(self, tmp_path, threads):
         pool, gen_sets, styled_sets = unaligned_style_sets(np.random.default_rng(22))
         args = argparse.Namespace(learning_rate=0.3, momentum=0.9, queue_capacity=24,
-                                  tau=0.05, epochs=2, batch_size=16, seed=5, threads=threads)
+                                  tau=0.05, epochs=2, batch_size=16, seed=5)
         modes = ["in_style", "mixed"]
         cli.train_stage(args, pool, gen_sets, styled_sets, [
             (mode, tmp_path / f"adapter_{mode}.iemb", tmp_path / f"loss_{mode}.csv")
-            for mode in modes])
+            for mode in modes], threads)
         config = TrainConfig(learning_rate=0.3, momentum=0.9, queue_capacity=24)
         for mode in modes:
             model, rows = train_epochs(init_adapter(pool.dim), gen_sets,
