@@ -81,22 +81,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         description="Build styled text-video pairs from unpaired text and train retrieval adapters",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    created = {}
-
-    def add_parser(name, **kwargs):
-        created[name] = p = sub.add_parser(name, **kwargs)
-        return p
-
-    p = add_parser("synth", help="generate the seeded synthetic benchmark")
+    p = sub.add_parser("synth", help="generate the seeded synthetic benchmark")
     p.add_argument("--out", required=True, help="output directory")
     _add_synth_options(p)
 
-    p = add_parser("match", help="exclusive pseudo-matching of queries to pool clips")
+    p = sub.add_parser("match", help="exclusive pseudo-matching of queries to pool clips")
     p.add_argument("--queries", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True, help="pseudo-pair JSONL path")
 
-    p = add_parser("stylize", help="fit the style map and caption the whole pool")
+    p = sub.add_parser("stylize", help="fit the style map and caption the whole pool")
     p.add_argument("--queries", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--pairs", required=True, help="pseudo-pair JSONL from `match`")
@@ -105,20 +99,20 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     _add_stylize_options(p)
     p.add_argument("--tag", default="")
 
-    p = add_parser("filter", help="keep styled captions similar to their own clip")
+    p = sub.add_parser("filter", help="keep styled captions similar to their own clip")
     p.add_argument("--styled", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--out", required=True, help="generated-pair JSONL path")
     _add_filter_options(p)
 
-    p = add_parser("sweep", help="retention counts over a threshold grid")
+    p = sub.add_parser("sweep", help="retention counts over a threshold grid")
     p.add_argument("--styled", required=True)
     p.add_argument("--pool", required=True)
     p.add_argument("--thresholds", default=DEFAULT_SWEEP_GRID,
                    help="comma-separated ascending thresholds")
     p.add_argument("--out", help="optional JSON output path")
 
-    p = add_parser("train", help="train adapter heads on generated pairs")
+    p = sub.add_parser("train", help="train adapter heads on generated pairs")
     p.add_argument("--pool", required=True)
     p.add_argument("--styled", action="append", required=True,
                    help="styled caption embeddings, once per style")
@@ -130,7 +124,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                    default=trainer.MODE_IN_STYLE)
     _add_train_options(p)
 
-    p = add_parser("eval", help="recall and median-rank retrieval report")
+    p = sub.add_parser("eval", help="recall and median-rank retrieval report")
     p.add_argument("--captions", required=True)
     p.add_argument("--candidates", required=True)
     p.add_argument("--truth", required=True)
@@ -139,7 +133,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--no-ranks", action="store_true", help="omit per-query ranks")
     p.add_argument("--ranks-csv", help="optional per-query rank CSV path")
 
-    p = add_parser("pipeline", help="run every stage end to end and compare")
+    p = sub.add_parser("pipeline", help="run every stage end to end and compare")
     p.add_argument("--workdir", required=True)
     p.add_argument("--data-dir", help="reuse an existing dataset directory")
     _add_filter_options(p)
@@ -150,10 +144,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                    help="worker processes for match, stylize and training, at most the "
                         "CPUs this process may run on; 0 = all of them")
 
-    for name, target in created.items():
+    for name, target in sub.choices.items():
         _add_common(target, seeded=name in _SEEDED_COMMANDS)
     if defaults:
-        _install_config(created.values(), defaults)
+        _install_config(sub.choices.values(), defaults)
     return parser
 
 
@@ -376,8 +370,7 @@ def cmd_sweep(args) -> int:
     styled = load_embeddings(args.styled)
     pool = load_embeddings(args.pool)
     rows = styler.threshold_sweep(styled, pool, grid)
-    _emit_json({"rows": [{"threshold": r.threshold, "kept": r.kept, "rate": r.rate}
-                         for r in rows]}, args.out)
+    _emit_json({"rows": [asdict(r) for r in rows]}, args.out)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Text-to-video retrieval metrics: recall at 1/5/10 and median rank."""
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,15 +21,9 @@ class RetrievalReport:
     per_query_ranks: list[int]
 
     def to_dict(self, include_ranks: bool = True) -> dict:
-        out = {
-            "r1": self.r1,
-            "r5": self.r5,
-            "r10": self.r10,
-            "median_rank": self.median_rank,
-            "query_count": self.query_count,
-        }
-        if include_ranks:
-            out["per_query_ranks"] = self.per_query_ranks
+        out = asdict(self)
+        if not include_ranks:
+            del out["per_query_ranks"]
         return out
 
 

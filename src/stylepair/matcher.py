@@ -150,5 +150,9 @@ def write_pseudo_pairs(pairs: PseudoPairSet, path: str | os.PathLike) -> None:
 
 def read_pseudo_pairs(path: str | os.PathLike) -> PseudoPairSet:
     header, cols = container.read_records(path, "pseudo_pairs", RECORD_FIELDS, HEADER_FIELDS)
-    return PseudoPairSet(query_ids=cols["query_id"], clip_ids=cols["clip_id"], sims=cols["sim"],
-                         query_set=header["query_set"], clip_set=header["clip_set"])
+    try:
+        return PseudoPairSet(query_ids=cols["query_id"], clip_ids=cols["clip_id"],
+                             sims=cols["sim"], query_set=header["query_set"],
+                             clip_set=header["clip_set"])
+    except DuplicateId as exc:
+        raise DuplicateId(f"{path}: {exc}") from exc

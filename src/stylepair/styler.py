@@ -264,8 +264,9 @@ def generate_styled(clips: EmbeddingSet, style: StyleTransform, seed: int) -> Em
 
 
 def _aligned_sims(styled: EmbeddingSet, clips: EmbeddingSet) -> np.ndarray:
-    if styled.count != clips.count:
-        raise CountMismatch(f"{styled.count} styled rows vs {clips.count} clips")
+    if not np.array_equal(styled.ids, clips.ids):
+        raise CountMismatch(f"the {styled.count} styled rows were not made from these "
+                            f"{clips.count} clips: their ids differ")
     if styled.dim != clips.dim:
         raise DimMismatch(f"dims differ: {styled.dim} vs {clips.dim}")
     if not styled.normalized or not clips.normalized:

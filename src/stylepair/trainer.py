@@ -69,12 +69,7 @@ class AdapterModel:
             raise NonFiniteLoss("adapter weights became non-finite")
 
     def copy(self) -> "AdapterModel":
-        return AdapterModel(
-            text_head=self.text_head.copy(),
-            video_head=self.video_head.copy(),
-            tau=self.tau,
-            step_count=self.step_count,
-        )
+        return replace(self, text_head=self.text_head.copy(), video_head=self.video_head.copy())
 
 
 def init_adapter(dim: int, tau: float = DEFAULT_TAU) -> AdapterModel:
@@ -280,19 +275,14 @@ def plan_epoch(
             ])
         counts = [len(b) for b in per_set]
         total = sum(counts)
-        credit = [0.0] * len(sizes)
-        cursor = [0] * len(sizes)
+        credit = [0] * len(sizes)
+        batch_iters = [iter(b) for b in per_set]
+        # smooth weighted round-robin: over `total` rounds set s wins exactly counts[s] times
         for _ in range(total):
-            for s in range(len(sizes)):
-                if cursor[s] < counts[s]:
-                    credit[s] += counts[s]
-            best = max(
-                (s for s in range(len(sizes)) if cursor[s] < counts[s]),
-                key=lambda s: (credit[s], -s),
-            )
+            credit = [c + n for c, n in zip(credit, counts)]
+            best = max(range(len(sizes)), key=lambda s: (credit[s], -s))
             credit[best] -= total
-            batches.append((tags[best], per_set[best][cursor[best]]))
-            cursor[best] += 1
+            batches.append((tags[best], next(batch_iters[best])))
     else:
         n_pairs = sum(sizes)
         if batch_size > n_pairs:
@@ -468,6 +458,8 @@ def load_adapter(path: str | os.PathLike) -> AdapterModel:
         w_v = container.read_array(f, "<f4", proj_dim * dim, "video head")
     if not 0.0 < tau < np.inf:
         raise CorruptField(f"{path}: tau {tau} must be positive and finite")
+    if not (np.isfinite(w_t).all() and np.isfinite(w_v).all()):
+        raise CorruptField(f"{path}: a head weight is not finite")
     return AdapterModel(
         text_head=w_t.reshape(proj_dim, dim).astype(np.float64),
         video_head=w_v.reshape(proj_dim, dim).astype(np.float64),

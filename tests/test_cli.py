@@ -469,7 +469,7 @@ class TestConfigPrecedence:
         assert tree_hashes(c) != tree_hashes(a)
 
     @pytest.mark.parametrize("values", [{"epoch": 9}, {"epochs": 2.5}, {"threshold": None},
-                                        {"mode": "bogus"}])
+                                        {"mode": "bogus"}, {"no_ranks": "yes"}])
     def test_unknown_key_or_wrong_type_exits_2_naming_the_key(self, tmp_path, caplog, values):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
@@ -508,6 +508,23 @@ class TestConfigPrecedence:
         assert rc == 2
         assert ("error=MissingInput" if text is None else "error=ConfigInvalid") in caplog.text
         assert not (tmp_path / "out").exists()
+
+    def test_config_switch_acts_like_the_flag(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "7", "--styles", "1"]
+                    + SMALL_SYNTH) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"no_ranks": True}))
+        argv = ["eval", "--captions", str(data / "test_captions_style0.iemb"),
+                "--candidates", str(data / "test_clips.iemb"), "--truth", str(data / "truth.jsonl")]
+        reports = []
+        for extra in ([], ["--no-ranks"], ["--config", str(cfg)]):
+            capsys.readouterr()
+            assert main(argv + extra) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        with_ranks = reports[0]
+        assert with_ranks.pop("per_query_ranks")
+        assert reports[1] == reports[2] == with_ranks
 
     def test_config_numbers_act_like_the_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"

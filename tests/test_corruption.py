@@ -18,6 +18,7 @@ import pytest
 
 from stylepair import cli, errors
 from stylepair.cli import main
+from stylepair.embedcore import EmbeddingSet, load_embeddings, save_embeddings
 from stylepair.trainer import init_adapter, save_adapter
 
 SMALL_SYNTH = ["--queries-per-style", "32", "--pool-size", "192",
@@ -185,6 +186,8 @@ INCONSISTENT = [
                  id="pseudo-query-not-in-queries"),
     pytest.param("pseudo_pairs", 1, set_key("clip_id", 7), "UnknownCandidate",
                  id="pseudo-clip-not-in-pool"),
+    pytest.param("pseudo_pairs", 2, set_key("query_id", 0), "DuplicateId",   # line 1's query
+                 id="pseudo-repeated-query-id"),
     pytest.param("generated_pairs", 0, set_key("threshold", 0.99), "CorruptField",
                  id="generated-threshold-above-a-sim"),
     pytest.param("generated_pairs", 1, set_key("sim", 0.1), "CorruptField",
@@ -203,6 +206,8 @@ def test_bad_jsonl_is_a_typed_error(chain, tmp_path, caplog, capsys, kind, line_
     (tmp_path / "out").mkdir()
     argv = command(chain, bad, tmp_path / "out")
     assert run_case(tmp_path, caplog, capsys, argv) == error
+    if error == "DuplicateId":
+        assert str(bad) in caplog.text
 
 
 def test_empty_file_is_a_typed_error(chain, tmp_path, caplog, capsys):
@@ -220,6 +225,18 @@ def test_same_pair_file_twice_is_config_invalid(chain, tmp_path, caplog, capsys)
     assert run_case(tmp_path, caplog, capsys, argv) == "ConfigInvalid"
 
 
+def test_styled_set_from_another_pool_is_count_mismatch(chain, tmp_path, caplog, capsys):
+    """The same pool with every id moved: filter and sweep must not pair row i with clip i."""
+    (tmp_path / "out").mkdir()
+    pool = load_embeddings(chain / "data" / "pool.iemb")
+    moved = tmp_path / "moved_pool.iemb"
+    save_embeddings(EmbeddingSet(ids=pool.ids + 5_000_000, data=pool.data, normalized=True), moved)
+    for command in ("filter", "sweep"):
+        argv = [command, "--styled", str(chain / "styled.iemb"), "--pool", str(moved),
+                "--out", str(tmp_path / "out" / command)]
+        assert run_case(tmp_path, caplog, capsys, argv) == "CountMismatch"
+
+
 def patched_copy(chain, tmp_path, name, offset, fmt, *values):
     raw_bytes = bytearray((chain / name).read_bytes())
     struct.pack_into(fmt, raw_bytes, offset, *values)
@@ -230,7 +247,9 @@ def patched_copy(chain, tmp_path, name, offset, fmt, *values):
 
 
 TAU_AT = 12 + 8   # magic, version, tag, then proj_dim:u32 dim:u32
+HEADS_AT = TAU_AT + 16   # tau:f64 step_count:u64, then the text head and the video head
 IDS_AT = 8 + 16   # magic, version, then count:u64 dim:u32 flags:u32
+FLAGS_AT = IDS_AT - 4
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.05, float("nan"), float("inf")])
@@ -239,6 +258,18 @@ def test_adapter_with_bad_tau_is_corrupt(chain, tmp_path, caplog, capsys, tau):
     bad = patched_copy(chain, tmp_path, "adapter.iemb", TAU_AT, "<d", tau)
     argv = eval_cmd(chain, chain / "data" / "truth.jsonl", tmp_path / "out", adapter=bad)
     assert run_case(tmp_path, caplog, capsys, argv) == "CorruptField"
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("-inf")])
+@pytest.mark.parametrize("head", ["text", "video"])
+def test_adapter_with_non_finite_weight_is_corrupt(chain, tmp_path, caplog, capsys, weight,
+                                                    head):
+    (tmp_path / "out").mkdir()
+    at = HEADS_AT if head == "text" else (chain / "adapter.iemb").stat().st_size - 4
+    bad = patched_copy(chain, tmp_path, "adapter.iemb", at, "<f", weight)
+    argv = eval_cmd(chain, chain / "data" / "truth.jsonl", tmp_path / "out", adapter=bad)
+    assert run_case(tmp_path, caplog, capsys, argv) == "CorruptField"
+    assert str(bad) in caplog.text
 
 
 def test_adapter_of_another_dim_is_dim_mismatch(chain, tmp_path, caplog, capsys):
@@ -259,6 +290,33 @@ def test_embeddings_with_bad_ids_are_corrupt(chain, tmp_path, caplog, capsys, pa
     bad = patched_copy(chain, tmp_path, "data/queries_style0.iemb", *patch)
     argv = match_cmd(chain, bad, tmp_path / "out")
     assert run_case(tmp_path, caplog, capsys, argv) == "CorruptField"
+
+
+def header_only_pairs(chain, tmp_path):
+    bad = tmp_path / "pairs.jsonl"
+    bad.write_bytes((chain / "pairs.jsonl").read_bytes().splitlines(keepends=True)[0])
+    return stylize_cmd(chain, bad, tmp_path / "out")
+
+
+def styled_twice_pairs_once(chain, tmp_path):
+    return train_cmd(chain, chain / "gen.jsonl", tmp_path / "out") + [
+        "--styled", str(chain / "styled.iemb")]
+
+
+def captions_not_normalized(chain, tmp_path):
+    bad = patched_copy(chain, tmp_path, "data/test_captions_style0.iemb", FLAGS_AT, "<I", 0)
+    argv = eval_cmd(chain, chain / "data" / "truth.jsonl", tmp_path / "out")
+    argv[argv.index("--captions") + 1] = str(bad)
+    return argv
+
+
+# well-formed inputs that the stage reading them cannot use
+@pytest.mark.parametrize("case,error", [(header_only_pairs, "SingularSystem"),
+                                        (styled_twice_pairs_once, "ConfigInvalid"),
+                                        (captions_not_normalized, "NotNormalized")])
+def test_unusable_inputs_are_typed_errors(chain, tmp_path, caplog, capsys, case, error):
+    (tmp_path / "out").mkdir()
+    assert run_case(tmp_path, caplog, capsys, case(chain, tmp_path)) == error
 
 
 @pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"tau": 1' + b"0" * 400 + b"}",

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -355,6 +356,18 @@ class TestPlanEpoch:
         for (tag, idx), (etag, eidx) in zip(plan, expect):
             assert tag == etag
             assert np.array_equal(idx, eidx)
+
+    def test_matches_reference_scheduler_over_random_shapes(self):
+        rng = np.random.default_rng(22)
+        for _ in range(2000):
+            batch_size = int(rng.integers(2, 7))
+            sizes = rng.integers(batch_size, 12 * batch_size, size=rng.integers(1, 6)).tolist()
+            tags = [f"s{i}" for i in range(len(sizes))]
+            seed = int(rng.integers(2**32))
+            plan = plan_epoch([gen_set(t, n) for t, n in zip(tags, sizes)], batch_size, seed=seed)
+            expect = reference_plan(sizes, tags, batch_size, seed)
+            assert [tag for tag, _ in plan] == [tag for tag, _ in expect], (sizes, batch_size)
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(plan, expect))
 
     def test_homogeneity_across_seeds(self):
         sets = [gen_set("a", 9), gen_set("b", 13), gen_set("c", 5)]
@@ -713,6 +726,16 @@ class TestBuildTrainingArrays:
                                sims=[0.9, 0.8], threshold=0.0, style_tag="a")
         with pytest.raises(CountMismatch):
             build_training_arrays([gen], [styled], clips)
+
+
+def test_adapter_copy_keeps_every_field_and_owns_its_heads():
+    model = random_model(np.random.default_rng(3), 5, 4)
+    model.tau, model.step_count = 0.07, 9
+    twin = model.copy()
+    for field in fields(AdapterModel):
+        assert np.array_equal(getattr(twin, field.name), getattr(model, field.name)), field.name
+    assert not np.shares_memory(twin.text_head, model.text_head)
+    assert not np.shares_memory(twin.video_head, model.video_head)
 
 
 class TestAdapterPersistence:
