@@ -22,7 +22,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import container, evaluator, matcher, styler, synthgen, trainer
-from .embedcore import EmbeddingSet, for_each, hold_freed_heap, load_embeddings, save_embeddings
+from .embedcore import (EmbeddingSet, for_each, hold_freed_heap, load_embeddings,
+                        one_blas_thread, save_embeddings)
 from .errors import ConfigInvalid, StylePairError
 from .synthgen import SynthConfig, dataset_paths
 
@@ -411,11 +412,14 @@ def _mean_section(reports: list[evaluator.RetrievalReport]) -> dict:
     }
 
 
+@one_blas_thread()
 def run_pipeline(args) -> dict:
     """Synthesize (or reuse) a dataset, run all stages, return the report.
 
     A dataset already in the workdir is reused only if it was generated
     from the same synth config; an explicit --data-dir is taken as given.
+    BLAS runs on one thread throughout, so the worker pool is the run's
+    only parallelism.
     """
     cfg = _synth_config(args)
     cfg.validate()   # report.json records it, even for a given --data-dir

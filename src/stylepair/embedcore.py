@@ -8,6 +8,7 @@ as the whole set. A block's columns may be streamed too, in the fixed
 tiles of column_tiles, which carry the bits of the whole block product.
 """
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -87,10 +88,12 @@ class EmbeddingSet:
     def row_for_id(self, wanted: np.ndarray) -> np.ndarray:
         """Map ids to row indices by bisection; an id not in the set is an UnknownCandidate."""
         wanted = np.asarray(wanted, dtype=np.int64)
-        known = np.isin(wanted, self.ids)
+        rows = np.searchsorted(self.ids, wanted)
+        known = np.asarray(rows < len(self.ids))
+        known[known] = self.ids[rows[known]] == wanted[known]
         if not known.all():
             raise UnknownCandidate(f"id {int(wanted[~known].flat[0])} is not in the set")
-        return np.searchsorted(self.ids, wanted)
+        return rows
 
 
 def unit_block(ids: np.ndarray, rows64: np.ndarray, out: np.ndarray) -> None:
@@ -138,6 +141,25 @@ def blas_thread_controls():
     return None
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread for the block, then restore its count.
+
+    Without the thread controls nothing changes. Used as a decorator too.
+    """
+    blas = blas_thread_controls()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
 def hold_freed_heap() -> None:
     """Fix glibc malloc's mmap threshold at 32 MiB and its trim threshold at twice that.
 
@@ -163,45 +185,43 @@ def for_each(items, run, threads: int = 1) -> list:
     back pickled through a pipe. Results come back in item order, and the
     first error in item order reaches the caller (a child's as a copy); a
     child that ends without a result is a ChildProcessError. No child
-    outlives the call. While workers run, BLAS is held to one thread, so
-    they do not oversubscribe the cores; where that cannot be done, or
-    without os.fork, everything runs inline.
+    outlives the call. While workers run, BLAS is held to one thread
+    (one_blas_thread), so they do not oversubscribe the cores; where that
+    cannot be done, or without os.fork, everything runs inline.
     """
     items = list(items)
-    blas = blas_thread_controls()
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(threads or cpus, cpus, len(items)) if blas and hasattr(os, "fork") else 1
+    forks = blas_thread_controls() and hasattr(os, "fork")
+    workers = min(threads or cpus, cpus, len(items)) if forks else 1
     if workers <= 1:
         return [run(item) for item in items]
-    get, set_ = blas
-    saved, parent, children, sent, codes = get(), os.getpid(), [], {}, {}
-    set_(1)
-    try:
-        for w in range(1, workers):
-            read_end, write_end = os.pipe()
-            try:
-                if (pid := os.fork()) == 0:
-                    _serve_share(parent, write_end, run, items, range(w, len(items), workers))
-            except BaseException:
+    parent, children, sent, codes = os.getpid(), [], {}, {}
+    with one_blas_thread():
+        try:
+            for w in range(1, workers):
+                read_end, write_end = os.pipe()
+                try:
+                    if (pid := os.fork()) == 0:
+                        _serve_share(parent, write_end, run, items, range(w, len(items), workers))
+                except BaseException:
+                    os.close(read_end)
+                    raise
+                finally:
+                    os.close(write_end)
+                children.append((pid, read_end))
+            outcomes = list(_run_share(run, items, range(0, len(items), workers)))
+            for pid, read_end in children:   # to EOF before waitpid: a result can outgrow the pipe
+                with open(read_end, "rb", closefd=False) as pipe:
+                    sent[pid] = pipe.read()
+        finally:
+            for pid, read_end in children:
                 os.close(read_end)
-                raise
-            finally:
-                os.close(write_end)
-            children.append((pid, read_end))
-        outcomes = list(_run_share(run, items, range(0, len(items), workers)))
-        for pid, read_end in children:   # to EOF before waitpid: a result can outgrow the pipe
-            with open(read_end, "rb", closefd=False) as pipe:
-                sent[pid] = pipe.read()
-    finally:
-        for pid, read_end in children:
-            os.close(read_end)
-            if pid not in sent:   # the caller is unwinding: stop the child, then reap it
-                os.kill(pid, signal.SIGKILL)
-            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        set_(saved)
+                if pid not in sent:   # the caller is unwinding: stop the child, then reap it
+                    os.kill(pid, signal.SIGKILL)
+                codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     for pid, code in codes.items():
         if code:
             how = (f"exit status {code}" if code > 0

@@ -49,13 +49,19 @@ class PseudoPairSet:
         self.sims = np.asarray(self.sims, dtype=np.float64)
         if not (len(self.query_ids) == len(self.clip_ids) == len(self.sims)):
             raise ValueError("pair columns must have equal length")
-        if len(np.unique(self.clip_ids)) != len(self.clip_ids):
+        if _has_repeat(self.clip_ids):
             raise DuplicateId("a clip id is assigned to more than one query")
-        if len(np.unique(self.query_ids)) != len(self.query_ids):
+        if _has_repeat(self.query_ids):
             raise DuplicateId("a query id appears in more than one pair")
 
     def __len__(self) -> int:
         return len(self.query_ids)
+
+
+def _has_repeat(ids: np.ndarray) -> bool:
+    """Whether any value of `ids` repeats: sorted, a repeat sits next to its twin."""
+    ordered = np.sort(ids)
+    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 def _shortlists(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarray,

@@ -7,6 +7,8 @@ per clip), and filter_pairs keeps only rows whose styled caption stays
 similar enough to its own clip in the fixed judge space.
 """
 
+import ctypes
+import functools
 import logging
 import mmap
 import os
@@ -152,7 +154,8 @@ def fit_style(
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's 128-bit LCG multiplier
-_MASK128 = 2**128 - 1
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _hash_chain(init, mult):
@@ -173,12 +176,39 @@ def _mix(x, y):
     return result ^ (result >> np.uint32(16))
 
 
-def _spawned_pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
-    """PCG64(SeedSequence(seed, spawn_key=(i,))).state for rows i in [lo, hi).
+def _mul_128(a, b):
+    """(high, low) uint64 words of the 128-bit products a * b, built from 32-bit halves."""
+    a0, a1, b0, b1 = a & _LOW32, a >> 32, b & _LOW32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * b
+
+
+def _pcg64_seeded(seed_words: np.ndarray) -> np.ndarray:
+    """PCG64's seeding step (pcg_setseq_128_srandom_r) on uint64 rows (s_hi, s_lo, i_hi, i_lo).
+
+    inc = 2 i + 1 and state = ((s + inc) * MULT + inc) mod 2**128, worked
+    in 64-bit limbs whose wraparound is the modulus. Returns rows (state_lo,
+    state_hi, inc_lo, inc_hi): numpy's pcg64 struct on a little-endian host.
+    """
+    s_hi, s_lo, i_hi, i_lo = seed_words.T
+    with np.errstate(over="ignore"):
+        inc_lo, inc_hi = i_lo << 1 | 1, i_hi << 1 | i_lo >> 63
+        t_lo = s_lo + inc_lo
+        t_hi = s_hi + inc_hi + (t_lo < s_lo)
+        p_hi, p_lo = _mul_128(t_lo, _PCG_MULT_LO)
+        p_hi += t_lo * _PCG_MULT_HI + t_hi * _PCG_MULT_LO
+        state_lo = p_lo + inc_lo
+        state_hi = p_hi + inc_hi + (state_lo < p_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+def _spawned_pcg64_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """State words of PCG64(SeedSequence(seed, spawn_key=(i,))) for rows i in [lo, hi).
 
     The SeedSequence hash runs once for the whole block on uint32 arrays
-    (its wraparound is the hash, so overflow warnings are off); PCG64's
-    seeding step (pcg_setseq_128_srandom_r) runs per row on Python ints.
+    (its wraparound is the hash, so overflow warnings are off), and so does
+    PCG64's seeding step (_pcg64_seeded), whose (hi - lo, 4) words it returns.
     """
     if seed < 0:
         raise ValueError(f"seed {seed} must be non-negative")
@@ -200,14 +230,49 @@ def _spawned_pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
                 pool[dst] = _mix(pool[dst], hashmix(word))
         output = _hash_chain(_INIT_B, _MULT_B)   # generate_state(4, np.uint64)
         state_words = np.stack([output(pool[k % 4]) for k in range(8)], axis=1)
+    return _pcg64_seeded(state_words.astype("<u4").view("<u8").astype(np.uint64))
 
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in state_words.astype("<u4").view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+
+def _pcg64_state(words) -> dict:
+    """The bit_generator.state dict of one row of _spawned_pcg64_states."""
+    state_lo, state_hi, inc_lo, inc_hi = (int(w) for w in words)
+    return {"bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _raw_words(bit_generator: np.random.PCG64) -> np.ndarray:
+    """The four uint64 words of `bit_generator`'s {state, inc}, as a writable view.
+
+    ctypes.state_address points at numpy's pcg64_state, whose first field
+    points at the 32 bytes of the two 128-bit words.
+    """
+    words_at = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(words_at))
+
+
+@functools.cache
+def raw_pcg64_states() -> bool:
+    """Whether state words written raw read back through PCG64.state as the same state.
+
+    Not where numpy's struct has another layout (no 128-bit integer type)
+    or the host is big-endian; stylize then loads the words as dicts.
+    """
+    probe = np.array([0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x0F1E2D3C4B5A6979,
+                      0x8796A5B4C3D2E1F0], dtype=np.uint64)
+    bit_generator = np.random.PCG64(0)
+    np.copyto(_raw_words(bit_generator), probe)
+    return bit_generator.state == _pcg64_state(probe)
+
+
+def _state_loader(bit_generator: np.random.PCG64):
+    """load(words): set `bit_generator` to one row of _spawned_pcg64_states."""
+    if raw_pcg64_states():
+        return functools.partial(np.copyto, _raw_words(bit_generator))
+
+    def load(words):
+        bit_generator.state = _pcg64_state(words)
+    return load
 
 
 def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform],
@@ -216,9 +281,10 @@ def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform],
 
     Noise for row i comes from the PCG64 generator that spawn (i,) of the
     seed would seed, so any row partition reproduces the row-by-row output
-    bit for bit. It does not depend on the style: each row block's states
-    are derived and its noise drawn once, and then every style maps,
-    jitters and normalizes the block. The row blocks run through
+    bit for bit; each row's state words are loaded into one reused
+    generator (_state_loader). It does not depend on the style: each row
+    block's states are derived and its noise drawn once, and then every
+    style maps, jitters and normalizes the block. The row blocks run through
     embedcore.for_each on `workers` workers, each writing straight into the
     styles' float32 outputs: anonymous shared mappings made before any
     fork, so a forked worker sends nothing back. Styles must share dim_in
@@ -240,18 +306,22 @@ def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform],
             for _ in styles]
     noise = np.empty((min(clips.count, BLOCK_ROWS), dim_out))   # one per worker, after the fork
     rng = np.random.Generator(np.random.PCG64(0))
+    load = _state_loader(rng.bit_generator)
 
     def stylize_block(bounds):
         lo, hi = bounds
         block = clips.data[lo:hi].astype(np.float64)
+        jitter = noise[:hi - lo]
         if sigma > 0.0:
-            for row, state in zip(noise, _spawned_pcg64_states(seed, lo, hi)):
-                rng.bit_generator.state = state
-                row[:] = rng.normal(0.0, sigma, dim_out)
+            for row, words in zip(jitter, _spawned_pcg64_states(seed, lo, hi)):
+                load(words)
+                rng.standard_normal(out=row)
+            with np.errstate(over="ignore"):   # unit_block reports an overflowed row
+                jitter *= sigma
         for style, out in zip(styles, outs):
             rows = block @ style.weight.T + style.bias
             if sigma > 0.0:
-                rows += noise[:hi - lo]
+                rows += jitter
             unit_block(clips.ids[lo:hi], rows, out[lo:hi])
 
     for_each(row_blocks(clips.count), stylize_block, workers)

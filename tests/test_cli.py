@@ -12,13 +12,15 @@ import warnings
 import numpy as np
 import pytest
 
-from stylepair import embedcore
+from stylepair import embedcore, evaluator, styler
 from stylepair.cli import _emit_json, main
-from stylepair.embedcore import save_embeddings
+from stylepair.embedcore import blas_thread_controls, save_embeddings
+from stylepair.errors import SingularSystem
 from stylepair.styler import GeneratedPairSet, read_generated_pairs, write_generated_pairs
 from stylepair.trainer import init_adapter, save_adapter
 
-from conftest import count_forks, forks_workers, golden, make_set, random_unit_set
+from conftest import (count_forks, forks_workers, golden, make_set, needs_blas_controls,
+                      random_unit_set)
 
 
 def tree_hashes(root):
@@ -444,6 +446,25 @@ def test_standalone_train_does_not_fault_in_its_step_matrices_every_step(tmp_pat
     assert float(per_step) < 50
 
 
+NUMPY_MA_AFTER_PIPELINE = """
+import sys
+from stylepair import cli
+assert cli.main(sys.argv[1:]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_pipeline_never_imports_numpy_ma(tmp_path):
+    # importing numpy.ma takes ~15 ms; np.isin and np.unique pull it in on first use
+    argv = ["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "2", "--seed", "7",
+            "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN
+    src = os.path.dirname(os.path.dirname(embedcore.__file__))
+    out = subprocess.run([sys.executable, "-c", NUMPY_MA_AFTER_PIPELINE, *argv],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+
 def test_json_output_refuses_non_finite_numbers(tmp_path, capsys):
     with pytest.raises(ValueError):
         _emit_json({"threshold": float("nan")}, str(tmp_path / "out.json"))
@@ -537,6 +558,34 @@ class TestConfigPrecedence:
 
 
 class TestPipelineCommand:
+    @needs_blas_controls
+    def test_blas_holds_one_thread_in_the_run_and_its_count_after(self, tmp_path, monkeypatch):
+        get, set_ = blas_thread_controls()
+        seen, rank_queries = [], evaluator.rank_queries
+
+        def ranked(*args, **kwargs):   # eval's products run in the calling process
+            seen.append(get())
+            return rank_queries(*args, **kwargs)
+
+        def singular(*args, **kwargs):
+            seen.append(get())
+            raise SingularSystem("no style today")
+
+        monkeypatch.setattr(evaluator, "rank_queries", ranked)
+        args = ["pipeline", "--styles", "2", "--seed", "7", "--epochs", "1"] + SMALL_SYNTH \
+            + SMALL_TRAIN
+        saved = get()
+        set_(2)
+        try:
+            assert main(args + ["--workdir", str(tmp_path / "ok")]) == 0
+            assert get() == 2
+            monkeypatch.setattr(styler, "fit_style", singular)
+            assert main(args + ["--workdir", str(tmp_path / "fails")]) == 1
+            assert get() == 2
+        finally:
+            set_(saved)
+        assert len(seen) == 2 * 3 + 2 + 1 and set(seen) == {1}   # zero-shot, two adapters; fit
+
     def test_single_style_report_sections(self, tmp_path, capsys):
         rc = main(["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "1",
                    "--seed", "7", "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN)

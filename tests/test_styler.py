@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from stylepair import styler
 from stylepair.embedcore import EmbeddingSet, normalize
 from stylepair.errors import (ConfigInvalid, CountMismatch, DimMismatch, NonFiniteValue,
                               SingularSystem, StylePairError, ZeroVectorRow)
@@ -8,6 +11,7 @@ from stylepair.matcher import PseudoPairSet
 from stylepair.styler import (
     GeneratedPairSet,
     StyleTransform,
+    _pcg64_seeded,
     _spawned_pcg64_states,
     filter_pairs,
     fit_style,
@@ -291,10 +295,22 @@ class TestGenerateStyledSets:
         assert peak < outputs + 8 * block
 
 
+MASK64 = 2**64 - 1
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's 128-bit LCG multiplier
+
+
 def spawned_states(seed, n_rows):
-    """Derived PCG64 states of rows 0..n_rows-1, a 512-row block at a time."""
-    return [state for lo in range(0, n_rows, 512)
-            for state in _spawned_pcg64_states(seed, lo, min(lo + 512, n_rows))]
+    """Derived PCG64 state words of rows 0..n_rows-1, a 512-row block at a time."""
+    return np.concatenate([_spawned_pcg64_states(seed, lo, min(lo + 512, n_rows))
+                           for lo in range(0, n_rows, 512)])
+
+
+def state_words(state):
+    """numpy's PCG64 state dict as the four words (state_lo, state_hi, inc_lo, inc_hi)."""
+    assert state["bit_generator"] == "PCG64" and not state["has_uint32"]
+    words = state["state"]
+    return [words["state"] & MASK64, words["state"] >> 64, words["inc"] & MASK64,
+            words["inc"] >> 64]
 
 
 def styled_reference(clips, style, seed):
@@ -320,22 +336,65 @@ class TestSpawnedNoise:
     def test_states_equal_numpy_spawned_pcg64(self, seed):
         n_rows = 1100
         states = spawned_states(seed, n_rows)
+        assert states.shape == (n_rows, 4) and states.dtype == np.uint64
         for i in (0, 511, 512, n_rows - 1):
             want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state
-            assert states[i] == want, i
+            assert states[i].tolist() == state_words(want), i
 
+    def test_limb_seeding_equals_the_python_int_step(self):
+        rng = np.random.default_rng(40)
+        words = rng.integers(0, 2**64, size=(2000, 4), dtype=np.uint64, endpoint=False)
+        edges = [MASK64, MASK64 - 1, 2**63, 2**63 - 1, 2**32, 2**32 - 1, 1, 0]
+        words = np.concatenate([words, np.array([[a, b, c, d] for a in edges[:3]
+                                                 for b in edges for c in edges[::3]
+                                                 for d in edges], dtype=np.uint64)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # the wraparound is the modulus, never a warning
+            got = _pcg64_seeded(words)
+        carries_sum = carries_step = 0
+        for (s_hi, s_lo, i_hi, i_lo), row in zip(words.tolist(), got.tolist()):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & (2**128 - 1)
+            seeded = (s_hi << 64 | s_lo) + inc
+            product = seeded * PCG_MULT & (2**128 - 1)
+            state = (product + inc) & (2**128 - 1)
+            carries_sum += (s_lo + (inc & MASK64)) > MASK64
+            carries_step += ((product & MASK64) + (inc & MASK64)) > MASK64
+            assert row == [state & MASK64, state >> 64, inc & MASK64, inc >> 64]
+        assert carries_sum > 500 and carries_step > 500   # both low-word carries are exercised
+
+    @pytest.mark.parametrize("raw", [True, False])
     @pytest.mark.parametrize("seed", [7, 2**130 + 1])
-    def test_noisy_output_equals_per_row_generators(self, seed):
+    def test_noisy_output_equals_per_row_generators(self, monkeypatch, seed, raw):
+        # once with the state words written raw, once through the dict setter
+        if not raw:
+            monkeypatch.setattr(styler, "raw_pcg64_states", lambda: False)
+        elif not styler.raw_pcg64_states():
+            pytest.skip("numpy's PCG64 struct has another layout here")
         rng = np.random.default_rng(11)
         clips = random_unit_set(rng, 1100, 5)   # three row blocks
         style = StyleTransform(weight=rng.normal(size=(6, 5)), bias=rng.normal(size=6),
                                ridge_lambda=0.0, noise_sigma=0.2)
         got = generate_styled(clips, style, seed=seed)
-        assert np.array_equal(got.data, styled_reference(clips, style, seed))
+        assert got.data.tobytes() == styled_reference(clips, style, seed).tobytes()
+
+    def test_words_that_read_back_otherwise_go_through_the_dict_setter(self, monkeypatch):
+        # a layout that stores the words in another order, as a big-endian host would
+        raw_words = styler._raw_words
+        monkeypatch.setattr(styler, "_raw_words", lambda bit_generator:
+                            raw_words(bit_generator)[::-1])
+        monkeypatch.setattr(styler, "raw_pcg64_states", styler.raw_pcg64_states.__wrapped__)
+        assert styler.raw_pcg64_states() is False
+        rng = np.random.default_rng(12)
+        clips = random_unit_set(rng, 600, 5)
+        style = StyleTransform(weight=rng.normal(size=(6, 5)), bias=rng.normal(size=6),
+                               ridge_lambda=0.0, noise_sigma=0.2)
+        got = generate_styled(clips, style, seed=7)
+        assert got.data.tobytes() == styled_reference(clips, style, 7).tobytes()
 
     def test_spawn_key_must_fit_one_word(self):
         last = _spawned_pcg64_states(7, 2**32 - 1, 2**32)
-        assert last == [np.random.PCG64(np.random.SeedSequence(7, spawn_key=(2**32 - 1,))).state]
+        want = np.random.PCG64(np.random.SeedSequence(7, spawn_key=(2**32 - 1,))).state
+        assert last.tolist() == [state_words(want)]
         with pytest.raises(ValueError, match="spawn key"):
             _spawned_pcg64_states(7, 2**32 - 1, 2**32 + 1)
 
