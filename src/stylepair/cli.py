@@ -17,7 +17,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -31,6 +31,10 @@ log = logging.getLogger("stylepair")
 
 DEFAULT_SWEEP_GRID = "0.26,0.27,0.28,0.29,0.30"
 _SEEDED_COMMANDS = ("synth", "stylize", "train", "pipeline")   # the stages that draw randomness
+_SYNTH_OPTION = {"n_styles": "styles"}   # SynthConfig fields whose option has another name
+# pipeline options that change no output byte, and `styles`, which is n_styles there;
+# report.json's config records every other one
+_BYTE_NEUTRAL = ("command", "config", "workdir", "data_dir", "threads", "styles")
 
 
 def _add_common(parser: argparse.ArgumentParser, seeded: bool) -> None:
@@ -40,15 +44,11 @@ def _add_common(parser: argparse.ArgumentParser, seeded: bool) -> None:
 
 
 def _add_synth_options(parser: argparse.ArgumentParser) -> None:
-    cfg = SynthConfig()
-    parser.add_argument("--styles", type=int, default=cfg.n_styles)
-    parser.add_argument("--queries-per-style", type=int, default=cfg.queries_per_style)
-    parser.add_argument("--pool-size", type=int, default=cfg.pool_size)
-    parser.add_argument("--dim", type=int, default=cfg.dim)
-    parser.add_argument("--content-dim", type=int, default=cfg.content_dim)
-    parser.add_argument("--style-strength", type=float, default=cfg.style_strength)
-    parser.add_argument("--cross-modal-noise", type=float, default=cfg.cross_modal_noise)
-    parser.add_argument("--held-out-fraction", type=float, default=cfg.held_out_fraction)
+    for f in fields(SynthConfig):
+        if f.name != "seed":   # a common option
+            dest = _SYNTH_OPTION.get(f.name, f.name)
+            parser.add_argument("--" + dest.replace("_", "-"), type=type(f.default),
+                                default=f.default)
 
 
 def _add_stylize_options(parser: argparse.ArgumentParser) -> None:
@@ -212,17 +212,8 @@ def _validate_knobs(args) -> None:
 
 
 def _synth_config(args) -> SynthConfig:
-    return SynthConfig(
-        n_styles=args.styles,
-        queries_per_style=args.queries_per_style,
-        pool_size=args.pool_size,
-        dim=args.dim,
-        content_dim=args.content_dim,
-        style_strength=args.style_strength,
-        cross_modal_noise=args.cross_modal_noise,
-        seed=args.seed,
-        held_out_fraction=args.held_out_fraction,
-    )
+    return SynthConfig(**{f.name: getattr(args, _SYNTH_OPTION.get(f.name, f.name))
+                          for f in fields(SynthConfig)})
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -289,8 +280,8 @@ def train_stage(args, pool, gen_sets, styled_sets, runs, threads):
     forked workers; files and log lines follow in `runs` order when all are done.
     """
     gather = trainer.build_training_arrays(gen_sets, styled_sets, pool)
-    config = trainer.TrainConfig(learning_rate=args.learning_rate, momentum=args.momentum,
-                                 queue_capacity=args.queue_capacity)
+    config = trainer.TrainConfig(**{f.name: getattr(args, f.name)
+                                    for f in fields(trainer.TrainConfig)})
 
     def fit(mode):
         return trainer.train_epochs(
@@ -462,12 +453,9 @@ def run_pipeline(args) -> dict:
         (mode, os.path.join(workdir, f"adapter_{mode}.iemb"),
          os.path.join(workdir, f"loss_{mode}.csv")) for mode in modes], args.threads)
 
-    config = {**asdict(cfg), "match_order": matcher.ORDER_QUERY_ID}
-    config.update({key: getattr(args, key) for key in (
-        "threshold", "tau", "batch_size", "learning_rate", "momentum", "epochs",
-        "queue_capacity")})
     report = {
-        "config": config,
+        "config": {**asdict(cfg), "match_order": matcher.ORDER_QUERY_ID,
+                   **{k: v for k, v in vars(args).items() if k not in _BYTE_NEUTRAL}},
         "pair_counts": {
             "pseudo": [len(p) for p in pseudo_sets],
             "generated": [len(g) for g in gen_sets],

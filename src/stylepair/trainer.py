@@ -127,8 +127,6 @@ class NegativeQueue:
         return self._texts[:b + self._len], self._videos[:b + self._len]
 
     def push(self, text_proj: np.ndarray, video_proj: np.ndarray) -> None:
-        if self.capacity == 0:
-            return
         new = min(text_proj.shape[0], self.capacity)
         keep = min(self._len, self.capacity - new)
         drop = self._len - keep

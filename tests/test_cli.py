@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from stylepair import embedcore, evaluator, styler
-from stylepair.cli import _emit_json, main
+from stylepair.cli import _emit_json, _synth_config, build_parser, main
 from stylepair.embedcore import blas_thread_controls, save_embeddings
 from stylepair.errors import SingularSystem
 from stylepair.styler import GeneratedPairSet, read_generated_pairs, write_generated_pairs
+from stylepair.synthgen import SynthConfig
 from stylepair.trainer import init_adapter, save_adapter
 
 from conftest import (count_forks, forks_workers, golden, make_set, needs_blas_controls,
@@ -65,6 +66,10 @@ class TestSynthCommand:
         assert rc == 2
         assert "error=ConfigInvalid" in caplog.text
         assert not (tmp_path / "d").exists()
+
+    def test_default_options_give_the_default_config_at_the_cli_seed(self):
+        assert _synth_config(build_parser().parse_args(["synth", "--out", "d"])) \
+            == SynthConfig(seed=7)
 
     def test_repeated_runs_hash_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -594,6 +599,14 @@ class TestPipelineCommand:
         assert "zero_shot" in rep and "in_style" in rep
         assert "mixed" not in rep
         assert rep["pair_counts"]["pseudo"] == [32]
+
+    def test_report_records_the_style_map_options(self, tmp_path):
+        rc = main(["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "1", "--seed", "7",
+                   "--epochs", "1", "--ridge-lambda", "0.5", "--noise-sigma", "0.1"]
+                  + SMALL_SYNTH + SMALL_TRAIN)
+        assert rc == 0
+        config = json.loads((tmp_path / "w" / "report.json").read_text())["config"]
+        assert config["ridge_lambda"] == 0.5 and config["noise_sigma"] == 0.1
 
     def test_two_style_report_adds_mixed(self, tmp_path, capsys):
         rc = main(["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "2",

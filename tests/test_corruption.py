@@ -14,6 +14,7 @@ import re
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
 from stylepair import cli, errors
@@ -310,10 +311,63 @@ def captions_not_normalized(chain, tmp_path):
     return argv
 
 
+def halved_copy(chain, tmp_path, name):
+    """`name` with its ids kept and its rows cut to half the dim, renormalized."""
+    emb = load_embeddings(chain / name)
+    half = emb.data[:, :emb.dim // 2].astype(np.float64)
+    bad = tmp_path / "half" / name.split("/")[-1]
+    bad.parent.mkdir()
+    save_embeddings(EmbeddingSet(ids=emb.ids, data=half / np.linalg.norm(half, axis=1)[:, None],
+                                 normalized=True), bad)
+    return bad
+
+
+def queries_not_normalized(chain, tmp_path):
+    bad = patched_copy(chain, tmp_path, "data/queries_style0.iemb", FLAGS_AT, "<I", 0)
+    return match_cmd(chain, bad, tmp_path / "out")
+
+
+def filter_cmd(chain, styled, out):
+    return ["filter", "--styled", str(styled), "--pool", str(chain / "data" / "pool.iemb"),
+            "--out", str(out / "gen.jsonl")]
+
+
+def styled_of_another_dim_filtered(chain, tmp_path):
+    return filter_cmd(chain, halved_copy(chain, tmp_path, "styled.iemb"), tmp_path / "out")
+
+
+def styled_not_normalized(chain, tmp_path):
+    bad = patched_copy(chain, tmp_path, "styled.iemb", FLAGS_AT, "<I", 0)
+    return filter_cmd(chain, bad, tmp_path / "out")
+
+
+def styled_of_another_dim_trained(chain, tmp_path):
+    argv = train_cmd(chain, chain / "gen.jsonl", tmp_path / "out")
+    argv[argv.index("--styled") + 1] = str(halved_copy(chain, tmp_path, "styled.iemb"))
+    return argv
+
+
+def captions_of_another_dim(chain, tmp_path):
+    argv = eval_cmd(chain, chain / "data" / "truth.jsonl", tmp_path / "out")
+    argv[argv.index("--captions") + 1] = str(
+        halved_copy(chain, tmp_path, "data/test_captions_style0.iemb"))
+    return argv
+
+
+def no_queries_per_style(chain, tmp_path):
+    return ["synth", "--out", str(tmp_path / "out" / "data"), "--queries-per-style", "0"]
+
+
 # well-formed inputs that the stage reading them cannot use
 @pytest.mark.parametrize("case,error", [(header_only_pairs, "SingularSystem"),
                                         (styled_twice_pairs_once, "ConfigInvalid"),
-                                        (captions_not_normalized, "NotNormalized")])
+                                        (captions_not_normalized, "NotNormalized"),
+                                        (queries_not_normalized, "NotNormalized"),
+                                        (styled_of_another_dim_filtered, "DimMismatch"),
+                                        (styled_not_normalized, "NotNormalized"),
+                                        (styled_of_another_dim_trained, "DimMismatch"),
+                                        (captions_of_another_dim, "DimMismatch"),
+                                        (no_queries_per_style, "ConfigInvalid")])
 def test_unusable_inputs_are_typed_errors(chain, tmp_path, caplog, capsys, case, error):
     (tmp_path / "out").mkdir()
     assert run_case(tmp_path, caplog, capsys, case(chain, tmp_path)) == error

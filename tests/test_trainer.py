@@ -537,6 +537,7 @@ class TestTrain:
         # oldest two rows fell out; the newest batch survives intact
         assert np.array_equal(q.text_negatives[-4:], x2)
         assert np.array_equal(q.text_negatives[:2], x1[2:])
+        assert len(filled_queue(rng, model, 4, 4, capacity=0)) == 0
 
     def test_non_finite_loss_reports_step(self):
         texts = np.concatenate([np.eye(4), np.zeros((2, 4))])
