@@ -67,7 +67,8 @@ def read_array(f: BinaryIO, dtype: str, count: int, what: str) -> np.ndarray:
 
 
 def write_array(f: BinaryIO, arr: np.ndarray, dtype: str) -> None:
-    f.write(np.ascontiguousarray(arr, dtype=np.dtype(dtype)).tobytes())
+    # the array's own bytes, not a copy; a uint8 view, as memoryview.cast refuses 0 rows
+    f.write(np.ascontiguousarray(arr, dtype=np.dtype(dtype)).view(np.uint8))
 
 
 def write_container(path: str | os.PathLike, tag: bytes, fields: str, values,
@@ -107,18 +108,24 @@ def read_container(path: str | os.PathLike, tag: bytes, fields: str, what: str):
 
 
 def write_records(path: str | os.PathLike, header: dict, columns: dict) -> None:
-    """Write `header`, then each row of the numpy `columns` as json.dumps writes its dict."""
+    """Write `header`, then each row of the numpy `columns` as json.dumps writes its dict:
+    a number as `str` of its Python value, a string json.dumps'd once per distinct value."""
     if len({len(col) for col in columns.values()}) > 1:
         raise ValueError("record columns must have equal length")
-    record = "{{" + ", ".join(f"{json.dumps(key)}: {{}}" for key in columns) + "}}\n"
+    for key, value in header.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFiniteValue(f"header field {key!r} is not finite: {value!r}")
+    record = "{" + ", ".join(json.dumps(key).replace("%", "%%") + ": %s" for key in columns) + "}\n"
     with atomic_write(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header) + "\n")
         cells = []
         for key, col in columns.items():
             if col.dtype.kind == "f" and not np.isfinite(col).all():
                 raise NonFiniteValue(f"record column {key!r} holds a non-finite value")
-            cells.append(map(json.dumps if col.dtype.kind in "OU" else repr, col.tolist()))
-        f.write("".join(map(record.format, *cells)))
+            values = col.tolist()
+            cells.append(map({v: json.dumps(v) for v in set(values)}.__getitem__, values)
+                         if col.dtype.kind in "OU" else values)
+        f.write("".join(map(record.__mod__, zip(*cells))))
 
 
 _INT64 = range(-2**63, 2**63)

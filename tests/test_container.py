@@ -26,6 +26,7 @@ from stylepair.matcher import PseudoPairSet, read_pseudo_pairs, write_pseudo_pai
 from stylepair.styler import (
     GeneratedPairSet,
     StyleTransform,
+    filter_pairs,
     load_style,
     read_generated_pairs,
     save_style,
@@ -104,6 +105,17 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["set.iemb"]
 
+    @pytest.mark.parametrize("th", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_header_float_is_refused_before_any_byte(self, tmp_path, monkeypatch, th):
+        clips = make_set([[1.0, 0.0], [0.6, 0.8]])
+        pairs = filter_pairs(clips, clips, th)
+        seen = failures_inside_atomic_write(monkeypatch, tmp_path)
+        with pytest.raises(NonFiniteValue, match="'threshold'"):
+            write_generated_pairs(pairs, tmp_path / "generated.jsonl")
+        # refused before the temp file was opened
+        assert seen == []
+        assert os.listdir(tmp_path) == []
+
     def test_success_replaces_and_leaves_no_temp_file(self, tmp_path):
         path = tmp_path / "set.iemb"
         save_embeddings(make_set([[1.0, 0.0]]), path)
@@ -148,6 +160,20 @@ KINDS = {
     "style": (_style, load_style, save_style, 12),
     "adapter": (_adapter, load_adapter, save_adapter, 12),
 }
+
+
+class TestWriteArray:
+    @pytest.mark.parametrize("arr,dtype", [
+        (np.linspace(-1.0, 1.0, 12).reshape(3, 4), "<f4"),
+        (np.arange(6, dtype=">u8") * 0x0102030405, ">u8"),
+        (np.arange(6, dtype=">u8") * 0x0102030405, "<u8"),
+        (np.arange(12, dtype="<f8").reshape(3, 4).T, "<f8"),
+        (np.empty((0, 5)), "<f4"),
+    ], ids=["float64_to_f4", "swapped_u8_kept", "swapped_u8_to_le", "transposed", "zero_rows"])
+    def test_writes_the_converted_contiguous_bytes(self, tmp_path, arr, dtype):
+        with open(tmp_path / "a.bin", "wb") as f:
+            container.write_array(f, arr, dtype)
+        assert (tmp_path / "a.bin").read_bytes() == np.ascontiguousarray(arr, dtype).tobytes()
 
 
 class TestContainerCodec:
@@ -286,6 +312,25 @@ class TestRecordCodec:
             latent_header(cfg),
             [{"item_id": i, "style": s, "cluster": k, "split": t} for i, s, k, t in latent])
         assert [cols[key].tolist() for key in LATENT_FIELDS] == [ids, styles, clusters, splits]
+
+    def test_bulk_columns_match_the_per_record_writer(self, tmp_path):
+        rng = np.random.default_rng(25)
+        n = 10_000
+        ids = rng.integers(-2**63, 2**63, n, dtype=np.int64)
+        ids[:2] = [-2**63, 2**63 - 1]
+        # floats across exponents of +-300, led by the cells where repr switches notation
+        sims = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        boundary = [1e16, 9999999999999998.0, 1e-05, 0.0001, -0.0, 0.0, 5e-324,
+                    2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2]
+        sims[:len(boundary)] = boundary
+        words = np.array(["", '"', "\\", "\x07", "légende 字幕", "pool"])
+        tags = words[rng.integers(0, len(words), n)]
+        columns = {"id": ids, "sim": sims, "tag": tags, '50% "of" %s': tags.astype(object)}
+        header = {"kind": "bulk", "threshold": 0.28, "note": "100%"}
+        container.write_records(tmp_path / "bulk.jsonl", header, columns)
+        records = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+        assert len(records) == n and len(set(tags.tolist())) == len(words)
+        assert (tmp_path / "bulk.jsonl").read_bytes() == per_record_reference(header, records)
 
     def test_generated_latent_matches_the_per_item_records(self, tmp_path):
         ds = generate(SynthConfig(n_styles=2, queries_per_style=16, pool_size=64, dim=8,
