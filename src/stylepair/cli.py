@@ -31,7 +31,7 @@ log = logging.getLogger("stylepair")
 
 DEFAULT_SWEEP_GRID = "0.26,0.27,0.28,0.29,0.30"
 _SEEDED_COMMANDS = ("synth", "stylize", "train", "pipeline")   # the stages that draw randomness
-_SYNTH_OPTION = {"n_styles": "styles"}   # SynthConfig fields whose option has another name
+_OPTION_NAME = {"n_styles": "styles"}   # config fields whose option has another name
 # pipeline options that change no output byte, and `styles`, which is n_styles there;
 # report.json's config records every other one
 _BYTE_NEUTRAL = ("command", "config", "workdir", "data_dir", "threads", "styles")
@@ -43,10 +43,11 @@ def _add_common(parser: argparse.ArgumentParser, seeded: bool) -> None:
         parser.add_argument("--seed", type=int, default=7)
 
 
-def _add_synth_options(parser: argparse.ArgumentParser) -> None:
-    for f in fields(SynthConfig):
+def _add_config_options(parser: argparse.ArgumentParser, config_class) -> None:
+    """One option per field of the dataclass `config_class`, defaulting to the field's default."""
+    for f in fields(config_class):
         if f.name != "seed":   # a common option
-            dest = _SYNTH_OPTION.get(f.name, f.name)
+            dest = _OPTION_NAME.get(f.name, f.name)
             parser.add_argument("--" + dest.replace("_", "-"), type=type(f.default),
                                 default=f.default)
 
@@ -58,17 +59,6 @@ def _add_stylize_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_filter_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold", type=float, default=styler.DEFAULT_THRESHOLD)
-
-
-def _add_train_options(parser: argparse.ArgumentParser) -> None:
-    cfg = trainer.TrainConfig()
-    parser.add_argument("--batch-size", type=int, default=128)
-    parser.add_argument("--learning-rate", type=float, default=cfg.learning_rate)
-    parser.add_argument("--momentum", type=float, default=cfg.momentum)
-    parser.add_argument("--epochs", type=int, default=3)
-    parser.add_argument("--tau", type=float, default=trainer.DEFAULT_TAU)
-    # stale queue negatives (no momentum encoder here) cost recall; off by default
-    parser.add_argument("--queue-capacity", type=int, default=cfg.queue_capacity)
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -84,7 +74,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("synth", help="generate the seeded synthetic benchmark")
     p.add_argument("--out", required=True, help="output directory")
-    _add_synth_options(p)
+    _add_config_options(p, SynthConfig)
 
     p = sub.add_parser("match", help="exclusive pseudo-matching of queries to pool clips")
     p.add_argument("--queries", required=True)
@@ -123,7 +113,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--loss-log", help="optional CSV loss log path")
     p.add_argument("--mode", choices=[trainer.MODE_IN_STYLE, trainer.MODE_MIXED],
                    default=trainer.MODE_IN_STYLE)
-    _add_train_options(p)
+    _add_config_options(p, trainer.TrainConfig)
 
     p = sub.add_parser("eval", help="recall and median-rank retrieval report")
     p.add_argument("--captions", required=True)
@@ -139,8 +129,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--data-dir", help="reuse an existing dataset directory")
     _add_filter_options(p)
     _add_stylize_options(p)
-    _add_synth_options(p)
-    _add_train_options(p)
+    _add_config_options(p, SynthConfig)
+    _add_config_options(p, trainer.TrainConfig)
     p.add_argument("--threads", type=int, default=0,
                    help="worker processes for match, stylize and training, at most the "
                         "CPUs this process may run on; 0 = all of them")
@@ -187,33 +177,34 @@ def _config_value(action, key, value):
         raise ConfigInvalid(f"config key {key!r}: {exc}") from exc
 
 
-# (option, rule its value must meet, the rule in words); a subcommand without the option skips it
-_KNOB_RULES = [
-    ("seed", lambda v: v >= 0, "be non-negative"),
-    ("threads", lambda v: v >= 0, "be 0 (all CPUs) or positive"),
-    ("threshold", lambda v: -1.0 < v < 1.0, "lie strictly in (-1, 1)"),
-    ("ridge_lambda", lambda v: math.isfinite(v) and v >= 0.0, "be finite and non-negative"),
-    ("noise_sigma", lambda v: math.isfinite(v) and v >= 0.0, "be finite and non-negative"),
-    ("tau", lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
-    ("learning_rate", lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
-    ("momentum", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
-    ("queue_capacity", lambda v: v >= 0, "be non-negative"),
-    ("epochs", lambda v: v >= 1, "be at least 1"),
-    ("batch_size", lambda v: v >= 2, "be at least 2"),
-]
+# option -> (rule its value must meet, the rule in words); a subcommand without the option skips it
+_KNOB_RULES = {
+    "seed": (lambda v: v >= 0, "be non-negative"),
+    "threads": (lambda v: v >= 0, "be 0 (all CPUs) or positive"),
+    "threshold": (lambda v: -1.0 < v < 1.0, "lie strictly in (-1, 1)"),
+    "ridge_lambda": (lambda v: math.isfinite(v) and v >= 0.0, "be finite and non-negative"),
+    "noise_sigma": (lambda v: math.isfinite(v) and v >= 0.0, "be finite and non-negative"),
+    "tau": (lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
+    "learning_rate": (lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
+    "momentum": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    "queue_capacity": (lambda v: v >= 0, "be non-negative"),
+    "epochs": (lambda v: v >= 1, "be at least 1"),
+    "batch_size": (lambda v: v >= 2, "be at least 2"),
+}
 
 
 def _validate_knobs(args) -> None:
     """Reject a bad numeric option before any stage reads an input or writes a file."""
-    for name, ok, rule in _KNOB_RULES:
+    for name, (ok, rule) in _KNOB_RULES.items():
         value = getattr(args, name, None)
         if value is not None and not ok(value):
             raise ConfigInvalid(f"{name} {value} must {rule}")
 
 
-def _synth_config(args) -> SynthConfig:
-    return SynthConfig(**{f.name: getattr(args, _SYNTH_OPTION.get(f.name, f.name))
-                          for f in fields(SynthConfig)})
+def _from_options(config_class, args):
+    """The dataclass `config_class` built from the parsed options."""
+    return config_class(**{f.name: getattr(args, _OPTION_NAME.get(f.name, f.name))
+                           for f in fields(config_class)})
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -280,15 +271,11 @@ def train_stage(args, pool, gen_sets, styled_sets, runs, threads):
     forked workers; files and log lines follow in `runs` order when all are done.
     """
     gather = trainer.build_training_arrays(gen_sets, styled_sets, pool)
-    config = trainer.TrainConfig(**{f.name: getattr(args, f.name)
-                                    for f in fields(trainer.TrainConfig)})
+    config = _from_options(trainer.TrainConfig, args)
 
     def fit(mode):
-        return trainer.train_epochs(
-            trainer.init_adapter(dim=pool.dim, tau=args.tau), gen_sets, gather,
-            mode=mode, epochs=args.epochs,
-            batch_size=args.batch_size, config=config, seed=args.seed,
-        )
+        return trainer.train_epochs(trainer.init_adapter(dim=pool.dim, tau=config.tau), gen_sets,
+                                    gather, mode=mode, config=config, seed=args.seed)
 
     hold_freed_heap()   # else each step's matrices may fault in afresh
     results = for_each([mode for mode, _, _ in runs], fit, threads)
@@ -314,7 +301,7 @@ def eval_stage(captions, candidates, truth, model=None,
 
 
 def cmd_synth(args) -> int:
-    cfg = _synth_config(args)
+    cfg = _from_options(SynthConfig, args)
     ds = synthgen.generate(cfg)
     paths = synthgen.write_dataset(ds, args.out)
     log.info("stage=synth styles=%d queries_per_style=%d pool=%d seed=%d",
@@ -347,13 +334,14 @@ def cmd_filter(args) -> int:
 
 def _threshold_grid(text: str) -> list[float]:
     """The --thresholds grid: a non-empty ascending list of valid --threshold values."""
+    ok, rule = _KNOB_RULES["threshold"]
     try:
         grid = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigInvalid(f"thresholds {text!r}: {exc}") from exc
-    if not grid or grid != sorted(grid) or not all(-1.0 < v < 1.0 for v in grid):
+    if not grid or grid != sorted(grid) or not all(map(ok, grid)):
         raise ConfigInvalid(f"thresholds {text!r} must be a non-empty ascending list of "
-                            f"values strictly in (-1, 1)")
+                            f"values that {rule}")
     return grid
 
 
@@ -405,25 +393,28 @@ def _mean_section(reports: list[evaluator.RetrievalReport]) -> dict:
 
 @one_blas_thread()
 def run_pipeline(args) -> dict:
-    """Synthesize (or reuse) a dataset, run all stages, return the report.
+    """Synthesize a dataset unless the workdir holds one, run all stages, return the report.
 
-    A dataset already in the workdir is reused only if it was generated
-    from the same synth config; an explicit --data-dir is taken as given.
-    BLAS runs on one thread throughout, so the worker pool is the run's
-    only parallelism.
+    The run uses the synth config in the dataset's latent header. Every
+    synth flag must match it, and so must --seed for the workdir's own
+    dataset. A --data-dir without that file (real embeddings) is taken as
+    the flags describe it. BLAS runs on one thread throughout, so the
+    worker pool is the run's only parallelism.
     """
-    cfg = _synth_config(args)
-    cfg.validate()   # report.json records it, even for a given --data-dir
+    cfg = _from_options(SynthConfig, args)
+    cfg.validate()
     workdir = args.workdir
     os.makedirs(workdir, exist_ok=True)
     data_dir = args.data_dir or os.path.join(workdir, "data")
+    latent = dataset_paths(data_dir, 0)["latent"]   # written last, so it marks a whole dataset
+    if not (args.data_dir or os.path.exists(latent)):
+        synthgen.write_dataset(synthgen.generate(cfg), data_dir)
+        log.info("stage=pipeline synthesized=%s", os.path.basename(data_dir))
+    data_seed = None
+    if os.path.exists(latent):
+        cfg = synthgen.read_latent_config(latent, cfg, check_seed=not args.data_dir)
+        data_seed = cfg.seed
     paths = dataset_paths(data_dir, cfg.n_styles)
-    if not args.data_dir:
-        if os.path.exists(paths["truth"]):
-            synthgen.check_latent_header(paths["latent"], cfg)
-        else:
-            synthgen.write_dataset(synthgen.generate(cfg), data_dir)
-            log.info("stage=pipeline synthesized=%s", os.path.basename(data_dir))
 
     pool = load_embeddings(paths["pool"])
     test_clips = load_embeddings(paths["test_clips"])
@@ -454,8 +445,10 @@ def run_pipeline(args) -> dict:
          os.path.join(workdir, f"loss_{mode}.csv")) for mode in modes], args.threads)
 
     report = {
-        "config": {**asdict(cfg), "match_order": matcher.ORDER_QUERY_ID,
-                   **{k: v for k, v in vars(args).items() if k not in _BYTE_NEUTRAL}},
+        # the options, the dataset's synth config over them, and the run's own seed
+        "config": {**{k: v for k, v in vars(args).items() if k not in _BYTE_NEUTRAL},
+                   **asdict(cfg), "seed": args.seed, "data_seed": data_seed,
+                   "match_order": matcher.ORDER_QUERY_ID},
         "pair_counts": {
             "pseudo": [len(p) for p in pseudo_sets],
             "generated": [len(g) for g in gen_sets],

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, normalize, save_embeddings
+from .embedcore import EmbeddingSet, keyed_rng, normalize, save_embeddings
 from .errors import ConfigInvalid, DuplicateId
 
 N_CLUSTERS = 8
@@ -89,10 +89,6 @@ class SynthDataset:
     latent: dict[str, np.ndarray]     # the latent file's columns (LATENT_FIELDS)
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
 def _clip_embedding(cfg: SynthConfig, contents: np.ndarray, rng) -> np.ndarray:
     """content || channel noise per row, unnormalized (`_as_set` normalizes)."""
     n = contents.shape[0]
@@ -115,11 +111,11 @@ def _as_set(ids: np.ndarray, raw: np.ndarray) -> EmbeddingSet:
 def generate(cfg: SynthConfig) -> SynthDataset:
     """Build the full benchmark for one seed; pure function of the config."""
     cfg.validate()
-    centers = _rng(cfg.seed, 0).standard_normal((N_CLUSTERS, cfg.content_dim))
+    centers = keyed_rng(cfg.seed, 0).standard_normal((N_CLUSTERS, cfg.content_dim))
 
     styles: list[StyleGroundTruth] = []
     for s in range(cfg.n_styles):
-        rng = _rng(cfg.seed, 1, s)
+        rng = keyed_rng(cfg.seed, 1, s)
         clusters = rng.choice(N_CLUSTERS, size=min(CLUSTERS_PER_STYLE, N_CLUSTERS),
                               replace=False)
         gamma = cfg.style_strength
@@ -143,7 +139,7 @@ def generate(cfg: SynthConfig) -> SynthDataset:
 
     n_test = cfg.test_per_style
     for s, style in enumerate(styles):
-        rng_content = _rng(cfg.seed, 2, s)
+        rng_content = keyed_rng(cfg.seed, 2, s)
         n_items = cfg.queries_per_style + n_test
         assignment = style.clusters[rng_content.integers(0, len(style.clusters), n_items)]
         contents = centers[assignment] + CONTENT_SPREAD * rng_content.standard_normal(
@@ -154,11 +150,11 @@ def generate(cfg: SynthConfig) -> SynthDataset:
                     + np.arange(n_test, dtype=np.int64))
 
         train_raw = _caption_embedding(cfg, style, contents[:cfg.queries_per_style],
-                                       _rng(cfg.seed, 3, s))
+                                       keyed_rng(cfg.seed, 3, s))
         test_cap_raw = _caption_embedding(cfg, style, contents[cfg.queries_per_style:],
-                                          _rng(cfg.seed, 4, s))
+                                          keyed_rng(cfg.seed, 4, s))
         test_clip = _clip_embedding(cfg, contents[cfg.queries_per_style:],
-                                    _rng(cfg.seed, 5, s))
+                                    keyed_rng(cfg.seed, 5, s))
 
         train_queries.append(_as_set(train_ids, train_raw))
         test_caption_sets.append(_as_set(test_ids, test_cap_raw))
@@ -169,12 +165,12 @@ def generate(cfg: SynthConfig) -> SynthDataset:
         latent.append((train_ids, s, assignment[:cfg.queries_per_style], "train_query"))
         latent.append((test_ids, s, assignment[cfg.queries_per_style:], "test"))
 
-    rng_pool = _rng(cfg.seed, 6)
+    rng_pool = keyed_rng(cfg.seed, 6)
     pool_assignment = rng_pool.integers(0, N_CLUSTERS, cfg.pool_size)
     pool_contents = centers[pool_assignment] + CONTENT_SPREAD * rng_pool.standard_normal(
         (cfg.pool_size, cfg.content_dim))
     pool_ids = _POOL_ID_BASE + np.arange(cfg.pool_size, dtype=np.int64)
-    pool_raw = _clip_embedding(cfg, pool_contents, _rng(cfg.seed, 7))
+    pool_raw = _clip_embedding(cfg, pool_contents, keyed_rng(cfg.seed, 7))
     latent.append((pool_ids, -1, pool_assignment, "pool"))
     ids, block_styles, clusters, splits = zip(*latent)
     sizes = [len(block) for block in ids]
@@ -230,14 +226,16 @@ def latent_header(cfg: SynthConfig) -> dict:
     return {"kind": "latent_record", **asdict(cfg)}
 
 
-def check_latent_header(path: str | os.PathLike, cfg: SynthConfig) -> None:
-    """Raise ConfigInvalid unless the dataset at `path` was generated from `cfg`."""
-    want = latent_header(cfg)
+def read_latent_config(path: str | os.PathLike, flags: SynthConfig,
+                       check_seed: bool) -> SynthConfig:
+    """The SynthConfig in the latent header at `path`; ConfigInvalid names the first
+    key, the seed only if `check_seed`, where `flags` differs from it."""
     got, _ = container.read_records(path, "latent_record", None,
                                     {f.name: f.type for f in fields(SynthConfig)})
-    for key in want:
-        if got[key] != want[key]:
-            raise ConfigInvalid(f"{path} was generated with {key}={got[key]!r}, not {want[key]!r}")
+    for key, value in asdict(flags).items():
+        if got[key] != value and (check_seed or key != "seed"):
+            raise ConfigInvalid(f"{path} was generated with {key}={got[key]!r}, not {value!r}")
+    return SynthConfig(**{f.name: got[f.name] for f in fields(SynthConfig)})
 
 
 def read_truth(path: str | os.PathLike) -> dict[int, int]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, aligned_dots, row_blocks
+from .embedcore import EmbeddingSet, aligned_dots, keyed_rng, row_blocks
 from .errors import (
     BatchTooLarge,
     ConfigInvalid,
@@ -221,10 +221,6 @@ def batch_projections(model: AdapterModel, batch_texts, batch_videos):
     return project(model.text_head, batch_texts)[0], project(model.video_head, batch_videos)[0]
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
 def plan_epoch(
     style_sets: list[GeneratedPairSet],
     batch_size: int,
@@ -266,7 +262,7 @@ def plan_epoch(
             )
         per_set: list[list[np.ndarray]] = []
         for s, size in enumerate(sizes):
-            perm = _rng(seed, s).permutation(size) + offsets[s]
+            perm = keyed_rng(seed, s).permutation(size) + offsets[s]
             n_batches = size // batch_size
             per_set.append([
                 perm[i * batch_size:(i + 1) * batch_size] for i in range(n_batches)
@@ -285,7 +281,7 @@ def plan_epoch(
         n_pairs = sum(sizes)
         if batch_size > n_pairs:
             raise BatchTooLarge(f"batch_size {batch_size} exceeds {n_pairs} total pairs")
-        perm = _rng(seed).permutation(n_pairs)
+        perm = keyed_rng(seed).permutation(n_pairs)
         for i in range(n_pairs // batch_size):
             batches.append((MIXED_TAG, perm[i * batch_size:(i + 1) * batch_size]))
 
@@ -294,9 +290,12 @@ def plan_epoch(
 
 @dataclass
 class TrainConfig:
+    batch_size: int = 128
     learning_rate: float = 0.3
     momentum: float = 0.9
-    queue_capacity: int = 0   # queue negatives are opt-in; see NegativeQueue
+    epochs: int = 3
+    tau: float = DEFAULT_TAU
+    queue_capacity: int = 0   # opt-in: stale queue negatives (no momentum encoder) cost recall
 
 
 @dataclass
@@ -405,24 +404,23 @@ def train_epochs(
     style_sets: list[GeneratedPairSet],
     rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     mode: str,
-    epochs: int,
-    batch_size: int,
     config: TrainConfig,
     seed: int,
 ) -> tuple[AdapterModel, list[StepRecord]]:
-    """Fresh plan per epoch; the loss log runs on across epochs.
+    """A fresh plan for each of `config.epochs` epochs; the loss log runs on across them.
 
     `rows` maps a batch's global pair indices to its (texts, videos), as
     build_training_arrays returns it; each batch is gathered as it is trained.
     A queue empties every epoch, so its capacity is capped at the pairs.
     """
-    if epochs < 1:
+    if config.epochs < 1:
         raise ConfigInvalid("epochs must be at least 1")
     config = replace(config, queue_capacity=min(config.queue_capacity,
                                                 sum(len(s) for s in style_sets)))
     all_rows: list[StepRecord] = []
-    for epoch in range(epochs):
-        batches = plan_epoch(style_sets, batch_size, mode=mode, seed=_epoch_seed(seed, epoch))
+    for epoch in range(config.epochs):
+        batches = plan_epoch(style_sets, config.batch_size, mode=mode,
+                             seed=_epoch_seed(seed, epoch))
         model, epoch_rows = train(model, ((tag, *rows(idx)) for tag, idx in batches), config)
         all_rows.extend(epoch_rows)
     return model, all_rows

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from stylepair import embedcore, evaluator, styler
-from stylepair.cli import _emit_json, _synth_config, build_parser, main
+from stylepair.cli import _emit_json, _from_options, build_parser, main
 from stylepair.embedcore import blas_thread_controls, save_embeddings
 from stylepair.errors import SingularSystem
 from stylepair.styler import GeneratedPairSet, read_generated_pairs, write_generated_pairs
 from stylepair.synthgen import SynthConfig
-from stylepair.trainer import init_adapter, save_adapter
+from stylepair.trainer import TrainConfig, init_adapter, save_adapter
 
 from conftest import (count_forks, forks_workers, golden, make_set, needs_blas_controls,
                       random_unit_set)
@@ -68,8 +68,15 @@ class TestSynthCommand:
         assert not (tmp_path / "d").exists()
 
     def test_default_options_give_the_default_config_at_the_cli_seed(self):
-        assert _synth_config(build_parser().parse_args(["synth", "--out", "d"])) \
+        assert _from_options(SynthConfig, build_parser().parse_args(["synth", "--out", "d"])) \
             == SynthConfig(seed=7)
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--pool", "p", "--styled", "s", "--pairs", "g", "--out", "a"],
+        ["pipeline", "--workdir", "w"],
+    ])
+    def test_default_options_give_the_default_train_config(self, command):
+        assert _from_options(TrainConfig, build_parser().parse_args(command)) == TrainConfig()
 
     def test_repeated_runs_hash_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -756,3 +763,35 @@ class TestPipelineCommand:
                    "--styles", "1", "--seed", "7", "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN)
         assert rc == 0
         assert tree_hashes(data) == before   # inputs never mutated
+
+    def test_flags_that_contradict_the_data_dir_exit_2_naming_the_key(self, tmp_path, caplog):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "7"]) == 0
+        w = tmp_path / "w"
+        rc = main(["pipeline", "--workdir", str(w), "--data-dir", str(data), "--styles", "1",
+                   "--pool-size", "3000", "--queries-per-style", "100",
+                   "--held-out-fraction", "0.5", "--seed", "11"])
+        assert rc == 2
+        assert "error=ConfigInvalid" in caplog.text and "n_styles=2" in caplog.text
+        assert tree_hashes(w) == {}
+
+    def test_data_dir_report_records_the_data_seed_apart_from_the_run_seed(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "7"] + SMALL_SYNTH) == 0
+        w = tmp_path / "w"
+        assert main(["pipeline", "--workdir", str(w), "--data-dir", str(data), "--seed", "11",
+                     "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN) == 0
+        config = json.loads((w / "report.json").read_text())["config"]
+        assert config["seed"] == 11 and config["data_seed"] == 7
+        assert config["n_styles"] == 2 and config["pool_size"] == 192
+
+    def test_data_dir_without_a_latent_file_records_no_data_seed(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "7"] + SMALL_SYNTH) == 0
+        (data / "latent.jsonl").unlink()
+        w = tmp_path / "w"
+        assert main(["pipeline", "--workdir", str(w), "--data-dir", str(data), "--seed", "11",
+                     "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN) == 0
+        config = json.loads((w / "report.json").read_text())["config"]
+        assert config["seed"] == 11 and config["data_seed"] is None
+        assert not (data / "latent.jsonl").exists()

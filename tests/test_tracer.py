@@ -72,8 +72,8 @@ def test_traced_training_reports_its_steps():
     try:
         for mode in (trainer.MODE_IN_STYLE, trainer.MODE_MIXED):
             trainer.train_epochs(trainer.init_adapter(4), sets, lambda idx: (texts[idx],) * 2,
-                                 mode=mode, epochs=2, batch_size=4,
-                                 config=trainer.TrainConfig(), seed=1)
+                                 mode=mode, config=trainer.TrainConfig(batch_size=4, epochs=2),
+                                 seed=1)
     finally:
         tr.uninstall()
     metrics = tracer.layer_metrics([[tr.dump()]])

@@ -438,9 +438,10 @@ class TestTrain:
         rng = np.random.default_rng(8)
         sets, texts, videos = separable_fixture(rng)
         model = init_adapter(8, tau=0.05)
-        config = TrainConfig(learning_rate=0.3, momentum=0.0, queue_capacity=0)
+        config = TrainConfig(batch_size=4, learning_rate=0.3, momentum=0.0, epochs=5,
+                             queue_capacity=0)
         model, rows = train_epochs(model, sets, row_gather(texts, videos), mode="in_style",
-                                   epochs=5, batch_size=4, config=config, seed=9)
+                                   config=config, seed=9)
         assert len(rows) == 100
         first = float(np.mean([r.loss for r in rows[:10]]))
         last = float(np.mean([r.loss for r in rows[-10:]]))
@@ -457,8 +458,8 @@ class TestTrain:
         for tau in (0.05, 1.0):
             model = init_adapter(8, tau=tau)
             model, rows = train_epochs(model, sets, row_gather(texts, videos), mode="in_style",
-                                       epochs=5, batch_size=4,
-                                       config=TrainConfig(learning_rate=0.3, momentum=0.0,
+                                       config=TrainConfig(batch_size=4, learning_rate=0.3,
+                                                          momentum=0.0, epochs=5,
                                                           queue_capacity=0), seed=4)
             outcomes[tau] = (np.mean([r.loss for r in rows[:10]]),
                              np.mean([r.loss for r in rows[-10:]]))
@@ -473,8 +474,8 @@ class TestTrain:
         for _ in range(2):
             model = init_adapter(8, tau=0.05)
             _, rows = train_epochs(model, sets, row_gather(texts, videos), mode="in_style",
-                                   epochs=2, batch_size=4,
-                                   config=TrainConfig(queue_capacity=32), seed=21)
+                                   config=TrainConfig(batch_size=4, epochs=2, queue_capacity=32),
+                                   seed=21)
             logs.append([(r.style_tag, r.loss) for r in rows])
         assert logs[0] == logs[1]
 
@@ -515,8 +516,9 @@ class TestTrain:
         # 2**40 rows would not fit in memory
         sets, texts, videos = separable_fixture(np.random.default_rng(12))
         (a, rows_a), *runs = [
-            train_epochs(init_adapter(8), sets, row_gather(texts, videos), mode=mode, epochs=2,
-                         batch_size=4, config=TrainConfig(queue_capacity=capacity), seed=3)
+            train_epochs(init_adapter(8), sets, row_gather(texts, videos), mode=mode,
+                         config=TrainConfig(batch_size=4, epochs=2, queue_capacity=capacity),
+                         seed=3)
             for capacity in (len(texts), 7 * len(texts), 2**40)]
         for b, rows_b in runs:
             assert np.array_equal(a.text_head, b.text_head)
@@ -558,8 +560,8 @@ class TestTrain:
         for i, (t, v) in enumerate([(texts32, videos32),
                                     (texts32.astype(np.float64), videos32.astype(np.float64))]):
             model, rows = train_epochs(init_adapter(8), sets, row_gather(t, v), mode="in_style",
-                                       epochs=2, batch_size=4,
-                                       config=TrainConfig(queue_capacity=12), seed=3)
+                                       config=TrainConfig(batch_size=4, epochs=2,
+                                                          queue_capacity=12), seed=3)
             save_adapter(model, tmp_path / f"adapter{i}.iemb")
             write_loss_log(rows, tmp_path / f"loss{i}.csv")
             outputs.append([(tmp_path / f"{name}{i}.{ext}").read_bytes()
@@ -655,11 +657,12 @@ class TestBuildTrainingArrays:
         cli.train_stage(args, pool, gen_sets, styled_sets, [
             (mode, tmp_path / f"adapter_{mode}.iemb", tmp_path / f"loss_{mode}.csv")
             for mode in modes], threads)
-        config = TrainConfig(learning_rate=0.3, momentum=0.9, queue_capacity=24)
+        config = TrainConfig(batch_size=16, learning_rate=0.3, momentum=0.9, epochs=2,
+                             queue_capacity=24)
         for mode in modes:
             model, rows = train_epochs(init_adapter(pool.dim), gen_sets,
                                        copy_path_rows(gen_sets, styled_sets, pool), mode=mode,
-                                       epochs=2, batch_size=16, config=config, seed=5)
+                                       config=config, seed=5)
             save_adapter(model, tmp_path / "want.iemb")
             write_loss_log(rows, tmp_path / "want.csv")
             for got, want in ((f"adapter_{mode}.iemb", "want.iemb"),
@@ -679,8 +682,8 @@ class TestBuildTrainingArrays:
 
         def rows_and_one_epoch():
             rows = build_training_arrays(gen_sets, styled_sets, pool)
-            train_epochs(init_adapter(dim), gen_sets, rows, mode="mixed", epochs=1,
-                         batch_size=64, config=TrainConfig(queue_capacity=128), seed=1)
+            train_epochs(init_adapter(dim), gen_sets, rows, mode="mixed",
+                         config=TrainConfig(batch_size=64, epochs=1, queue_capacity=128), seed=1)
 
         assert traced_peak(rows_and_one_epoch) < copies
 
