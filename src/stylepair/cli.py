@@ -23,7 +23,7 @@ import numpy as np
 
 from . import container, evaluator, matcher, styler, synthgen, trainer
 from .embedcore import (EmbeddingSet, for_each, hold_freed_heap, load_embeddings,
-                        one_blas_thread, save_embeddings)
+                        one_blas_thread, release_freed_heap, save_embeddings)
 from .errors import ConfigInvalid, StylePairError
 from .synthgen import SynthConfig, dataset_paths
 
@@ -401,6 +401,7 @@ def run_pipeline(args) -> dict:
     the flags describe it. BLAS runs on one thread throughout, so the
     worker pool is the run's only parallelism.
     """
+    release_freed_heap()   # before any stage allocates; training holds the heap instead
     cfg = _from_options(SynthConfig, args)
     cfg.validate()
     workdir = args.workdir

@@ -31,6 +31,7 @@ MAGIC = b"IEMB"
 VERSION = 1
 STYLE_CHUNK = b"STYL"
 ADAPTER_CHUNK = b"ADPT"
+RECORDS_PER_WRITE = 4096   # records of a JSONL file formatted and written at once
 
 
 @contextlib.contextmanager
@@ -109,8 +110,10 @@ def read_container(path: str | os.PathLike, tag: bytes, fields: str, what: str):
 
 def write_records(path: str | os.PathLike, header: dict, columns: dict) -> None:
     """Write `header`, then each row of the numpy `columns` as json.dumps writes its dict:
-    a number as `str` of its Python value, a string json.dumps'd once per distinct value."""
-    if len({len(col) for col in columns.values()}) > 1:
+    a number as `str` of its Python value, a string json.dumps'd once per distinct value.
+    Records are formatted and written RECORDS_PER_WRITE at a time."""
+    lengths = {len(col) for col in columns.values()}
+    if len(lengths) > 1:
         raise ValueError("record columns must have equal length")
     for key, value in header.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -118,14 +121,16 @@ def write_records(path: str | os.PathLike, header: dict, columns: dict) -> None:
     record = "{" + ", ".join(json.dumps(key).replace("%", "%%") + ": %s" for key in columns) + "}\n"
     with atomic_write(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(header) + "\n")
-        cells = []
-        for key, col in columns.items():
-            if col.dtype.kind == "f" and not np.isfinite(col).all():
-                raise NonFiniteValue(f"record column {key!r} holds a non-finite value")
-            values = col.tolist()
-            cells.append(map({v: json.dumps(v) for v in set(values)}.__getitem__, values)
-                         if col.dtype.kind in "OU" else values)
-        f.write("".join(map(record.__mod__, zip(*cells))))
+        for lo in range(0, max(lengths, default=0), RECORDS_PER_WRITE):
+            cells = []
+            for key, col in columns.items():
+                part = col[lo:lo + RECORDS_PER_WRITE]
+                if part.dtype.kind == "f" and not np.isfinite(part).all():
+                    raise NonFiniteValue(f"record column {key!r} holds a non-finite value")
+                values = part.tolist()
+                cells.append(map({v: json.dumps(v) for v in set(values)}.__getitem__, values)
+                             if part.dtype.kind in "OU" else values)
+            f.write("".join(map(record.__mod__, zip(*cells))))
 
 
 _INT64 = range(-2**63, 2**63)

@@ -30,7 +30,6 @@ BLOCK_ROWS = 512       # fixed row block of every row-wise float64 pass
 TILE_COLS = 2048       # column tile of a streamed block product
 _PR_SET_PDEATHSIG = 1  # Linux prctl option: a signal for when the parent dies
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc mallopt parameters
-_HEAP_HOLD_BYTES = 32 << 20   # glibc's ceiling for its dynamic mmap threshold
 
 
 @dataclass(frozen=True)
@@ -160,20 +159,40 @@ def one_blas_thread():
         set_(saved)
 
 
-def hold_freed_heap() -> None:
-    """Fix glibc malloc's mmap threshold at 32 MiB and its trim threshold at twice that.
+def _fix_malloc_thresholds(mmap_bytes: int) -> None:
+    """Fix glibc malloc's mmap threshold at `mmap_bytes` and its trim threshold at twice that.
 
-    By default a freed block of a megabyte or so goes back to the kernel
-    (unmapped, or trimmed off the heap top) and faults in zero-filled on its
-    next use, as a training step's matrices did on every step. These are the
-    values glibc's own dynamic thresholds stop at. Without mallopt
-    (another C library), nothing changes.
+    A block of at least `mmap_bytes` is then mapped on its own and unmapped
+    when freed, and free heap past twice that is trimmed off the heap top.
+    Fixed, neither follows glibc's dynamic threshold, which rises to the
+    size of each freed mapped block (up to 32 MiB) and so keeps later blocks
+    of that size in the heap. Without mallopt (another C library), nothing
+    changes.
     """
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt:
         mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
-        mallopt(_M_MMAP_THRESHOLD, _HEAP_HOLD_BYTES)
-        mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_HOLD_BYTES)
+        mallopt(_M_MMAP_THRESHOLD, mmap_bytes)
+        mallopt(_M_TRIM_THRESHOLD, 2 * mmap_bytes)
+
+
+def hold_freed_heap() -> None:
+    """Fix the malloc thresholds at 32 MiB and 64 MiB, where glibc's dynamic ones stop.
+
+    Below them, a freed block of a megabyte or so goes back to the kernel
+    (unmapped, or trimmed off the heap top) and faults in zero-filled on its
+    next use, as a training step's matrices did on every step.
+    """
+    _fix_malloc_thresholds(32 << 20)
+
+
+def release_freed_heap() -> None:
+    """Fix the malloc thresholds at 1 MiB and 2 MiB: a freed block past them goes back.
+
+    So a stage's product tiles and blocks are returned when freed, whatever
+    an earlier stage freed, and do not pile up in the heap.
+    """
+    _fix_malloc_thresholds(1 << 20)
 
 
 def for_each(items, run, threads: int = 1) -> list:

@@ -31,6 +31,7 @@ ORDER_QUERY_ID = "query_id"   # the one processing order; recorded in pair-file 
 HEADER_FIELDS = {"query_set": str, "clip_set": str, "policy": str}   # pair-file keys and types
 RECORD_FIELDS = {"query_id": int, "clip_id": int, "sim": float}
 SHORTLIST_K = 32   # rank, among a row's unclaimed entries of one tile, of its threshold
+THETA_ROWS = 64    # rows of a tile partitioned at once for their thresholds
 
 
 @dataclass
@@ -89,7 +90,9 @@ def _shortlists(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarr
         prod[:, claimed] = -np.inf
         if not theta_set and w - np.count_nonzero(claimed) >= SHORTLIST_K:
             kth = w - SHORTLIST_K
-            theta = np.partition(prod, kth, axis=1)[:, kth:kth + 1].copy()
+            for r0 in range(0, n, THETA_ROWS):   # a partitioned copy of a slice, not the tile
+                theta[r0:r0 + THETA_ROWS] = np.partition(prod[r0:r0 + THETA_ROWS], kth,
+                                                         axis=1)[:, kth:kth + 1]
             theta_set = True
         flat = np.flatnonzero(np.greater_equal(prod, theta, out=keep_buf[:n * w].reshape(n, w)))
         row, col = np.divmod(flat, w)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, keyed_rng, normalize, save_embeddings
+from .embedcore import EmbeddingSet, keyed_rng, row_blocks, save_embeddings, unit_block
 from .errors import ConfigInvalid, DuplicateId
 
 N_CLUSTERS = 8
@@ -90,7 +90,7 @@ class SynthDataset:
 
 
 def _clip_embedding(cfg: SynthConfig, contents: np.ndarray, rng) -> np.ndarray:
-    """content || channel noise per row, unnormalized (`_as_set` normalizes)."""
+    """content || channel noise per row, unnormalized."""
     n = contents.shape[0]
     pad = cfg.dim - cfg.content_dim
     noise = cfg.cross_modal_noise * rng.standard_normal((n, pad)) if pad else np.empty((n, 0))
@@ -98,18 +98,30 @@ def _clip_embedding(cfg: SynthConfig, contents: np.ndarray, rng) -> np.ndarray:
 
 
 def _caption_embedding(cfg, style: StyleGroundTruth, contents: np.ndarray, rng) -> np.ndarray:
-    """A content + b + cross-modal noise per row, unnormalized (`_as_set` normalizes)."""
+    """A content + b + cross-modal noise per row, unnormalized."""
     raw = contents @ style.matrix.T + style.bias
     raw += cfg.cross_modal_noise * rng.standard_normal(raw.shape)
     return raw
 
 
-def _as_set(ids: np.ndarray, raw: np.ndarray) -> EmbeddingSet:
-    return normalize(EmbeddingSet(ids=ids, data=raw.astype(np.float32)))
+def _contents(centers: np.ndarray, assignment: np.ndarray, rng) -> np.ndarray:
+    """Each row's cluster center plus within-cluster noise, drawn from `rng` in row order."""
+    return centers[assignment] + CONTENT_SPREAD * rng.standard_normal(
+        (len(assignment), centers.shape[1]))
+
+
+def _unit_rows(ids: np.ndarray, raw: np.ndarray, out: np.ndarray) -> None:
+    """Narrow one block's raw rows to float32, then normalize them into `out` (unit_block)."""
+    unit_block(ids, raw.astype(np.float32).astype(np.float64), out)
 
 
 def generate(cfg: SynthConfig) -> SynthDataset:
-    """Build the full benchmark for one seed; pure function of the config."""
+    """Build the full benchmark for one seed; pure function of the config.
+
+    Every set is built one block of row_blocks at a time, straight into its
+    float32 rows. Each generator draws its rows in order, so the blocks
+    carry the values of one draw per set.
+    """
     cfg.validate()
     centers = keyed_rng(cfg.seed, 0).standard_normal((N_CLUSTERS, cfg.content_dim))
 
@@ -133,58 +145,56 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     latent: list[tuple] = []          # (item ids, style, clusters, split) blocks, in file order
     train_queries: list[EmbeddingSet] = []
     test_caption_sets: list[EmbeddingSet] = []
-    test_clip_ids: list[np.ndarray] = []
-    test_clip_raw: list[np.ndarray] = []
-    truth: dict[int, int] = {}
+    n_q, n_test = cfg.queries_per_style, cfg.test_per_style
+    test_clip_ids = np.concatenate([s * _STYLE_ID_STRIDE + _TEST_ID_OFFSET
+                                    + np.arange(n_test, dtype=np.int64)
+                                    for s in range(cfg.n_styles)])
+    test_clips = np.empty((len(test_clip_ids), cfg.dim), dtype=np.float32)
 
-    n_test = cfg.test_per_style
     for s, style in enumerate(styles):
         rng_content = keyed_rng(cfg.seed, 2, s)
-        n_items = cfg.queries_per_style + n_test
-        assignment = style.clusters[rng_content.integers(0, len(style.clusters), n_items)]
-        contents = centers[assignment] + CONTENT_SPREAD * rng_content.standard_normal(
-            (n_items, cfg.content_dim))
+        assignment = style.clusters[rng_content.integers(0, len(style.clusters), n_q + n_test)]
+        train_ids = s * _STYLE_ID_STRIDE + np.arange(n_q, dtype=np.int64)
+        test_ids = test_clip_ids[s * n_test:(s + 1) * n_test]
 
-        train_ids = s * _STYLE_ID_STRIDE + np.arange(cfg.queries_per_style, dtype=np.int64)
-        test_ids = (s * _STYLE_ID_STRIDE + _TEST_ID_OFFSET
-                    + np.arange(n_test, dtype=np.int64))
+        rng_caption = keyed_rng(cfg.seed, 3, s)
+        train = np.empty((n_q, cfg.dim), dtype=np.float32)
+        for lo, hi in row_blocks(n_q):
+            contents = _contents(centers, assignment[lo:hi], rng_content)
+            _unit_rows(train_ids[lo:hi], _caption_embedding(cfg, style, contents, rng_caption),
+                       train[lo:hi])
+        rng_caption, rng_clip = keyed_rng(cfg.seed, 4, s), keyed_rng(cfg.seed, 5, s)
+        captions = np.empty((n_test, cfg.dim), dtype=np.float32)
+        clips = test_clips[s * n_test:(s + 1) * n_test]
+        for lo, hi in row_blocks(n_test):   # one content draw for a caption and its clip
+            contents = _contents(centers, assignment[n_q + lo:n_q + hi], rng_content)
+            _unit_rows(test_ids[lo:hi], _caption_embedding(cfg, style, contents, rng_caption),
+                       captions[lo:hi])
+            _unit_rows(test_ids[lo:hi], _clip_embedding(cfg, contents, rng_clip), clips[lo:hi])
 
-        train_raw = _caption_embedding(cfg, style, contents[:cfg.queries_per_style],
-                                       keyed_rng(cfg.seed, 3, s))
-        test_cap_raw = _caption_embedding(cfg, style, contents[cfg.queries_per_style:],
-                                          keyed_rng(cfg.seed, 4, s))
-        test_clip = _clip_embedding(cfg, contents[cfg.queries_per_style:],
-                                    keyed_rng(cfg.seed, 5, s))
+        train_queries.append(EmbeddingSet(ids=train_ids, data=train, normalized=True))
+        test_caption_sets.append(EmbeddingSet(ids=test_ids, data=captions, normalized=True))
+        latent.append((train_ids, s, assignment[:n_q], "train_query"))
+        latent.append((test_ids, s, assignment[n_q:], "test"))
 
-        train_queries.append(_as_set(train_ids, train_raw))
-        test_caption_sets.append(_as_set(test_ids, test_cap_raw))
-        test_clip_ids.append(test_ids)
-        test_clip_raw.append(test_clip)
-        truth.update({int(i): int(i) for i in test_ids})
-
-        latent.append((train_ids, s, assignment[:cfg.queries_per_style], "train_query"))
-        latent.append((test_ids, s, assignment[cfg.queries_per_style:], "test"))
-
-    rng_pool = keyed_rng(cfg.seed, 6)
+    rng_pool, rng_clip = keyed_rng(cfg.seed, 6), keyed_rng(cfg.seed, 7)
     pool_assignment = rng_pool.integers(0, N_CLUSTERS, cfg.pool_size)
-    pool_contents = centers[pool_assignment] + CONTENT_SPREAD * rng_pool.standard_normal(
-        (cfg.pool_size, cfg.content_dim))
     pool_ids = _POOL_ID_BASE + np.arange(cfg.pool_size, dtype=np.int64)
-    pool_raw = _clip_embedding(cfg, pool_contents, keyed_rng(cfg.seed, 7))
+    pool = np.empty((cfg.pool_size, cfg.dim), dtype=np.float32)
+    for lo, hi in row_blocks(cfg.pool_size):
+        contents = _contents(centers, pool_assignment[lo:hi], rng_pool)
+        _unit_rows(pool_ids[lo:hi], _clip_embedding(cfg, contents, rng_clip), pool[lo:hi])
     latent.append((pool_ids, -1, pool_assignment, "pool"))
     ids, block_styles, clusters, splits = zip(*latent)
     sizes = [len(block) for block in ids]
 
-    all_test_ids = np.concatenate(test_clip_ids)
-    all_test_raw = np.concatenate(test_clip_raw, axis=0)
-
     return SynthDataset(
         config=cfg,
         train_queries=train_queries,
-        pool_clips=_as_set(pool_ids, pool_raw),
+        pool_clips=EmbeddingSet(ids=pool_ids, data=pool, normalized=True),
         test_captions=test_caption_sets,
-        test_clips=_as_set(all_test_ids, all_test_raw),
-        truth=truth,
+        test_clips=EmbeddingSet(ids=test_clip_ids, data=test_clips, normalized=True),
+        truth={int(i): int(i) for i in test_clip_ids},
         latent={"item_id": np.concatenate(ids), "style": np.repeat(block_styles, sizes),
                 "cluster": np.concatenate(clusters), "split": np.repeat(splits, sizes)},
     )

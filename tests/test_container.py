@@ -43,7 +43,7 @@ from stylepair.synthgen import (
 )
 from stylepair.trainer import AdapterModel, load_adapter, save_adapter
 
-from conftest import make_set
+from conftest import make_set, traced_peak
 
 
 def dying_columns(n_good):
@@ -331,6 +331,18 @@ class TestRecordCodec:
         records = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
         assert len(records) == n and len(set(tags.tolist())) == len(words)
         assert (tmp_path / "bulk.jsonl").read_bytes() == per_record_reference(header, records)
+
+    def test_memory_does_not_grow_with_the_record_count(self, tmp_path):
+        # formatting every record at once held 14.3 MB at 40,000 records and 3.6 MB at 10,000
+        peaks = []
+        for n in (10_000, 40_000):
+            rng = np.random.default_rng(26)
+            columns = {"item_id": np.arange(n, dtype=np.int64), "style": rng.integers(-1, 3, n),
+                       "sim": rng.uniform(-1.0, 1.0, n),
+                       "split": np.array(["train_query", "test", "pool"])[rng.integers(0, 3, n)]}
+            peaks.append(traced_peak(lambda: container.write_records(
+                tmp_path / "latent.jsonl", {"kind": "demo"}, columns)))
+        assert peaks[1] - peaks[0] < 64 << 10
 
     def test_generated_latent_matches_the_per_item_records(self, tmp_path):
         ds = generate(SynthConfig(n_styles=2, queries_per_style=16, pool_size=64, dim=8,

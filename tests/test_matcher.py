@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from stylepair import matcher
 from stylepair.container import read_records
-from stylepair.embedcore import TILE_COLS
+from stylepair.embedcore import TILE_COLS, column_tiles
 from stylepair.errors import DimMismatch, PoolExhausted
 from stylepair.matcher import (
     SHORTLIST_K,
@@ -253,3 +253,47 @@ class TestTiledPool:
         out = match_exclusive(q, c)
         assert np.array_equal(out.clip_ids, c.ids[cols])
         assert np.array_equal(out.sims, vals)
+
+
+def whole_tile_thresholds(block, start, pool, taken):
+    """Each row's threshold from one np.partition of the whole tile that sets it."""
+    for c0, c1 in column_tiles(pool.shape[0]):
+        w = c1 - c0
+        if w - np.count_nonzero(taken[c0:c1]) >= SHORTLIST_K:
+            prod = np.matmul(block, pool[c0:c1].astype(np.float64).T)[start:]
+            prod[:, taken[c0:c1]] = -np.inf
+            return np.partition(prod, w - SHORTLIST_K, axis=1)[:, w - SHORTLIST_K]
+
+
+class TestThresholdSlices:
+    """The thresholds, taken THETA_ROWS rows at a time, are those of the whole tile."""
+
+    @pytest.mark.parametrize("n_rows, start", [(300, 0), (512, 0), (300, 37), (512, 129)])
+    @pytest.mark.parametrize("claim_first_tile", [False, True])
+    def test_slices_give_the_whole_tile_thresholds(self, n_rows, start, claim_first_tile):
+        rng = np.random.default_rng(n_rows + start)
+        # few distinct vectors on each side: most entries of a row tie with many others
+        clips = make_set(rng.integers(-1, 2, size=(8, 6))[rng.integers(0, 8, 2 * TILE_COLS + 70)]
+                         + np.eye(6)[0] * 0.5)
+        queries = make_set(rng.integers(-1, 2, size=(5, 6))[rng.integers(0, 5, n_rows)]
+                           + np.eye(6)[1] * 0.5)
+        taken = rng.random(clips.count) < 0.3
+        if claim_first_tile:   # too few unclaimed clips left: the second tile sets the thresholds
+            taken[:TILE_COLS - SHORTLIST_K // 2] = True
+        block = queries.data.astype(np.float64)
+        size = n_rows * max(c1 - c0 for c0, c1 in column_tiles(clips.count))
+        *_, theta = matcher._shortlists(block, start, clips.data, taken, np.empty(size),
+                                        np.empty(size, dtype=bool))
+        want = whole_tile_thresholds(block, start, clips.data, taken)
+        assert n_rows - start > matcher.THETA_ROWS   # more than one slice
+        assert np.array_equal(np.array(theta).view(np.int64), want.view(np.int64))
+        assert len(set(theta)) < len(theta) / 10   # tie-heavy: the rows share few thresholds
+
+    def test_one_block_peaks_below_1_6_tiles_of_its_product(self):
+        # one 512-query block against 8,192 clips: the 512 x 2,048 float64 product tile,
+        # its keep mask and the shortlists, but no partitioned copy of the whole tile
+        rng = np.random.default_rng(24)
+        q = random_unit_set(rng, 512, 64)
+        c = random_unit_set(rng, 8192, 64)
+        tile = 512 * TILE_COLS * 8
+        assert traced_peak(lambda: match_exclusive(q, c)) < 1.6 * tile
