@@ -278,7 +278,10 @@ def train_stage(args, pool, gen_sets, styled_sets, runs, threads):
                                     gather, mode=mode, config=config, seed=args.seed)
 
     hold_freed_heap()   # else each step's matrices may fault in afresh
-    results = for_each([mode for mode, _, _ in runs], fit, threads)
+    try:
+        results = for_each([mode for mode, _, _ in runs], fit, threads)
+    finally:
+        release_freed_heap()   # later stages' freed blocks go back again
     for (mode, out, loss_log), (model, rows) in zip(runs, results):
         trainer.save_adapter(model, out)
         if loss_log:
@@ -444,6 +447,7 @@ def run_pipeline(args) -> dict:
     trained = train_stage(args, pool, gen_sets, styled_sets, [
         (mode, os.path.join(workdir, f"adapter_{mode}.iemb"),
          os.path.join(workdir, f"loss_{mode}.csv")) for mode in modes], args.threads)
+    del pool, queries, styled_sets   # the evals below read only the test sets
 
     report = {
         # the options, the dataset's synth config over them, and the run's own seed

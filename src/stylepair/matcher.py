@@ -30,7 +30,7 @@ from .errors import DimMismatch, DuplicateId, EmptyStyleSet, NotNormalized, Pool
 ORDER_QUERY_ID = "query_id"   # the one processing order; recorded in pair-file headers
 HEADER_FIELDS = {"query_set": str, "clip_set": str, "policy": str}   # pair-file keys and types
 RECORD_FIELDS = {"query_id": int, "clip_id": int, "sim": float}
-SHORTLIST_K = 32   # rank, among a row's unclaimed entries of one tile, of its threshold
+SHORTLIST_K = 16   # rank, among a row's unclaimed entries of one tile, of its threshold
 THETA_ROWS = 64    # rows of a tile partitioned at once for their thresholds
 
 
@@ -81,7 +81,7 @@ def _shortlists(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarr
     n = block.shape[0] - start
     theta = np.full((n, 1), np.finfo(np.float64).min)   # keeps every unclaimed entry
     theta_set = False
-    entries = []
+    rows, cols, sims = [], [], []
     for c0, c1 in column_tiles(pool.shape[0]):
         w = c1 - c0
         prod = np.matmul(block, pool[c0:c1].astype(np.float64).T,
@@ -96,12 +96,20 @@ def _shortlists(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarr
             theta_set = True
         flat = np.flatnonzero(np.greater_equal(prod, theta, out=keep_buf[:n * w].reshape(n, w)))
         row, col = np.divmod(flat, w)
-        entries.append((row.astype(np.int32), (col + c0).astype(np.int32), prod.ravel()[flat]))
-    rows, cols, sims = (np.concatenate(part) for part in zip(*entries))
-    del entries
+        rows.append(row.astype(np.int32))
+        cols.append((col + c0).astype(np.int32))
+        sims.append(prod.ravel()[flat])
+    # one field at a time: each join frees its pieces as it is bound, and each
+    # sorted copy frees its join, so no two fields are held twice at once
+    rows = np.concatenate(rows)
     order = np.argsort(rows, kind="stable")   # per row, tiles and columns stay ascending
     ptr = [0, *np.cumsum(np.bincount(rows, minlength=n)).tolist()]
-    return ptr, cols[order], sims[order], theta.ravel().tolist()
+    del rows
+    cols = np.concatenate(cols)
+    cols = cols[order]
+    sims = np.concatenate(sims)
+    sims = sims[order]
+    return ptr, cols, sims, theta.ravel().tolist()
 
 
 def match_exclusive(queries: EmbeddingSet, clips: EmbeddingSet) -> PseudoPairSet:

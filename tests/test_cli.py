@@ -8,11 +8,12 @@ import struct
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from stylepair import embedcore, evaluator, styler
+from stylepair import cli, embedcore, evaluator, styler
 from stylepair.cli import _emit_json, _from_options, build_parser, main
 from stylepair.embedcore import blas_thread_controls, save_embeddings
 from stylepair.errors import SingularSystem
@@ -623,6 +624,47 @@ class TestPipelineCommand:
         assert {"zero_shot", "in_style", "mixed"} <= set(rep)
         for section in ("zero_shot", "in_style", "mixed"):
             assert len(rep[section]["per_style"]) == 2
+
+    def test_post_training_evals_run_after_the_pool_and_styled_sets_are_freed(self, tmp_path,
+                                                                             monkeypatch):
+        # the evals after training read only the test sets, so their products must not
+        # sit on top of the pool, the query sets and the styled sets
+        args = ["pipeline", "--styles", "2", "--seed", "7", "--epochs", "1"] + SMALL_SYNTH \
+            + SMALL_TRAIN
+        assert main(args + ["--workdir", str(tmp_path / "plain")]) == 0
+        load, stylize, train, evaluate = (cli.load_embeddings, cli.stylize_stage,
+                                          cli.train_stage, cli.eval_stage)
+        refs, trained, live_at_eval = [], [], []
+
+        def loaded(path):
+            emb = load(path)
+            if os.path.basename(path).startswith(("pool", "queries")):
+                refs.append(weakref.ref(emb))
+            return emb
+
+        def stylized(*args, **kwargs):
+            styled_sets = stylize(*args, **kwargs)
+            refs.extend(weakref.ref(styled) for styled in styled_sets)
+            return styled_sets
+
+        def training(*args, **kwargs):
+            result = train(*args, **kwargs)
+            trained.append(True)
+            return result
+
+        def evaluated(*args, **kwargs):
+            if trained:
+                live_at_eval.append(sum(ref() is not None for ref in refs))
+            return evaluate(*args, **kwargs)
+
+        for name, wrapper in [("load_embeddings", loaded), ("stylize_stage", stylized),
+                              ("train_stage", training), ("eval_stage", evaluated)]:
+            monkeypatch.setattr(cli, name, wrapper)
+        assert main(args + ["--workdir", str(tmp_path / "watched")]) == 0
+        assert len(refs) == 5   # the pool, two query sets and two styled sets
+        assert live_at_eval == [0] * 4   # two styles under each of two adapters
+        assert (tmp_path / "watched" / "report.json").read_bytes() == \
+            (tmp_path / "plain" / "report.json").read_bytes()
 
     def test_default_two_style_golden_regression(self, tmp_path, capsys):
         rc = main(["pipeline", "--workdir", str(tmp_path / "w"), "--seed", "7"])

@@ -289,11 +289,13 @@ class TestThresholdSlices:
         assert np.array_equal(np.array(theta).view(np.int64), want.view(np.int64))
         assert len(set(theta)) < len(theta) / 10   # tie-heavy: the rows share few thresholds
 
-    def test_one_block_peaks_below_1_6_tiles_of_its_product(self):
-        # one 512-query block against 8,192 clips: the 512 x 2,048 float64 product tile,
-        # its keep mask and the shortlists, but no partitioned copy of the whole tile
+    @pytest.mark.parametrize("n_clips, bound_mb", [(8192, 9), (32_768, 14)])
+    def test_one_block_peaks_below_a_fixed_bound(self, n_clips, bound_mb):
+        # one 512-query block: a 512 x 1,024 float64 product tile (4.2 MB), its keep mask
+        # and the shortlists, but no partitioned copy of the whole tile. At 32,768 clips the
+        # shortlists set the peak: joined one field at a time, ~28 B an entry (13.6 MB in
+        # all); with every field's pieces, joins and sorted copies held at once, ~36 B (14.6 MB)
         rng = np.random.default_rng(24)
         q = random_unit_set(rng, 512, 64)
-        c = random_unit_set(rng, 8192, 64)
-        tile = 512 * TILE_COLS * 8
-        assert traced_peak(lambda: match_exclusive(q, c)) < 1.6 * tile
+        c = random_unit_set(rng, n_clips, 64)
+        assert traced_peak(lambda: match_exclusive(q, c)) < bound_mb * 1_000_000
