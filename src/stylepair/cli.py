@@ -385,13 +385,10 @@ def cmd_eval(args) -> int:
 
 
 def _mean_section(reports: list[evaluator.RetrievalReport]) -> dict:
-    return {
-        "per_style": [r.to_dict(include_ranks=False) for r in reports],
-        "mean_r1": float(np.mean([r.r1 for r in reports])),
-        "mean_r5": float(np.mean([r.r5 for r in reports])),
-        "mean_r10": float(np.mean([r.r10 for r in reports])),
-        "mean_median_rank": float(np.mean([r.median_rank for r in reports])),
-    }
+    """Each style's report, and the mean over the styles of every float field."""
+    return {"per_style": [r.to_dict(include_ranks=False) for r in reports],
+            **{f"mean_{f.name}": float(np.mean([getattr(r, f.name) for r in reports]))
+               for f in fields(evaluator.RetrievalReport) if f.type is float}}
 
 
 @one_blas_thread()

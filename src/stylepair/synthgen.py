@@ -112,7 +112,9 @@ def _contents(centers: np.ndarray, assignment: np.ndarray, rng) -> np.ndarray:
 
 def _unit_rows(ids: np.ndarray, raw: np.ndarray, out: np.ndarray) -> None:
     """Narrow one block's raw rows to float32, then normalize them into `out` (unit_block)."""
-    unit_block(ids, raw.astype(np.float32).astype(np.float64), out)
+    with np.errstate(over="ignore"):   # a row past float32's range is reported by unit_block
+        narrowed = raw.astype(np.float32)
+    unit_block(ids, narrowed.astype(np.float64), out)
 
 
 def generate(cfg: SynthConfig) -> SynthDataset:

@@ -34,7 +34,7 @@ from .styler import GeneratedPairSet
 DEFAULT_TAU = 0.05
 MODE_IN_STYLE = "in_style"
 MODE_MIXED = "mixed"
-MIXED_TAG = "mixed"
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 SIM_TOLERANCE = 1e-9   # recorded vs recomputed pair similarity in build_training_arrays
 
 
@@ -65,8 +65,10 @@ class AdapterModel:
         return self.text_head.shape[0]
 
     def check_finite(self):
-        if not (np.isfinite(self.text_head).all() and np.isfinite(self.video_head).all()):
-            raise NonFiniteLoss("adapter weights became non-finite")
+        """Both heads must stay finite as float32, the dtype save_adapter stores."""
+        for head in (self.text_head, self.video_head):
+            if not (-FLOAT32_MAX <= head.min() and head.max() <= FLOAT32_MAX):   # NaN fails too
+                raise NonFiniteLoss("adapter weights left float32's finite range")
 
     def copy(self) -> "AdapterModel":
         return replace(self, text_head=self.text_head.copy(), video_head=self.video_head.copy())
@@ -81,47 +83,38 @@ class NegativeQueue:
     """FIFO of recent projected (text, video) embeddings for one style.
 
     Entries are unit-norm projections captured at enqueue time; they act
-    as extra negative columns only and never receive gradients. Each
-    direction keeps one column buffer laid out as [batch | queue, oldest
-    first]: a loss step writes its batch projections into the top rows, so
-    its columns are a view and no step concatenates.
+    as extra negative columns only and never receive gradients. A queue
+    serves batches of one size: each direction keeps one column buffer laid
+    out as [batch | queue, oldest first], and a loss step writes its batch
+    projections into the top rows, so its columns are a view and no step
+    concatenates.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, batch: int, proj_dim: int):
         if capacity < 0:
             raise ConfigInvalid("queue capacity must be non-negative")
         self.capacity = capacity
-        self._batch = 0      # rows reserved for the batch above the queue
+        self.batch = batch
         self._len = 0
-        self._texts: np.ndarray | None = None    # (batch + capacity, proj_dim) float64
-        self._videos: np.ndarray | None = None
+        self._texts = np.empty((batch + capacity, proj_dim))
+        self._videos = np.empty((batch + capacity, proj_dim))
 
     def __len__(self) -> int:
         return self._len
 
     @property
     def text_negatives(self) -> np.ndarray | None:
-        return self._texts[self._batch:self._batch + self._len] if self._len else None
+        return self._texts[self.batch:self.batch + self._len] if self._len else None
 
     @property
     def video_negatives(self) -> np.ndarray | None:
-        return self._videos[self._batch:self._batch + self._len] if self._len else None
-
-    def _reserve(self, batch: int, proj_dim: int) -> None:
-        """Lay the buffers out for `batch` rows above the queue, keeping its entries."""
-        if self._texts is not None and self._batch == batch:
-            return
-        texts = np.empty((batch + self.capacity, proj_dim))
-        videos = np.empty((batch + self.capacity, proj_dim))
-        if self._len:
-            texts[batch:batch + self._len] = self.text_negatives
-            videos[batch:batch + self._len] = self.video_negatives
-        self._texts, self._videos, self._batch = texts, videos, batch
+        return self._videos[self.batch:self.batch + self._len] if self._len else None
 
     def columns(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """[x | text queue] and [y | video queue], oldest entry first, as buffer views."""
         b = x.shape[0]
-        self._reserve(b, x.shape[1])
+        if b != self.batch:
+            raise CountMismatch(f"a queue laid out for batches of {self.batch} got {b} rows")
         self._texts[:b] = x
         self._videos[:b] = y
         return self._texts[:b + self._len], self._videos[:b + self._len]
@@ -130,8 +123,7 @@ class NegativeQueue:
         new = min(text_proj.shape[0], self.capacity)
         keep = min(self._len, self.capacity - new)
         drop = self._len - keep
-        self._reserve(self._batch or text_proj.shape[0], text_proj.shape[1])
-        lo, dim = self._batch, self._texts.shape[1]
+        lo, dim = self.batch, self._texts.shape[1]
         for buf, rows in ((self._texts, text_proj), (self._videos, video_proj)):
             if drop:
                 # shift the kept entries up over the dropped ones; a 1-D overlapping
@@ -190,8 +182,9 @@ def info_nce_loss(
     log_diag = []
     exps = []   # (E, s) of text -> video, then of video -> text
     for rows, cols in ((x, cols_v), (y, cols_t)):
-        e = (rows / tau) @ cols.T
-        e -= e.max(axis=1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow makes the loss NaN
+            e = (rows / tau) @ cols.T
+            e -= e.max(axis=1, keepdims=True)
         shifted_diag = e.diagonal().copy()   # l_ii - max_i, read before exp overwrites e
         np.exp(e, out=e)
         z = e.sum(axis=1)
@@ -283,7 +276,7 @@ def plan_epoch(
             raise BatchTooLarge(f"batch_size {batch_size} exceeds {n_pairs} total pairs")
         perm = keyed_rng(seed).permutation(n_pairs)
         for i in range(n_pairs // batch_size):
-            batches.append((MIXED_TAG, perm[i * batch_size:(i + 1) * batch_size]))
+            batches.append((MODE_MIXED, perm[i * batch_size:(i + 1) * batch_size]))
 
     return batches
 
@@ -312,9 +305,10 @@ def train(
     """One SGD pass over `batches` of (style tag, texts, videos); return the model and loss log.
 
     After each step the batch's projections are pushed into that tag's
-    queue; a queue only ever serves batches with its own tag. The queues
-    belong to this call, so each epoch of `train_epochs` starts with them
-    empty.
+    queue; a queue only ever serves batches with its own tag, and is laid
+    out for the batch size of the tag's first step, as plan_epoch cuts every
+    batch to one size. The queues belong to this call, so each epoch of
+    `train_epochs` starts with them empty.
     """
     model = model.copy()
     queues: dict[str, NegativeQueue] = {}
@@ -335,9 +329,9 @@ def train(
             raise NonFiniteLoss(f"step {model.step_count}: {exc}") from exc
         model.step_count += 1
         if config.queue_capacity > 0:
-            if queue is None:
-                queue = queues[tag] = NegativeQueue(config.queue_capacity)
             x, y = batch_projections(model, batch_t, batch_v)
+            if queue is None:
+                queue = queues[tag] = NegativeQueue(config.queue_capacity, len(x), x.shape[1])
             queue.push(x, y)
         log_rows.append(StepRecord(style_tag=tag, loss=loss))
     return model, log_rows

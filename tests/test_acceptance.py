@@ -100,7 +100,7 @@ def test_criterion_2_gradient_exactness():
             videos /= np.linalg.norm(videos, axis=1, keepdims=True)
             queue = None
             if i % 2:
-                queue = NegativeQueue(capacity=16)
+                queue = NegativeQueue(16, b, proj)
                 extra = rng.normal(size=(6, dim))
                 extra /= np.linalg.norm(extra, axis=1, keepdims=True)
                 queue.push(*batch_projections(model, extra, extra))

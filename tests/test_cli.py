@@ -142,20 +142,20 @@ class TestStageCommands:
 
     @pytest.mark.parametrize("sigma", ["1e200", "1e308"])
     def test_overflowing_styled_norm_exits_1_naming_the_clip(self, data_dir, tmp_path, caplog,
-                                                             capsys, sigma):
+                                                             sigma):
         queries = str(data_dir / "queries_style0.iemb")
         pool = str(data_dir / "pool.iemb")
         assert main(["match", "--queries", queries, "--pool", pool,
                      "--out", str(tmp_path / "pairs.jsonl")]) == 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("default")   # print warnings as a plain run would
+        with warnings.catch_warnings(record=True) as caught:   # pytest's recorder would hide them
+            warnings.simplefilter("always")
             rc = main(["stylize", "--queries", queries, "--pool", pool,
                        "--pairs", str(tmp_path / "pairs.jsonl"),
                        "--style-out", str(tmp_path / "style.iemb"),
                        "--styled-out", str(tmp_path / "styled.iemb"), "--noise-sigma", sigma])
         assert rc == 1
         assert "error=NonFiniteValue detail=row id " in caplog.text
-        assert "RuntimeWarning" not in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "styled.iemb").exists()
 
     def test_memory_error_exits_1_without_traceback(self, tmp_path, caplog, monkeypatch):
@@ -459,6 +459,8 @@ def test_standalone_train_does_not_fault_in_its_step_matrices_every_step(tmp_pat
     assert float(per_step) < 50
 
 
+PLAIN_MAIN = "import sys; from stylepair import cli; sys.exit(cli.main(sys.argv[1:]))"
+
 NUMPY_MA_AFTER_PIPELINE = """
 import sys
 from stylepair import cli
@@ -711,27 +713,38 @@ class TestPipelineCommand:
                     + SMALL_SYNTH + BLOCKED_POOL + SMALL_TRAIN) == 0
         assert len(forks) == 3
 
-    def test_failing_stylize_blocks_report_the_serial_error_quietly(self, tmp_path, caplog,
-                                                                   capfd):
-        # every block overflows, the children's too; a child's write would reach fd 2
-        args = ["pipeline", "--styles", "2", "--seed", "7", "--epochs", "1",
-                "--noise-sigma", "1e200"] + SMALL_SYNTH + BLOCKED_POOL + SMALL_TRAIN
+    @pytest.mark.parametrize("flags, error, unwritten", [
+        # every stylize block overflows, the children's too
+        (["--noise-sigma", "1e200"] + BLOCKED_POOL, "NonFiniteValue detail=row id ", "styled_*"),
+        # synthesized rows past float32's range
+        (["--cross-modal-noise", "1e40"], "NonFiniteValue detail=row id ", "data/*.iemb"),
+        # heads past float32's range, which the adapter file could not hold
+        (["--learning-rate", "1e45"], "NonFiniteLoss detail=step 0: adapter weights", "loss_*"),
+        (["--learning-rate", "1e200"], "NonFiniteLoss detail=step 0: adapter weights", "loss_*"),
+        (["--tau", "1e-300"], "NonFiniteLoss detail=step 0: adapter weights", "loss_*"),
+        # logits past float64's range
+        (["--tau", "3e-309"], "NonFiniteLoss detail=step 0: contrastive loss", "loss_*"),
+    ], ids=["stylize", "synth", "lr-1e45", "lr-1e200", "tau-1e-300", "tau-3e-309"])
+    def test_failing_runs_report_the_serial_error_quietly(self, tmp_path, flags, error,
+                                                         unwritten):
+        # a plain process, so every warning and traceback, a forked child's too, reaches fd 2
+        args = ["pipeline", "--styles", "2", "--seed", "7", "--epochs", "1"] + SMALL_SYNTH \
+            + SMALL_TRAIN + flags
+        src = os.path.dirname(os.path.dirname(embedcore.__file__))
         errors = []
         for threads in (1, 2):
-            caplog.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("default")   # print warnings as a plain run would
-                rc = main(args + ["--workdir", str(tmp_path / f"t{threads}"),
-                                  "--threads", str(threads)])
-            assert rc == 1
-            errors.append([r.getMessage() for r in caplog.records
-                           if r.getMessage().startswith("error=")])
-            assert not list((tmp_path / f"t{threads}").glob("styled_*.iemb"))
+            w = tmp_path / f"t{threads}"
+            run = subprocess.run([sys.executable, "-c", PLAIN_MAIN, *args, "--workdir", str(w),
+                                  "--threads", str(threads)], capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": src})
+            assert run.returncode == 1
+            assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+            errors.append([line for line in run.stderr.splitlines() if line.startswith("error=")])
+            assert not list(w.glob(unwritten))
+            assert not list(w.glob("adapter_*")) and not (w / "report.json").exists()
         assert errors[0] == errors[1]
-        [error] = errors[0]
-        assert error.startswith("error=NonFiniteValue detail=row id ")
-        err = capfd.readouterr().err
-        assert "Traceback" not in err and "RuntimeWarning" not in err
+        [line] = errors[0]
+        assert line.startswith("error=" + error)
 
     def test_concurrent_training_writes_the_serial_bytes(self, tmp_path):
         # three styles with queue negatives: criterion 9 covers neither
@@ -744,16 +757,22 @@ class TestPipelineCommand:
                 "loss_in_style.csv", "loss_mixed.csv"} <= set(serial)
         assert serial == concurrent
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_diverging_training_exits_1_and_writes_no_adapter(self, tmp_path, caplog):
+    def test_eval_of_the_written_adapters_prints_the_scores_in_the_report(self, tmp_path,
+                                                                            capsys):
+        # the report scores the float64 heads, while the files hold them as float32
         w = tmp_path / "w"
-        rc = main(["pipeline", "--workdir", str(w), "--styles", "2", "--seed", "7",
-                   "--epochs", "1", "--threads", "2", "--learning-rate", "1e200"]
-                  + SMALL_SYNTH + SMALL_TRAIN)
-        assert rc == 1
-        assert "error=NonFiniteLoss" in caplog.text
-        assert "Traceback" not in caplog.text
-        assert not list(w.glob("adapter_*")) and not list(w.glob("loss_*"))
+        assert main(["pipeline", "--workdir", str(w), "--styles", "2", "--seed", "7",
+                     "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN) == 0
+        report, data = json.loads((w / "report.json").read_text()), w / "data"
+        for section in ("zero_shot", "in_style", "mixed"):
+            adapter = [] if section == "zero_shot" else [
+                "--adapter", str(w / f"adapter_{section}.iemb")]
+            for s in range(2):
+                capsys.readouterr()
+                assert main(["eval", "--captions", str(data / f"test_captions_style{s}.iemb"),
+                             "--candidates", str(data / "test_clips.iemb"),
+                             "--truth", str(data / "truth.jsonl"), "--no-ranks"] + adapter) == 0
+                assert json.loads(capsys.readouterr().out) == report[section]["per_style"][s]
 
     def test_workdir_data_from_another_config_rejected(self, tmp_path, caplog):
         args = ["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "1",

@@ -68,8 +68,9 @@ def random_model(rng, dim, proj):
                         video_head=rng.normal(size=(proj, dim)), tau=0.05)
 
 
-def filled_queue(rng, model, dim, n, capacity=64):
-    q = NegativeQueue(capacity=capacity)
+def filled_queue(rng, model, dim, n, batch, capacity=64):
+    """A queue for batches of `batch` rows, holding the projections of `n` random pairs."""
+    q = NegativeQueue(capacity, batch, model.proj_dim)
     x, y = batch_projections(model, unit_rows(rng, n, dim), unit_rows(rng, n, dim))
     q.push(x, y)
     return q
@@ -187,11 +188,11 @@ class TestQueuedLoss:
         rng = np.random.default_rng(17)
         dim, proj = 7, 5
         model = random_model(rng, dim, proj)
-        queue = NegativeQueue(capacity=10)
+        queue = NegativeQueue(10, 4, proj)
         fills, pushed = [], []
-        # the batch size changes mid-way, and the queue goes empty -> partial -> full -> wrapped
-        for b in (4, 4, 4, 6, 6, 3, 4, 4):
-            t, v = unit_rows(rng, b, dim), unit_rows(rng, b, dim)
+        # the queue goes empty -> partial -> full -> wrapped
+        for _ in range(6):
+            t, v = unit_rows(rng, 4, dim), unit_rows(rng, 4, dim)
             fills.append(len(queue))
             want = reference_loss(model, t, v, queue.text_negatives, queue.video_negatives)
             got = info_nce_loss(model, t, v, queue)
@@ -202,7 +203,13 @@ class TestQueuedLoss:
             pushed.append(x)
             assert np.array_equal(queue.text_negatives, np.concatenate(pushed)[-10:])
             model.text_head -= 0.1 * got[1]
-        assert fills == [0, 4, 8, 10, 10, 10, 10, 10]
+        assert fills == [0, 4, 8, 10, 10, 10]
+        # a queue serves the one batch size it was laid out for
+        for b in (3, 6):
+            t, v = unit_rows(rng, b, dim), unit_rows(rng, b, dim)
+            with pytest.raises(CountMismatch):
+                info_nce_loss(model, t, v, queue)
+        assert np.array_equal(queue.text_negatives, np.concatenate(pushed)[-10:])
 
     @pytest.mark.parametrize("tau", [0.002, 0.05, 0.2, 1.0])
     @pytest.mark.parametrize("b", [1, 2, 7, 128])
@@ -213,7 +220,7 @@ class TestQueuedLoss:
         model.tau = tau
         for fill in (0, 3, 40):
             t, v = unit_rows(rng, b, dim), unit_rows(rng, b, dim)
-            queue = filled_queue(rng, model, dim, fill) if fill else None
+            queue = filled_queue(rng, model, dim, fill, b) if fill else None
             negatives = (queue.text_negatives, queue.video_negatives) if fill else ()
             want = log_softmax_reference_loss(model, t, v, *negatives)
             got = info_nce_loss(model, t, v, queue)
@@ -248,9 +255,8 @@ class TestQueuedLoss:
         rng = np.random.default_rng(24)
         b, capacity, dim = 64, 512, 8
         model = init_adapter(dim)
-        queue = filled_queue(rng, model, dim, capacity, capacity=capacity)
+        queue = filled_queue(rng, model, dim, capacity, b, capacity=capacity)
         t, v = unit_rows(rng, b, dim), unit_rows(rng, b, dim)
-        info_nce_loss(model, t, v, queue)   # the queue lays its column buffers out for B
         matrix_bytes = b * (b + capacity) * 8   # one (B, B + queue) float64 matrix
         tracemalloc.start()
         try:
@@ -272,7 +278,7 @@ class TestGradCheck:
             dim = int(rng.integers(3, 17))
             proj = int(rng.integers(2, 9))
             model = random_model(rng, dim, proj)
-            queue = filled_queue(rng, model, dim, 5) if i % 2 else None
+            queue = filled_queue(rng, model, dim, 5, b) if i % 2 else None
             err = grad_check(model, unit_rows(rng, b, dim), unit_rows(rng, b, dim),
                              queue=queue)
             worst = max(worst, err)
@@ -495,8 +501,8 @@ class TestTrain:
             assert loss == rows[step].loss, f"step {step} diverged"
             replay.text_head -= config.learning_rate * gt
             replay.video_head -= config.learning_rate * gv
-            q = queues.setdefault(tag, NegativeQueue(config.queue_capacity))
             x, y = batch_projections(replay, bt, bv)
+            q = queues.setdefault(tag, NegativeQueue(config.queue_capacity, len(x), x.shape[1]))
             q.push(x, y)
         assert np.array_equal(model.text_head, replay.text_head)
         assert np.array_equal(model.video_head, replay.video_head)
@@ -507,7 +513,7 @@ class TestTrain:
         t = unit_rows(rng, 4, 6)
         v = unit_rows(rng, 4, 6)
         plain, _, _ = info_nce_loss(model, t, v)
-        with_queue, _, _ = info_nce_loss(model, t, v, filled_queue(rng, model, 6, 8))
+        with_queue, _, _ = info_nce_loss(model, t, v, filled_queue(rng, model, 6, 8, 4))
         assert with_queue != plain
 
     @pytest.mark.parametrize("mode", ["in_style", "mixed"])
@@ -528,7 +534,7 @@ class TestTrain:
     def test_queue_capacity_trims_fifo(self):
         rng = np.random.default_rng(14)
         model = init_adapter(4)
-        q = NegativeQueue(capacity=6)
+        q = NegativeQueue(6, 4, model.proj_dim)
         first = unit_rows(rng, 4, 4)
         x1, y1 = batch_projections(model, first, first)
         q.push(x1, y1)
@@ -539,7 +545,7 @@ class TestTrain:
         # oldest two rows fell out; the newest batch survives intact
         assert np.array_equal(q.text_negatives[-4:], x2)
         assert np.array_equal(q.text_negatives[:2], x1[2:])
-        assert len(filled_queue(rng, model, 4, 4, capacity=0)) == 0
+        assert len(filled_queue(rng, model, 4, 4, 4, capacity=0)) == 0
 
     def test_non_finite_loss_reports_step(self):
         texts = np.concatenate([np.eye(4), np.zeros((2, 4))])
@@ -551,6 +557,16 @@ class TestTrain:
             model.step_count = step_count
             with pytest.raises(NonFiniteLoss, match=name):
                 train(model, gathered(plan, texts, videos), TrainConfig())
+
+    @pytest.mark.parametrize("value", [3.5e38, -1e39, np.inf, np.nan])
+    def test_a_head_past_float32s_range_is_non_finite(self, value):
+        # save_adapter stores float32, where such a weight would read back as inf or NaN
+        head = np.eye(3)
+        head[1, 2] = value
+        with pytest.raises(NonFiniteLoss, match="float32"):
+            AdapterModel(text_head=np.eye(3), video_head=head)
+        head[1, 2] = -np.finfo(np.float32).max
+        AdapterModel(text_head=head, video_head=head).check_finite()
 
     def test_float32_and_float64_arrays_give_the_same_bytes(self, tmp_path):
         rng = np.random.default_rng(19)
