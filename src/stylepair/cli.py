@@ -239,14 +239,19 @@ def match_stage(queries, pool, outs, query_sets, clip_set,
 
 def stylize_stage(args, queries, pool, pairs, style_outs, styled_outs, tags,
                   threads) -> list[EmbeddingSet]:
-    """Fit and save one style per query set, then caption the pool in every style at once,
-    its row blocks spread over `threads` worker processes."""
+    """Check each query set's pseudo pairs against it and the pool, fit one style per set and
+    save them all, then caption the pool in every style at once, its row blocks spread over
+    `threads` worker processes."""
     styles = []
-    for style_queries, pseudo, style_out, tag in zip(queries, pairs, style_outs, tags):
+    for style_queries, pseudo, tag in zip(queries, pairs, tags):
+        styler.check_pair_sims(style_queries, style_queries.row_for_id(pseudo.query_ids), pool,
+                               pool.row_for_id(pseudo.clip_ids), pseudo.sims,
+                               f"pseudo pairs of {pseudo.query_set!r}")
         styles.append(styler.fit_style(pseudo, style_queries, pool,
                                        ridge_lambda=args.ridge_lambda,
                                        noise_sigma=args.noise_sigma, style_tag=tag))
-        styler.save_style(styles[-1], style_out)
+    for style, style_out in zip(styles, style_outs):
+        styler.save_style(style, style_out)
     styled_sets = styler.generate_styled_sets(pool, styles, seed=args.seed, workers=threads)
     for styled, styled_out, tag in zip(styled_sets, styled_outs, tags):
         save_embeddings(styled, styled_out)

@@ -24,8 +24,8 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import (CorruptField, MagicMismatch, NonFiniteValue, TrailingBytes, TruncatedFile,
-                     VersionUnsupported)
+from .errors import (CorruptField, MagicMismatch, NonFiniteValue, StylePairError, TrailingBytes,
+                     TruncatedFile, VersionUnsupported)
 
 MAGIC = b"IEMB"
 VERSION = 1
@@ -86,26 +86,31 @@ def write_container(path: str | os.PathLike, tag: bytes, fields: str, values,
 def read_container(path: str | os.PathLike, tag: bytes, fields: str, what: str):
     """Yield (file, field values) with the file at the first array.
 
-    The caller reads the arrays with `read_array`; once it has, the file
-    must have ended (TrailingBytes otherwise). A tagless container must not
-    hold a tagged sub-chunk.
+    The caller reads the arrays with `read_array`, and builds and checks its
+    object, inside the block; once it has, the file must have ended
+    (TrailingBytes otherwise). A tagless container must not hold a tagged
+    sub-chunk. Any StylePairError raised in the block, here or by the caller,
+    gets the path in front of its message.
     """
-    with open(path, "rb") as f:
-        magic = read_exact(f, 4, "magic")
-        if magic != MAGIC:
-            raise MagicMismatch(f"expected {MAGIC!r}, found {magic!r}")
-        (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
-        if version != VERSION:
-            raise VersionUnsupported(f"format version {version} not supported")
-        found = read_exact(f, len(tag), "chunk tag") if tag else f.peek(4)[:4]
-        if tag and found != tag:
-            raise MagicMismatch(f"expected {tag!r} sub-chunk, found {found!r}")
-        if not tag and found in (STYLE_CHUNK, ADAPTER_CHUNK):
-            raise MagicMismatch(f"file holds a {found.decode()} sub-chunk, not {what}")
-        block = struct.Struct("<" + fields)
-        yield f, block.unpack(read_exact(f, block.size, f"{what} fields"))
-        if f.read(1):
-            raise TrailingBytes(f"{path}: bytes follow the end of the {what} payload")
+    try:
+        with open(path, "rb") as f:
+            magic = read_exact(f, 4, "magic")
+            if magic != MAGIC:
+                raise MagicMismatch(f"expected {MAGIC!r}, found {magic!r}")
+            (version,) = struct.unpack("<I", read_exact(f, 4, "version"))
+            if version != VERSION:
+                raise VersionUnsupported(f"format version {version} not supported")
+            found = read_exact(f, len(tag), "chunk tag") if tag else f.peek(4)[:4]
+            if tag and found != tag:
+                raise MagicMismatch(f"expected {tag!r} sub-chunk, found {found!r}")
+            if not tag and found in (STYLE_CHUNK, ADAPTER_CHUNK):
+                raise MagicMismatch(f"file holds a {found.decode()} sub-chunk, not {what}")
+            block = struct.Struct("<" + fields)
+            yield f, block.unpack(read_exact(f, block.size, f"{what} fields"))
+            if f.read(1):
+                raise TrailingBytes(f"bytes follow the end of the {what} payload")
+    except StylePairError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_records(path: str | os.PathLike, header: dict, columns: dict) -> None:

@@ -159,6 +159,16 @@ def one_blas_thread():
         set_(saved)
 
 
+@functools.cache
+def _libc():
+    """The C library the process runs on, through ctypes, or None where it cannot be opened
+    by name (Windows, where CDLL(None) raises TypeError)."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
 def _fix_malloc_thresholds(mmap_bytes: int) -> None:
     """Fix glibc malloc's mmap threshold at `mmap_bytes` and its trim threshold at twice that.
 
@@ -166,10 +176,10 @@ def _fix_malloc_thresholds(mmap_bytes: int) -> None:
     when freed, and free heap past twice that is trimmed off the heap top.
     Fixed, neither follows glibc's dynamic threshold, which rises to the
     size of each freed mapped block (up to 32 MiB) and so keeps later blocks
-    of that size in the heap. Without mallopt (another C library), nothing
-    changes.
+    of that size in the heap. Without mallopt (another C library, or none
+    to open), nothing changes.
     """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    mallopt = getattr(_libc(), "mallopt", None)
     if mallopt:
         mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
         mallopt(_M_MMAP_THRESHOLD, mmap_bytes)
@@ -268,7 +278,7 @@ def _serve_share(parent: int, write_end: int, run, items, indices) -> None:
     """In a forked child: pickle one share's outcomes into `write_end` and exit; never returns."""
     status = 1
     try:
-        prctl = getattr(ctypes.CDLL(None), "prctl", None)
+        prctl = getattr(_libc(), "prctl", None)
         if prctl:   # Linux: die with the parent; getppid catches one that died first
             prctl.restype, prctl.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_ulong]
             prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
@@ -340,6 +350,6 @@ def load_embeddings(path: str | os.PathLike) -> EmbeddingSet:
     with container.read_container(path, b"", _FIELDS, "embeddings") as (f, (count, dim, flags)):
         ids = container.read_array(f, "<u8", count, "ids").astype(np.int64)
         data = container.read_array(f, "<f4", count * dim, "rows").reshape(count, dim)
-    if (ids < 0).any() or (ids[1:] < ids[:-1]).any():   # a u64 id >= 2**63 reads negative
-        raise CorruptField(f"{path}: ids must be ascending and below 2**63")
-    return EmbeddingSet(ids=ids, data=data, normalized=bool(flags & _FLAG_NORMALIZED))
+        if (ids < 0).any() or (ids[1:] < ids[:-1]).any():   # a u64 id >= 2**63 reads negative
+            raise CorruptField("ids must be ascending and below 2**63")
+        return EmbeddingSet(ids=ids, data=data, normalized=bool(flags & _FLAG_NORMALIZED))

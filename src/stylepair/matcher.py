@@ -25,7 +25,8 @@ import numpy as np
 
 from . import container
 from .embedcore import BLOCK_ROWS, EmbeddingSet, column_tiles, row_blocks
-from .errors import DimMismatch, DuplicateId, EmptyStyleSet, NotNormalized, PoolExhausted
+from .errors import (CorruptField, DimMismatch, DuplicateId, EmptyStyleSet, NotNormalized,
+                     PoolExhausted)
 
 ORDER_QUERY_ID = "query_id"   # the one processing order; recorded in pair-file headers
 HEADER_FIELDS = {"query_set": str, "clip_set": str, "policy": str}   # pair-file keys and types
@@ -50,16 +51,16 @@ class PseudoPairSet:
         self.sims = np.asarray(self.sims, dtype=np.float64)
         if not (len(self.query_ids) == len(self.clip_ids) == len(self.sims)):
             raise ValueError("pair columns must have equal length")
-        if _has_repeat(self.clip_ids):
+        if has_repeat(self.clip_ids):
             raise DuplicateId("a clip id is assigned to more than one query")
-        if _has_repeat(self.query_ids):
+        if has_repeat(self.query_ids):
             raise DuplicateId("a query id appears in more than one pair")
 
     def __len__(self) -> int:
         return len(self.query_ids)
 
 
-def _has_repeat(ids: np.ndarray) -> bool:
+def has_repeat(ids: np.ndarray) -> bool:
     """Whether any value of `ids` repeats: sorted, a repeat sits next to its twin."""
     ordered = np.sort(ids)
     return bool((ordered[1:] == ordered[:-1]).any())
@@ -167,6 +168,8 @@ def write_pseudo_pairs(pairs: PseudoPairSet, path: str | os.PathLike) -> None:
 
 def read_pseudo_pairs(path: str | os.PathLike) -> PseudoPairSet:
     header, cols = container.read_records(path, "pseudo_pairs", RECORD_FIELDS, HEADER_FIELDS)
+    if header["policy"] != ORDER_QUERY_ID:
+        raise CorruptField(f"{path}: policy {header['policy']!r:.40} is not {ORDER_QUERY_ID!r}")
     try:
         return PseudoPairSet(query_ids=cols["query_id"], clip_ids=cols["clip_id"],
                              sims=cols["sim"], query_set=header["query_set"],

@@ -19,15 +19,16 @@ import numpy as np
 from . import container
 from .embedcore import (BLOCK_ROWS, EmbeddingSet, aligned_dots, for_each, row_blocks,
                         unit_block)
-from .errors import (ConfigInvalid, CorruptField, CountMismatch, DimMismatch, NotNormalized,
-                     SingularSystem)
-from .matcher import PseudoPairSet
+from .errors import (ConfigInvalid, CorruptField, CountMismatch, DimMismatch, DuplicateId,
+                     NotNormalized, SingularSystem)
+from .matcher import PseudoPairSet, has_repeat
 
 log = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD = 0.28
 DEFAULT_RIDGE_LAMBDA = 1e-2
 DEFAULT_NOISE_SIGMA = 0.05
+SIM_TOLERANCE = 1e-9   # recorded vs recomputed pair similarity (check_pair_sims)
 HEADER_FIELDS = {"threshold": float, "style_tag": str, "total_candidates": int}   # pair files
 RECORD_FIELDS = {"clip_id": int, "row": int, "sim": float}
 
@@ -84,6 +85,8 @@ class GeneratedPairSet:
             raise ValueError("pair columns must have equal length")
         if len(self.sims) and self.sims.min() <= self.threshold:
             raise CorruptField(f"retained sim {self.sims.min()!r} <= threshold {self.threshold!r}")
+        if has_repeat(self.rows):
+            raise DuplicateId("a styled row appears in more than one pair")
 
     def __len__(self) -> int:
         return len(self.clip_ids)
@@ -98,6 +101,25 @@ class RetentionRow:
     threshold: float
     kept: int
     rate: float
+
+
+def check_pair_sims(texts: EmbeddingSet, text_rows: np.ndarray, clips: EmbeddingSet,
+                    clip_rows: np.ndarray, sims: np.ndarray, what: str) -> None:
+    """Each recorded sim must be the cosine of its row of `texts` with its row of `clips`.
+
+    Texts of another dim than the clips are a DimMismatch. A sim further than
+    SIM_TOLERANCE from its recomputed cosine is a CountMismatch: `clips` is
+    not the pool the pairs were made against. `what` names the pairs.
+    """
+    if texts.dim != clips.dim:
+        raise DimMismatch(f"{what}: text dim {texts.dim} vs pool dim {clips.dim}")
+    for lo, hi in row_blocks(len(sims)):
+        recomputed = aligned_dots(texts.data[text_rows[lo:hi]], clips.data[clip_rows[lo:hi]])
+        drift = np.abs(recomputed - sims[lo:hi]).max()
+        if drift > SIM_TOLERANCE:
+            raise CountMismatch(f"{what}: a pair's similarity differs from its recorded value "
+                                f"by {drift:.3g}; the pool is not the one the pairs were made "
+                                f"against")
 
 
 def fit_style(
@@ -398,11 +420,11 @@ def load_style(path: str | os.PathLike) -> StyleTransform:
         try:
             tag = container.read_exact(f, tag_len, "style_tag").decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CorruptField(f"{path}: style tag is not UTF-8 ({exc})") from exc
+            raise CorruptField(f"style tag is not UTF-8 ({exc})") from exc
         weight = container.read_array(f, "<f8", dim_out * dim_in, "weight")
         bias = container.read_array(f, "<f8", dim_out, "bias")
-    return StyleTransform(weight=weight.reshape(dim_out, dim_in), bias=bias,
-                          ridge_lambda=ridge_lambda, noise_sigma=noise_sigma, style_tag=tag)
+        return StyleTransform(weight=weight.reshape(dim_out, dim_in), bias=bias,
+                              ridge_lambda=ridge_lambda, noise_sigma=noise_sigma, style_tag=tag)
 
 
 def write_generated_pairs(pairs: GeneratedPairSet, path: str | os.PathLike) -> None:
@@ -418,5 +440,5 @@ def read_generated_pairs(path: str | os.PathLike) -> GeneratedPairSet:
         return GeneratedPairSet(clip_ids=cols["clip_id"], rows=cols["row"], sims=cols["sim"],
                                 threshold=header["threshold"], style_tag=header["style_tag"],
                                 total_candidates=header["total_candidates"])
-    except CorruptField as exc:
-        raise CorruptField(f"{path}: {exc}") from exc
+    except (CorruptField, DuplicateId) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -18,24 +18,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, aligned_dots, keyed_rng, row_blocks
+from .embedcore import EmbeddingSet, keyed_rng
 from .errors import (
     BatchTooLarge,
     ConfigInvalid,
     CorruptField,
     CountMismatch,
-    DimMismatch,
     EmptyStyleSet,
     NonFiniteLoss,
     RangeOutOfBounds,
 )
-from .styler import GeneratedPairSet
+from .styler import GeneratedPairSet, check_pair_sims
 
 DEFAULT_TAU = 0.05
 MODE_IN_STYLE = "in_style"
 MODE_MIXED = "mixed"
 FLOAT32_MAX = float(np.finfo(np.float32).max)
-SIM_TOLERANCE = 1e-9   # recorded vs recomputed pair similarity in build_training_arrays
 
 
 @dataclass
@@ -101,14 +99,6 @@ class NegativeQueue:
 
     def __len__(self) -> int:
         return self._len
-
-    @property
-    def text_negatives(self) -> np.ndarray | None:
-        return self._texts[self.batch:self.batch + self._len] if self._len else None
-
-    @property
-    def video_negatives(self) -> np.ndarray | None:
-        return self._videos[self.batch:self.batch + self._len] if self._len else None
 
     def columns(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """[x | text queue] and [y | video queue], oldest entry first, as buffer views."""
@@ -177,7 +167,7 @@ def info_nce_loss(
     tau = model.tau
     x, x_norms = project(model.text_head, texts)    # (B, p) unit rows
     y, y_norms = project(model.video_head, videos)
-    cols_t, cols_v = queue.columns(x, y) if queue is not None and len(queue) else (x, y)
+    cols_t, cols_v = queue.columns(x, y) if queue is not None else (x, y)
 
     log_diag = []
     exps = []   # (E, s) of text -> video, then of video -> text
@@ -362,18 +352,9 @@ def build_training_arrays(
         if not np.array_equal(styled.ids[gen.rows], gen.clip_ids):
             raise CountMismatch(
                 f"style set {gen.style_tag!r}: a row holds another clip than its pair names")
-        if styled.dim != clips.dim:
-            raise DimMismatch(
-                f"style set {gen.style_tag!r}: styled dim {styled.dim} vs pool dim {clips.dim}")
         clip_rows.append(clips.row_for_id(gen.clip_ids))
-        for lo, hi in row_blocks(len(gen)):
-            sims = aligned_dots(styled.data[gen.rows[lo:hi]], clips.data[clip_rows[-1][lo:hi]])
-            drift = np.abs(sims - gen.sims[lo:hi]).max()
-            if drift > SIM_TOLERANCE:
-                raise CountMismatch(
-                    f"style set {gen.style_tag!r}: a pair's similarity differs from its "
-                    f"recorded value by {drift:.3g}; the pool is not the one it was "
-                    f"filtered against")
+        check_pair_sims(styled, gen.rows, clips, clip_rows[-1], gen.sims,
+                        f"style set {gen.style_tag!r}")
     pair_set = np.repeat(np.arange(len(gen_sets)), [len(gen) for gen in gen_sets])
     pair_row = np.concatenate([gen.rows for gen in gen_sets])
     pair_clip_row = np.concatenate(clip_rows)
@@ -446,13 +427,13 @@ def load_adapter(path: str | os.PathLike) -> AdapterModel:
                                   "adapter") as (f, (proj_dim, dim, tau, step_count)):
         w_t = container.read_array(f, "<f4", proj_dim * dim, "text head")
         w_v = container.read_array(f, "<f4", proj_dim * dim, "video head")
-    if not 0.0 < tau < np.inf:
-        raise CorruptField(f"{path}: tau {tau} must be positive and finite")
-    if not (np.isfinite(w_t).all() and np.isfinite(w_v).all()):
-        raise CorruptField(f"{path}: a head weight is not finite")
-    return AdapterModel(
-        text_head=w_t.reshape(proj_dim, dim).astype(np.float64),
-        video_head=w_v.reshape(proj_dim, dim).astype(np.float64),
-        tau=tau,
-        step_count=step_count,
-    )
+        if not 0.0 < tau < np.inf:
+            raise CorruptField(f"tau {tau} must be positive and finite")
+        if not (np.isfinite(w_t).all() and np.isfinite(w_v).all()):
+            raise CorruptField("a head weight is not finite")
+        return AdapterModel(
+            text_head=w_t.reshape(proj_dim, dim).astype(np.float64),
+            video_head=w_v.reshape(proj_dim, dim).astype(np.float64),
+            tau=tau,
+            step_count=step_count,
+        )

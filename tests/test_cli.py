@@ -480,6 +480,29 @@ def test_pipeline_never_imports_numpy_ma(tmp_path):
     assert out.splitlines()[-1] == "False"
 
 
+NO_LIBC_BY_NAME = """
+import ctypes, sys
+real = ctypes.CDLL
+def cdll(name, *args, **kwargs):
+    if name is None:   # as on Windows, where ctypes tests '/' in name
+        raise TypeError("argument of type 'NoneType' is not iterable")
+    return real(name, *args, **kwargs)
+ctypes.CDLL = cdll
+from stylepair import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_pipeline_runs_where_the_c_library_cannot_be_opened_by_name(tmp_path):
+    argv = ["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "1", "--seed", "7",
+            "--epochs", "1", "--threads", "1"] + SMALL_SYNTH + SMALL_TRAIN
+    src = os.path.dirname(os.path.dirname(embedcore.__file__))
+    run = subprocess.run([sys.executable, "-c", NO_LIBC_BY_NAME, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "w" / "report.json").exists()
+
+
 def test_json_output_refuses_non_finite_numbers(tmp_path, capsys):
     with pytest.raises(ValueError):
         _emit_json({"threshold": float("nan")}, str(tmp_path / "out.json"))

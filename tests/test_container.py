@@ -266,8 +266,8 @@ class TestRecordCodec:
         assert (back.query_set, back.clip_set) == (query_set, clip_set)
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(st.tuples(IDS, IDS, SIMS), max_size=12), style_tag=TEXT,
-           total=IDS)
+    @given(rows=st.lists(st.tuples(IDS, IDS, SIMS), max_size=12, unique_by=lambda r: r[1]),
+           style_tag=TEXT, total=IDS)
     def test_generated_pairs_bytes_and_round_trip(self, rows, style_tag, total):
         c, r, s = (list(col) for col in zip(*rows)) if rows else ([], [], [])
         threshold = -1.0

@@ -195,6 +195,10 @@ INCONSISTENT = [
                  id="generated-sim-below-threshold"),
     pytest.param("generated_pairs", 1, set_key("sim", 0.9999), "CountMismatch",
                  id="generated-sim-not-the-pools"),
+    pytest.param("generated_pairs", 1, lambda line: b"\n".join([line] * 51), "DuplicateId",
+                 id="generated-record-repeated"),
+    pytest.param("pseudo_pairs", 0, set_key("policy", "clip_id"), "CorruptField",
+                 id="pseudo-policy-not-query-id"),
     pytest.param("latent_record", 0, set_key("seed", 8), "ConfigInvalid",
                  id="latent-other-seed"),
 ]
@@ -207,8 +211,9 @@ def test_bad_jsonl_is_a_typed_error(chain, tmp_path, caplog, capsys, kind, line_
     (tmp_path / "out").mkdir()
     argv = command(chain, bad, tmp_path / "out")
     assert run_case(tmp_path, caplog, capsys, argv) == error
-    if error == "DuplicateId":
-        assert str(bad) in caplog.text
+    if error in ("CorruptField", "DuplicateId", "MagicMismatch"):   # a read error names its file
+        read = tmp_path / "out" / "data" / "latent.jsonl" if kind == "latent_record" else bad
+        assert str(read) in caplog.text
 
 
 def test_empty_file_is_a_typed_error(chain, tmp_path, caplog, capsys):
@@ -327,6 +332,24 @@ def queries_not_normalized(chain, tmp_path):
     return match_cmd(chain, bad, tmp_path / "out")
 
 
+def queries_of_another_dim_stylized(chain, tmp_path):
+    argv = stylize_cmd(chain, chain / "pairs.jsonl", tmp_path / "out")
+    argv[argv.index("--queries") + 1] = str(
+        halved_copy(chain, tmp_path, "data/queries_style0.iemb"))
+    return argv
+
+
+def pool_rows_moved_stylized(chain, tmp_path):
+    """The pool's ids over other rows, as in a pool synthesized from another seed."""
+    pool = load_embeddings(chain / "data" / "pool.iemb")
+    moved = tmp_path / "moved_pool.iemb"
+    save_embeddings(EmbeddingSet(ids=pool.ids, data=np.roll(pool.data, 1, axis=0),
+                                 normalized=True), moved)
+    argv = stylize_cmd(chain, chain / "pairs.jsonl", tmp_path / "out")
+    argv[argv.index("--pool") + 1] = str(moved)
+    return argv
+
+
 def filter_cmd(chain, styled, out):
     return ["filter", "--styled", str(styled), "--pool", str(chain / "data" / "pool.iemb"),
             "--out", str(out / "gen.jsonl")]
@@ -367,6 +390,8 @@ def no_queries_per_style(chain, tmp_path):
                                         (styled_not_normalized, "NotNormalized"),
                                         (styled_of_another_dim_trained, "DimMismatch"),
                                         (captions_of_another_dim, "DimMismatch"),
+                                        (queries_of_another_dim_stylized, "DimMismatch"),
+                                        (pool_rows_moved_stylized, "CountMismatch"),
                                         (no_queries_per_style, "ConfigInvalid")])
 def test_unusable_inputs_are_typed_errors(chain, tmp_path, caplog, capsys, case, error):
     (tmp_path / "out").mkdir()
@@ -405,3 +430,35 @@ def test_synth_sizes_past_the_file_fields_are_config_invalid(tmp_path, caplog, c
     argv = ["synth", "--out", str(tmp_path / "out" / "data"), "--styles", "1",
             "--queries-per-style", "4", "--content-dim", "2", flag, value]
     assert run_case(tmp_path, caplog, capsys, argv) == "ConfigInvalid"
+
+
+def truncated_candidates(chain, tmp_path):
+    bad = tmp_path / "bad" / "test_clips.iemb"
+    bad.parent.mkdir()
+    bad.write_bytes((chain / "data" / "test_clips.iemb").read_bytes()[:300])
+    return bad, eval_cmd(chain, chain / "data" / "truth.jsonl", tmp_path / "out")
+
+
+def jsonl_as_pool(chain, tmp_path):
+    bad = chain / "data" / "latent.jsonl"
+    return bad, match_cmd(chain, chain / "data" / "queries_style0.iemb", tmp_path / "out")
+
+
+def nan_candidate(chain, tmp_path):
+    size = (chain / "data" / "test_clips.iemb").stat().st_size
+    bad = patched_copy(chain, tmp_path, "data/test_clips.iemb", size - 4, "<f", float("nan"))
+    return bad, eval_cmd(chain, chain / "data" / "truth.jsonl", tmp_path / "out")
+
+
+@pytest.mark.parametrize("case,flag,error", [
+    (truncated_candidates, "--candidates", "TruncatedFile"),
+    (jsonl_as_pool, "--pool", "MagicMismatch"),
+    (nan_candidate, "--candidates", "NonFiniteValue"),
+])
+def test_embedding_read_errors_name_the_file_once(chain, tmp_path, caplog, capsys, case, flag,
+                                                  error):
+    (tmp_path / "out").mkdir()
+    bad, argv = case(chain, tmp_path)
+    argv[argv.index(flag) + 1] = str(bad)
+    assert run_case(tmp_path, caplog, capsys, argv) == error
+    assert caplog.text.count(str(bad)) == 1

@@ -189,19 +189,22 @@ class TestQueuedLoss:
         dim, proj = 7, 5
         model = random_model(rng, dim, proj)
         queue = NegativeQueue(10, 4, proj)
-        fills, pushed = [], []
+        fills, pushed_x, pushed_y = [], [], []
         # the queue goes empty -> partial -> full -> wrapped
         for _ in range(6):
             t, v = unit_rows(rng, 4, dim), unit_rows(rng, 4, dim)
             fills.append(len(queue))
-            want = reference_loss(model, t, v, queue.text_negatives, queue.video_negatives)
+            # the negatives are the last 10 projections pushed, built here, not read back
+            negatives = ((np.concatenate(pushed_x)[-10:], np.concatenate(pushed_y)[-10:])
+                         if pushed_x else ())
+            want = reference_loss(model, t, v, *negatives)
             got = info_nce_loss(model, t, v, queue)
             assert got[0] == want[0]
             assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
             x, y = batch_projections(model, t, v)
             queue.push(x, y)
-            pushed.append(x)
-            assert np.array_equal(queue.text_negatives, np.concatenate(pushed)[-10:])
+            pushed_x.append(x)
+            pushed_y.append(y)
             model.text_head -= 0.1 * got[1]
         assert fills == [0, 4, 8, 10, 10, 10]
         # a queue serves the one batch size it was laid out for
@@ -209,7 +212,11 @@ class TestQueuedLoss:
             t, v = unit_rows(rng, b, dim), unit_rows(rng, b, dim)
             with pytest.raises(CountMismatch):
                 info_nce_loss(model, t, v, queue)
-        assert np.array_equal(queue.text_negatives, np.concatenate(pushed)[-10:])
+        # and a refused batch leaves the queue as it was
+        x, y = unit_rows(rng, 4, proj), unit_rows(rng, 4, proj)
+        cols_t, cols_v = queue.columns(x, y)
+        assert np.array_equal(cols_t, np.concatenate([x, np.concatenate(pushed_x)[-10:]]))
+        assert np.array_equal(cols_v, np.concatenate([y, np.concatenate(pushed_y)[-10:]]))
 
     @pytest.mark.parametrize("tau", [0.002, 0.05, 0.2, 1.0])
     @pytest.mark.parametrize("b", [1, 2, 7, 128])
@@ -221,7 +228,9 @@ class TestQueuedLoss:
         for fill in (0, 3, 40):
             t, v = unit_rows(rng, b, dim), unit_rows(rng, b, dim)
             queue = filled_queue(rng, model, dim, fill, b) if fill else None
-            negatives = (queue.text_negatives, queue.video_negatives) if fill else ()
+            negatives = ()
+            if fill:   # columns: the batch's projections in rows :b, then the negatives
+                negatives = [c[b:] for c in queue.columns(*batch_projections(model, t, v))]
             want = log_softmax_reference_loss(model, t, v, *negatives)
             got = info_nce_loss(model, t, v, queue)
             assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
@@ -543,8 +552,9 @@ class TestTrain:
         q.push(x2, y2)
         assert len(q) == 6
         # oldest two rows fell out; the newest batch survives intact
-        assert np.array_equal(q.text_negatives[-4:], x2)
-        assert np.array_equal(q.text_negatives[:2], x1[2:])
+        negatives = q.columns(x2, y2)[0][4:]
+        assert np.array_equal(negatives[-4:], x2)
+        assert np.array_equal(negatives[:2], x1[2:])
         assert len(filled_queue(rng, model, 4, 4, 4, capacity=0)) == 0
 
     def test_non_finite_loss_reports_step(self):
