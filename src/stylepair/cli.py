@@ -5,6 +5,10 @@ sweep) plus `pipeline`, which runs the same stage functions end to end and
 compares the trained adapter against the zero-shot baseline (and in-style
 against mixed scheduling when more than one style is present).
 
+Every command runs with numpy's OpenBLAS held at one thread. Some
+products' bits depend on the thread count, so this makes a subcommand
+write the bytes its stage writes in `pipeline`.
+
 Logs are line-oriented key=value on stderr; machine-readable results go
 to stdout or files. Exit codes: 0 success, 1 a StylePairError, OS error or
 failed allocation, 2 usage/config error or a missing input; anything else
@@ -244,8 +248,8 @@ def stylize_stage(args, queries, pool, pairs, style_outs, styled_outs, tags,
     `threads` worker processes."""
     styles = []
     for style_queries, pseudo, tag in zip(queries, pairs, tags):
-        styler.check_pair_sims(style_queries, style_queries.row_for_id(pseudo.query_ids), pool,
-                               pool.row_for_id(pseudo.clip_ids), pseudo.sims,
+        styler.check_pair_sims(style_queries.data, style_queries.row_for_id(pseudo.query_ids),
+                               pool.data, pool.row_for_id(pseudo.clip_ids), pseudo.sims,
                                f"pseudo pairs of {pseudo.query_set!r}")
         styles.append(styler.fit_style(pseudo, style_queries, pool,
                                        ridge_lambda=args.ridge_lambda,
@@ -269,13 +273,15 @@ def filter_stage(args, styled, pool, out, tag) -> styler.GeneratedPairSet:
     return gen
 
 
-def train_stage(args, pool, gen_sets, styled_sets, runs, threads):
+def train_stage(args, pool, gen_sets, styled_paths, runs, threads):
     """Train one fresh adapter per (mode, adapter path, loss-log path or None) in `runs`.
 
-    The runs share only read-only inputs, so they train at once on `threads`
-    forked workers; files and log lines follow in `runs` order when all are done.
+    Each pair's styled row is read from its style's file at `styled_paths`
+    (trainer.build_training_arrays). The runs share only read-only inputs, so
+    they train at once on `threads` forked workers; files and log lines
+    follow in `runs` order when all are done.
     """
-    gather = trainer.build_training_arrays(gen_sets, styled_sets, pool)
+    gather = trainer.build_training_arrays(gen_sets, styled_paths, pool)
     config = _from_options(trainer.TrainConfig, args)
 
     def fit(mode):
@@ -362,19 +368,14 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _load_style_sets(pair_paths, styled_paths):
-    if len(pair_paths) != len(styled_paths):
+def cmd_train(args) -> int:
+    if len(args.pairs) != len(args.styled):
         raise ConfigInvalid("--pairs and --styled must be given once per style, in order")
-    gen_sets = [styler.read_generated_pairs(path) for path in pair_paths]
+    pool = load_embeddings(args.pool)
+    gen_sets = [styler.read_generated_pairs(path) for path in args.pairs]
     for i, gen in enumerate(gen_sets):
         gen.style_tag = gen.style_tag or f"style{i}"
-    return gen_sets, [load_embeddings(path) for path in styled_paths]
-
-
-def cmd_train(args) -> int:
-    pool = load_embeddings(args.pool)
-    gen_sets, styled_sets = _load_style_sets(args.pairs, args.styled)
-    train_stage(args, pool, gen_sets, styled_sets, [(args.mode, args.out, args.loss_log)],
+    train_stage(args, pool, gen_sets, args.styled, [(args.mode, args.out, args.loss_log)],
                 threads=1)
     return 0
 
@@ -396,15 +397,14 @@ def _mean_section(reports: list[evaluator.RetrievalReport]) -> dict:
                for f in fields(evaluator.RetrievalReport) if f.type is float}}
 
 
-@one_blas_thread()
 def run_pipeline(args) -> dict:
     """Synthesize a dataset unless the workdir holds one, run all stages, return the report.
 
     The run uses the synth config in the dataset's latent header. Every
     synth flag must match it, and so must --seed for the workdir's own
     dataset. A --data-dir without that file (real embeddings) is taken as
-    the flags describe it. BLAS runs on one thread throughout, so the
-    worker pool is the run's only parallelism.
+    the flags describe it. The styled sets are dropped once filtered:
+    training reads the rows it uses back from their files.
     """
     release_freed_heap()   # before any stage allocates; training holds the heap instead
     cfg = _from_options(SynthConfig, args)
@@ -437,19 +437,20 @@ def run_pipeline(args) -> dict:
     pseudo_sets = match_stage(queries, pool,
                               [os.path.join(workdir, f"pseudo_pairs_{t}.jsonl") for t in tags],
                               [f"queries_{t}" for t in tags], "pool", args.threads)
+    styled_paths = [os.path.join(workdir, f"styled_{t}.iemb") for t in tags]
     styled_sets = stylize_stage(args, queries, pool, pseudo_sets,
                                 [os.path.join(workdir, f"style_{t}.iemb") for t in tags],
-                                [os.path.join(workdir, f"styled_{t}.iemb") for t in tags], tags,
-                                args.threads)
+                                styled_paths, tags, args.threads)
     gen_sets = [filter_stage(args, styled, pool,
                              os.path.join(workdir, f"generated_pairs_{tag}.jsonl"), tag)
                 for tag, styled in zip(tags, styled_sets)]
+    del queries, styled_sets   # training reads only the rows it uses, back from the files
 
     modes = [trainer.MODE_IN_STYLE] + ([trainer.MODE_MIXED] if cfg.n_styles > 1 else [])
-    trained = train_stage(args, pool, gen_sets, styled_sets, [
+    trained = train_stage(args, pool, gen_sets, styled_paths, [
         (mode, os.path.join(workdir, f"adapter_{mode}.iemb"),
          os.path.join(workdir, f"loss_{mode}.csv")) for mode in modes], args.threads)
-    del pool, queries, styled_sets   # the evals below read only the test sets
+    del pool   # the evals below read only the test sets
 
     report = {
         # the options, the dataset's synth config over them, and the run's own seed
@@ -510,7 +511,8 @@ def main(argv=None) -> int:
         if args.config:   # its values become defaults, so explicit flags still win
             args = build_parser(defaults=_config_values(args.config)).parse_args(argv)
         _validate_knobs(args)
-        return _COMMANDS[args.command](args)
+        with one_blas_thread():
+            return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         log.error("error=MissingInput detail=%s", exc)
         return 2

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .errors import (CorruptField, DuplicateId, NonFiniteValue, NotNormalized, UnknownCandidate,
-                     ZeroVectorRow)
+from .errors import (CorruptField, DimMismatch, DuplicateId, NonFiniteValue, NotNormalized,
+                     RangeOutOfBounds, UnknownCandidate, ZeroVectorRow)
 
 NORM_FLAG_TOL = 1e-4   # how far a "normalized" row may drift from unit norm
 _FLAG_NORMALIZED = 1
@@ -52,25 +52,9 @@ class EmbeddingSet:
             raise ValueError(f"data must be 2-D, got shape {data.shape}")
         if ids.ndim != 1 or len(ids) != data.shape[0]:
             raise ValueError("ids must be 1-D with one entry per data row")
-        if len(ids) and ids.min() < 0:
-            raise ValueError("ids must be non-negative")
-        if len(ids) > 1:
-            diffs = np.diff(ids)
-            if (diffs == 0).any():
-                dup = int(ids[1:][diffs == 0][0])
-                raise DuplicateId(f"id {dup} appears more than once")
-            if (diffs < 0).any():
-                raise ValueError("ids must be sorted ascending")
+        _check_ids(ids)
         for lo, hi in row_blocks(len(ids)):
-            block = data[lo:hi]
-            if not np.isfinite(block).all():
-                raise NonFiniteValue("embedding matrix contains non-finite entries")
-            if self.normalized:
-                norms = np.linalg.norm(block.astype(np.float64), axis=1)
-                worst = float(np.abs(norms - 1.0).max())
-                if worst > NORM_FLAG_TOL:
-                    raise NotNormalized(
-                        f"normalized flag set but a row norm deviates by {worst:.2e}")
+            _check_block(data[lo:hi], self.normalized)
         ids.setflags(write=False)
         data.setflags(write=False)
         object.__setattr__(self, "ids", ids)
@@ -93,6 +77,30 @@ class EmbeddingSet:
         if not known.all():
             raise UnknownCandidate(f"id {int(wanted[~known].flat[0])} is not in the set")
         return rows
+
+
+def _check_ids(ids: np.ndarray) -> None:
+    """Ids must be non-negative and ascending; a repeated one is a DuplicateId."""
+    if len(ids) and ids.min() < 0:
+        raise ValueError("ids must be non-negative")
+    if len(ids) > 1:
+        diffs = np.diff(ids)
+        if (diffs == 0).any():
+            dup = int(ids[1:][diffs == 0][0])
+            raise DuplicateId(f"id {dup} appears more than once")
+        if (diffs < 0).any():
+            raise ValueError("ids must be sorted ascending")
+
+
+def _check_block(block: np.ndarray, normalized: bool) -> None:
+    """One row block must be finite, and of unit norm within NORM_FLAG_TOL if `normalized`."""
+    if not np.isfinite(block).all():
+        raise NonFiniteValue("embedding matrix contains non-finite entries")
+    if normalized:
+        norms = np.linalg.norm(block.astype(np.float64), axis=1)
+        worst = float(np.abs(norms - 1.0).max())
+        if worst > NORM_FLAG_TOL:
+            raise NotNormalized(f"normalized flag set but a row norm deviates by {worst:.2e}")
 
 
 def unit_block(ids: np.ndarray, rows64: np.ndarray, out: np.ndarray) -> None:
@@ -346,10 +354,45 @@ def save_embeddings(emb: EmbeddingSet, path: str | os.PathLike) -> None:
                               [(emb.ids, "<u8"), (emb.data, "<f4")])
 
 
+def _read_ids(f, count: int) -> np.ndarray:
+    """The `count` ids at the file position, which must ascend and lie below 2**63."""
+    ids = container.read_array(f, "<u8", count, "ids").astype(np.int64)
+    if (ids < 0).any() or (ids[1:] < ids[:-1]).any():   # a u64 id >= 2**63 reads negative
+        raise CorruptField("ids must be ascending and below 2**63")
+    return ids
+
+
 def load_embeddings(path: str | os.PathLike) -> EmbeddingSet:
     with container.read_container(path, b"", _FIELDS, "embeddings") as (f, (count, dim, flags)):
-        ids = container.read_array(f, "<u8", count, "ids").astype(np.int64)
+        ids = _read_ids(f, count)
         data = container.read_array(f, "<f4", count * dim, "rows").reshape(count, dim)
-        if (ids < 0).any() or (ids[1:] < ids[:-1]).any():   # a u64 id >= 2**63 reads negative
-            raise CorruptField("ids must be ascending and below 2**63")
         return EmbeddingSet(ids=ids, data=data, normalized=bool(flags & _FLAG_NORMALIZED))
+
+
+def read_rows(path: str | os.PathLike, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy rows `rows` of the set saved at `path` into `out`, in order; return the set's ids.
+
+    The file is read one block of row_blocks at a time, and each block is
+    checked as load_embeddings checks the whole set, so a read holds `out`,
+    the ids and one block, never every row. A row outside the set is a
+    RangeOutOfBounds, rows of another dim than `out`'s a DimMismatch, and
+    every error names the file.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    with container.read_container(path, b"", _FIELDS, "embeddings") as (f, (count, dim, flags)):
+        ids = _read_ids(f, count)
+        _check_ids(ids)
+        if dim != out.shape[1]:
+            raise DimMismatch(f"rows of dim {dim}, not {out.shape[1]}")
+        if len(rows) and (rows.min() < 0 or rows.max() >= count):
+            raise RangeOutOfBounds(f"a row lies outside 0..{count - 1}")
+        order = np.argsort(rows, kind="stable")
+        ranked = rows[order]
+        first = 0
+        for lo, hi in row_blocks(count):
+            block = container.read_array(f, "<f4", (hi - lo) * dim, "rows").reshape(hi - lo, dim)
+            _check_block(block, bool(flags & _FLAG_NORMALIZED))
+            last = int(np.searchsorted(ranked, hi))
+            out[order[first:last]] = block[ranked[first:last] - lo]
+            first = last
+        return ids

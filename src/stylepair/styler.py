@@ -103,18 +103,19 @@ class RetentionRow:
     rate: float
 
 
-def check_pair_sims(texts: EmbeddingSet, text_rows: np.ndarray, clips: EmbeddingSet,
+def check_pair_sims(texts: np.ndarray, text_rows: np.ndarray, clips: np.ndarray,
                     clip_rows: np.ndarray, sims: np.ndarray, what: str) -> None:
-    """Each recorded sim must be the cosine of its row of `texts` with its row of `clips`.
+    """Each recorded sim must be the cosine of its row of `texts` with its row of `clips`,
+    both float32 row arrays.
 
     Texts of another dim than the clips are a DimMismatch. A sim further than
     SIM_TOLERANCE from its recomputed cosine is a CountMismatch: `clips` is
     not the pool the pairs were made against. `what` names the pairs.
     """
-    if texts.dim != clips.dim:
-        raise DimMismatch(f"{what}: text dim {texts.dim} vs pool dim {clips.dim}")
+    if texts.shape[1] != clips.shape[1]:
+        raise DimMismatch(f"{what}: text dim {texts.shape[1]} vs pool dim {clips.shape[1]}")
     for lo, hi in row_blocks(len(sims)):
-        recomputed = aligned_dots(texts.data[text_rows[lo:hi]], clips.data[clip_rows[lo:hi]])
+        recomputed = aligned_dots(texts[text_rows[lo:hi]], clips[clip_rows[lo:hi]])
         drift = np.abs(recomputed - sims[lo:hi]).max()
         if drift > SIM_TOLERANCE:
             raise CountMismatch(f"{what}: a pair's similarity differs from its recorded value "

@@ -93,14 +93,16 @@ def _clip_embedding(cfg: SynthConfig, contents: np.ndarray, rng) -> np.ndarray:
     """content || channel noise per row, unnormalized."""
     n = contents.shape[0]
     pad = cfg.dim - cfg.content_dim
-    noise = cfg.cross_modal_noise * rng.standard_normal((n, pad)) if pad else np.empty((n, 0))
+    with np.errstate(over="ignore"):   # a row past float64's range is reported by unit_block
+        noise = cfg.cross_modal_noise * rng.standard_normal((n, pad)) if pad else np.empty((n, 0))
     return np.concatenate([contents, noise], axis=1)
 
 
 def _caption_embedding(cfg, style: StyleGroundTruth, contents: np.ndarray, rng) -> np.ndarray:
     """A content + b + cross-modal noise per row, unnormalized."""
     raw = contents @ style.matrix.T + style.bias
-    raw += cfg.cross_modal_noise * rng.standard_normal(raw.shape)
+    with np.errstate(over="ignore"):   # a row past float64's range is reported by unit_block
+        raw += cfg.cross_modal_noise * rng.standard_normal(raw.shape)
     return raw
 
 

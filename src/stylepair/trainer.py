@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, keyed_rng
+from .embedcore import EmbeddingSet, keyed_rng, read_rows
 from .errors import (
     BatchTooLarge,
     ConfigInvalid,
@@ -26,7 +26,6 @@ from .errors import (
     CountMismatch,
     EmptyStyleSet,
     NonFiniteLoss,
-    RangeOutOfBounds,
 )
 from .styler import GeneratedPairSet, check_pair_sims
 
@@ -329,43 +328,41 @@ def train(
 
 def build_training_arrays(
     gen_sets: list[GeneratedPairSet],
-    styled_sets: list[EmbeddingSet],
+    styled_paths: list[str | os.PathLike],
     clips: EmbeddingSet,
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Check every pair against the loaded sets; return the gather of a batch's rows.
+    """Read every pair's styled row into one float32 array; return the gather of a batch's rows.
 
-    The result maps global pair indices, laid out as in plan_epoch, to the
-    batch's float64 (texts, videos): each pair's row of its styled set and
-    its clip's row in `clips`. A row is read only when its batch is
-    gathered, and widening float32 is exact, so a batch holds the loaded bits.
-    Every pair's row must hold the styled caption of that pair's clip, and
-    the pair's recorded similarity must be that caption's cosine with the
-    clip's row in `clips`, so a pool other than the filter's is rejected.
+    Pair p of the concatenated sets, laid out as in plan_epoch, owns row p
+    of that array: its row of its style's set, read back from the file at
+    `styled_paths` one row block at a time (embedcore.read_rows), so the
+    read holds the pairs' rows and one block, never a whole set. Every
+    pair's row must hold the styled caption of that pair's clip, and the
+    pair's recorded similarity must be that caption's cosine with the clip's
+    row in `clips`, so a pool other than the filter's is rejected; each
+    error names the file. The gather maps global pair indices to the batch's
+    float64 (texts, videos), one fancy index per side; widening float32 is
+    exact, so a batch holds the file's bits.
     """
-    if not gen_sets or len(gen_sets) != len(styled_sets):
+    if not gen_sets or len(gen_sets) != len(styled_paths):
         raise CountMismatch("one styled set per generated-pair set, and at least one, required")
-    clip_rows = []
-    for gen, styled in zip(gen_sets, styled_sets):
-        if len(gen) and (gen.rows.min() < 0 or gen.rows.max() >= styled.count):
-            raise RangeOutOfBounds(
-                f"style set {gen.style_tag!r}: a row lies outside 0..{styled.count - 1}")
-        if not np.array_equal(styled.ids[gen.rows], gen.clip_ids):
-            raise CountMismatch(
-                f"style set {gen.style_tag!r}: a row holds another clip than its pair names")
-        clip_rows.append(clips.row_for_id(gen.clip_ids))
-        check_pair_sims(styled, gen.rows, clips, clip_rows[-1], gen.sims,
-                        f"style set {gen.style_tag!r}")
-    pair_set = np.repeat(np.arange(len(gen_sets)), [len(gen) for gen in gen_sets])
-    pair_row = np.concatenate([gen.rows for gen in gen_sets])
-    pair_clip_row = np.concatenate(clip_rows)
+    texts = np.empty((sum(len(gen) for gen in gen_sets), clips.dim), dtype=np.float32)
+    clip_rows = np.empty(len(texts), dtype=np.int64)
+    lo = 0
+    for gen, path in zip(gen_sets, styled_paths):
+        hi = lo + len(gen)
+        what = f"{os.fspath(path)}: style set {gen.style_tag!r}"
+        ids = read_rows(path, gen.rows, texts[lo:hi])
+        if not np.array_equal(ids[gen.rows], gen.clip_ids):
+            raise CountMismatch(f"{what}: a row holds another clip than its pair names")
+        clip_rows[lo:hi] = clips.row_for_id(gen.clip_ids)
+        check_pair_sims(texts[lo:hi], np.arange(len(gen)), clips.data, clip_rows[lo:hi],
+                        gen.sims, what)
+        lo = hi
 
     def rows(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sets, text_rows = pair_set[indices], pair_row[indices]
-        texts = np.empty((len(indices), clips.dim))
-        for s, styled in enumerate(styled_sets):
-            mine = sets == s
-            texts[mine] = styled.data[text_rows[mine]]
-        return texts, clips.data[pair_clip_row[indices]].astype(np.float64)
+        return (texts[indices].astype(np.float64),
+                clips.data[clip_rows[indices]].astype(np.float64))
 
     return rows
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stylepair.embedcore import EmbeddingSet, blas_thread_controls, normalize
+from stylepair.embedcore import EmbeddingSet, blas_thread_controls, normalize, one_blas_thread
 from stylepair.trainer import info_nce_loss
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -15,6 +15,17 @@ needs_blas_controls = pytest.mark.skipif(blas_thread_controls() is None,
 FORK = getattr(os, "fork", None)
 forks_workers = pytest.mark.skipif(blas_thread_controls() is None or FORK is None,
                                    reason="the worker pool runs inline")
+
+
+@pytest.fixture(autouse=True)
+def _one_blas_thread():
+    """Every test takes its products at one BLAS thread, as every command of `main` does.
+
+    Under some OpenBLAS kernels a product's last bits depend on the thread
+    count. A test that sets its own count (at_blas_threads) still may.
+    """
+    with one_blas_thread():
+        yield
 
 
 def count_forks(monkeypatch, cpus, limit):

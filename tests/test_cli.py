@@ -340,6 +340,27 @@ class TestStageCommands:
                 pipe = (w / theirs).read_text().splitlines()
                 assert len(ours) > 1 and ours[1:] == pipe[1:], mine
 
+    @needs_blas_controls
+    def test_stylize_at_two_blas_threads_writes_the_pipelines_style_file(self, tmp_path):
+        # default scale, where OpenBLAS splits the style map's products across its threads
+        # and, under this kernel, the split moves their last bits
+        data, w = tmp_path / "data", tmp_path / "w"
+        src = os.path.dirname(os.path.dirname(embedcore.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2",
+               "OPENBLAS_CORETYPE": "Haswell"}
+        for argv in (["synth", "--out", data, "--seed", "7", "--styles", "1"],
+                     ["pipeline", "--workdir", w, "--data-dir", data, "--styles", "1",
+                      "--seed", "7", "--epochs", "1"],
+                     ["stylize", "--queries", data / "queries_style0.iemb",
+                      "--pool", data / "pool.iemb", "--pairs", w / "pseudo_pairs_style0.jsonl",
+                      "--style-out", tmp_path / "style.iemb",
+                      "--styled-out", tmp_path / "styled.iemb", "--tag", "style0",
+                      "--seed", "7"]):
+            run = subprocess.run([sys.executable, "-c", PLAIN_MAIN, *map(str, argv)],
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+        assert (tmp_path / "style.iemb").read_bytes() == (w / "style_style0.iemb").read_bytes()
+
     def test_bad_knobs_exit_2(self, tmp_path):
         args = ["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "1"]
         assert main(args + ["--threshold", "1.5"]) == 2
@@ -691,6 +712,26 @@ class TestPipelineCommand:
         assert (tmp_path / "watched" / "report.json").read_bytes() == \
             (tmp_path / "plain" / "report.json").read_bytes()
 
+    def test_styled_sets_are_dropped_before_training(self, tmp_path, monkeypatch):
+        # training reads the rows it uses back from the styled files
+        stylize, train = cli.stylize_stage, cli.train_stage
+        refs, live_at_train = [], []
+
+        def stylized(*args, **kwargs):
+            styled_sets = stylize(*args, **kwargs)
+            refs.extend(weakref.ref(styled) for styled in styled_sets)
+            return styled_sets
+
+        def training(*args, **kwargs):
+            live_at_train.append(sum(ref() is not None for ref in refs))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "stylize_stage", stylized)
+        monkeypatch.setattr(cli, "train_stage", training)
+        assert main(["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "2", "--seed",
+                     "7", "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN) == 0
+        assert len(refs) == 2 and live_at_train == [0]
+
     def test_default_two_style_golden_regression(self, tmp_path, capsys):
         rc = main(["pipeline", "--workdir", str(tmp_path / "w"), "--seed", "7"])
         assert rc == 0
@@ -741,13 +782,15 @@ class TestPipelineCommand:
         (["--noise-sigma", "1e200"] + BLOCKED_POOL, "NonFiniteValue detail=row id ", "styled_*"),
         # synthesized rows past float32's range
         (["--cross-modal-noise", "1e40"], "NonFiniteValue detail=row id ", "data/*.iemb"),
+        # synthesized noise past float64's range
+        (["--cross-modal-noise", "1e308"], "NonFiniteValue detail=row id ", "data/*.iemb"),
         # heads past float32's range, which the adapter file could not hold
         (["--learning-rate", "1e45"], "NonFiniteLoss detail=step 0: adapter weights", "loss_*"),
         (["--learning-rate", "1e200"], "NonFiniteLoss detail=step 0: adapter weights", "loss_*"),
         (["--tau", "1e-300"], "NonFiniteLoss detail=step 0: adapter weights", "loss_*"),
         # logits past float64's range
         (["--tau", "3e-309"], "NonFiniteLoss detail=step 0: contrastive loss", "loss_*"),
-    ], ids=["stylize", "synth", "lr-1e45", "lr-1e200", "tau-1e-300", "tau-3e-309"])
+    ], ids=["stylize", "synth", "synth-1e308", "lr-1e45", "lr-1e200", "tau-1e-300", "tau-3e-309"])
     def test_failing_runs_report_the_serial_error_quietly(self, tmp_path, flags, error,
                                                          unwritten):
         # a plain process, so every warning and traceback, a forked child's too, reaches fd 2
@@ -761,7 +804,7 @@ class TestPipelineCommand:
                                   "--threads", str(threads)], capture_output=True, text=True,
                                  env={**os.environ, "PYTHONPATH": src})
             assert run.returncode == 1
-            assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+            assert "Traceback" not in run.stderr and "Warning" not in run.stderr
             errors.append([line for line in run.stderr.splitlines() if line.startswith("error=")])
             assert not list(w.glob(unwritten))
             assert not list(w.glob("adapter_*")) and not (w / "report.json").exists()

@@ -450,10 +450,43 @@ def nan_candidate(chain, tmp_path):
     return bad, eval_cmd(chain, chain / "data" / "truth.jsonl", tmp_path / "out")
 
 
+# train reads back only the rows its pairs use, yet checks the whole styled file as a load does
+def truncated_styled(chain, tmp_path):
+    bad = tmp_path / "bad" / "styled.iemb"
+    bad.parent.mkdir()
+    bad.write_bytes((chain / "styled.iemb").read_bytes()[:-4])   # in the last row block
+    return bad, train_cmd(chain, chain / "gen.jsonl", tmp_path / "out")
+
+
+def styled_with_trailing_bytes(chain, tmp_path):
+    bad = tmp_path / "bad" / "styled.iemb"
+    bad.parent.mkdir()
+    bad.write_bytes((chain / "styled.iemb").read_bytes() + b"\0")
+    return bad, train_cmd(chain, chain / "gen.jsonl", tmp_path / "out")
+
+
+def styled_of_another_dim(chain, tmp_path):
+    bad = halved_copy(chain, tmp_path, "styled.iemb")
+    return bad, train_cmd(chain, chain / "gen.jsonl", tmp_path / "out")
+
+
+def nan_in_a_styled_row_no_pair_reads(chain, tmp_path):
+    styled = load_embeddings(chain / "styled.iemb")
+    pairs = (chain / "gen.jsonl").read_text().splitlines()[1:]
+    unread = min(set(range(styled.count)) - {json.loads(line)["row"] for line in pairs})
+    bad = patched_copy(chain, tmp_path, "styled.iemb",
+                       IDS_AT + 8 * styled.count + 4 * styled.dim * unread, "<f", float("nan"))
+    return bad, train_cmd(chain, chain / "gen.jsonl", tmp_path / "out")
+
+
 @pytest.mark.parametrize("case,flag,error", [
     (truncated_candidates, "--candidates", "TruncatedFile"),
     (jsonl_as_pool, "--pool", "MagicMismatch"),
     (nan_candidate, "--candidates", "NonFiniteValue"),
+    (truncated_styled, "--styled", "TruncatedFile"),
+    (styled_with_trailing_bytes, "--styled", "TrailingBytes"),
+    (styled_of_another_dim, "--styled", "DimMismatch"),
+    (nan_in_a_styled_row_no_pair_reads, "--styled", "NonFiniteValue"),
 ])
 def test_embedding_read_errors_name_the_file_once(chain, tmp_path, caplog, capsys, case, flag,
                                                   error):

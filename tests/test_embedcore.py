@@ -1,4 +1,5 @@
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -18,15 +19,18 @@ from stylepair.embedcore import (
     load_embeddings,
     normalize,
     pairwise_dots,
+    read_rows,
     row_blocks,
     save_embeddings,
 )
 from stylepair.errors import (
+    DimMismatch,
     DuplicateId,
     MagicMismatch,
     NonFiniteLoss,
     NonFiniteValue,
     NotNormalized,
+    RangeOutOfBounds,
     TruncatedFile,
     UnknownCandidate,
     VersionUnsupported,
@@ -461,6 +465,39 @@ class TestPersistence:
             first = path.read_bytes()
             save_embeddings(load_embeddings(path), path)
             assert path.read_bytes() == first
+
+    def test_read_rows_copies_the_loaded_rows_in_any_order(self, tmp_path):
+        rng = np.random.default_rng(9)
+        es = random_unit_set(rng, 1100, 6, ids=np.arange(0, 3300, 3))
+        path = tmp_path / "set.iemb"
+        save_embeddings(es, path)
+        rows = np.array([1099, 0, 512, 511, 7, 1024, 513])   # unsorted, across block edges
+        out = np.empty((len(rows), 6), dtype=np.float32)
+        ids = read_rows(path, rows, out)
+        assert np.array_equal(ids, es.ids)
+        assert np.array_equal(out, load_embeddings(path).data[rows])
+
+    @pytest.mark.parametrize("rows,dim,error", [([0, 1100], 6, RangeOutOfBounds),
+                                                ([-1], 6, RangeOutOfBounds),
+                                                ([0], 5, DimMismatch)])
+    def test_read_rows_refuses_rows_it_cannot_copy_and_names_the_file(self, tmp_path, rows, dim,
+                                                                     error):
+        path = tmp_path / "set.iemb"
+        save_embeddings(random_unit_set(np.random.default_rng(10), 1100, 6), path)
+        with pytest.raises(error, match=re.escape(str(path))):
+            read_rows(path, np.array(rows), np.empty((len(rows), dim), dtype=np.float32))
+
+    def test_read_rows_checks_every_block_as_a_load_does(self, tmp_path):
+        es = random_unit_set(np.random.default_rng(11), 1100, 6)
+        path = tmp_path / "set.iemb"
+        save_embeddings(es, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, len(raw) - 4, float("nan"))   # the last row, unread below
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NonFiniteValue, match=re.escape(str(path))):
+            load_embeddings(path)
+        with pytest.raises(NonFiniteValue, match=re.escape(str(path))):
+            read_rows(path, np.array([0]), np.empty((1, 6), dtype=np.float32))
 
     def test_magic_mismatch(self, tmp_path):
         path = tmp_path / "bad.iemb"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stylepair import cli, trainer
+from stylepair.embedcore import load_embeddings, save_embeddings
 from stylepair.errors import (
     BatchTooLarge,
     ConfigInvalid,
@@ -633,6 +634,14 @@ def unaligned_style_sets(rng, dim=12):
     return pool, gen_sets, styled_sets
 
 
+def saved(tmp_path, styled_sets):
+    """Each styled set saved to its own file, as stylize writes it; the paths, in order."""
+    paths = [tmp_path / f"styled_{i}.iemb" for i in range(len(styled_sets))]
+    for styled, path in zip(styled_sets, paths):
+        save_embeddings(styled, path)
+    return paths
+
+
 def copy_path_rows(gen_sets, styled_sets, clips):
     """The float32 copy of every pair that training gathered its batches from before.
 
@@ -651,23 +660,24 @@ def copy_path_rows(gen_sets, styled_sets, clips):
 
 
 class TestBuildTrainingArrays:
-    def test_rows_follow_pair_order(self):
+    def test_rows_follow_pair_order(self, tmp_path):
         rng = np.random.default_rng(15)
         clips = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
         styled = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
         gen = GeneratedPairSet(clip_ids=[103, 101, 108], rows=[3, 1, 8],
                                sims=filter_sims(styled, clips, [3, 1, 8]), threshold=-1.0,
                                style_tag="a")
-        texts, videos = build_training_arrays([gen], [styled], clips)(np.array([0, 1, 2]))
+        texts, videos = build_training_arrays([gen], saved(tmp_path, [styled]), clips)(
+            np.array([0, 1, 2]))
         assert texts.dtype == videos.dtype == np.float64
         assert np.array_equal(texts, styled.data[[3, 1, 8]].astype(np.float64))
         assert np.array_equal(videos, clips.data[[3, 1, 8]].astype(np.float64))
 
-    def test_a_mixed_batch_reads_each_pair_from_its_own_sets(self):
+    def test_a_mixed_batch_reads_each_pair_from_its_own_sets(self, tmp_path):
         pool, gen_sets, styled_sets = unaligned_style_sets(np.random.default_rng(21))
         offsets = [0, len(gen_sets[0])]
         picks = [(1, 5), (0, 2), (1, 0), (0, 2), (0, 17)]   # (set, pair), a pair repeated
-        texts, videos = build_training_arrays(gen_sets, styled_sets, pool)(
+        texts, videos = build_training_arrays(gen_sets, saved(tmp_path, styled_sets), pool)(
             np.array([offsets[s] + i for s, i in picks]))
         for row, (s, i) in enumerate(picks):
             gen = gen_sets[s]
@@ -680,7 +690,7 @@ class TestBuildTrainingArrays:
         args = argparse.Namespace(learning_rate=0.3, momentum=0.9, queue_capacity=24,
                                   tau=0.05, epochs=2, batch_size=16, seed=5)
         modes = ["in_style", "mixed"]
-        cli.train_stage(args, pool, gen_sets, styled_sets, [
+        cli.train_stage(args, pool, gen_sets, saved(tmp_path, styled_sets), [
             (mode, tmp_path / f"adapter_{mode}.iemb", tmp_path / f"loss_{mode}.csv")
             for mode in modes], threads)
         config = TrainConfig(batch_size=16, learning_rate=0.3, momentum=0.9, epochs=2,
@@ -695,7 +705,7 @@ class TestBuildTrainingArrays:
                               (f"loss_{mode}.csv", "want.csv")):
                 assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes(), got
 
-    def test_rows_and_one_epoch_peak_under_the_copies(self):
+    def test_rows_and_one_epoch_peak_under_the_copies(self, tmp_path):
         rng = np.random.default_rng(23)
         n, dim = 4096, 64
         pool = random_unit_set(rng, n, dim)
@@ -704,16 +714,17 @@ class TestBuildTrainingArrays:
                                      sims=filter_sims(styled, pool, np.arange(n)),
                                      threshold=-1.0, style_tag=tag)
                     for tag, styled in zip(("a", "b"), styled_sets)]
+        paths = saved(tmp_path, styled_sets)
         copies = 2 * 2 * n * dim * 4   # the float32 texts and videos of every pair
 
         def rows_and_one_epoch():
-            rows = build_training_arrays(gen_sets, styled_sets, pool)
+            rows = build_training_arrays(gen_sets, paths, pool)
             train_epochs(init_adapter(dim), gen_sets, rows, mode="mixed",
                          config=TrainConfig(batch_size=64, epochs=1, queue_capacity=128), seed=1)
 
         assert traced_peak(rows_and_one_epoch) < copies
 
-    def test_pool_with_same_ids_but_other_rows_rejected(self):
+    def test_pool_with_same_ids_but_other_rows_rejected(self, tmp_path):
         rng = np.random.default_rng(15)
         clips = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
         styled = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
@@ -721,12 +732,13 @@ class TestBuildTrainingArrays:
         gen = GeneratedPairSet(clip_ids=[103, 101], rows=[3, 1],
                                sims=filter_sims(styled, clips, [3, 1]), threshold=-1.0,
                                style_tag="a")
-        build_training_arrays([gen], [styled], clips)
+        paths = saved(tmp_path, [styled])
+        build_training_arrays([gen], paths, clips)
         with pytest.raises(CountMismatch, match="similarity"):
-            build_training_arrays([gen], [styled], other)
+            build_training_arrays([gen], paths, other)
 
     @pytest.mark.parametrize("drifted", [0, 511, 512, 1099])
-    def test_a_drifted_pair_in_any_row_block_is_rejected(self, drifted):
+    def test_a_drifted_pair_in_any_row_block_is_rejected(self, tmp_path, drifted):
         rng = np.random.default_rng(16)
         clips = random_unit_set(rng, 1100, 4)
         styled = random_unit_set(rng, 1100, 4)
@@ -736,26 +748,41 @@ class TestBuildTrainingArrays:
         gen = GeneratedPairSet(clip_ids=rows, rows=rows, sims=sims, threshold=-2.0,
                                style_tag="a")
         with pytest.raises(CountMismatch, match="similarity"):
-            build_training_arrays([gen], [styled], clips)
+            build_training_arrays([gen], saved(tmp_path, [styled]), clips)
 
     @pytest.mark.parametrize("bad_row", [10, 1_000_000, -1])
-    def test_row_outside_styled_set_rejected(self, bad_row):
+    def test_row_outside_styled_set_rejected(self, tmp_path, bad_row):
         rng = np.random.default_rng(15)
         clips = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
         styled = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
         gen = GeneratedPairSet(clip_ids=[103, 109], rows=[3, bad_row],
                                sims=[0.9, 0.8], threshold=0.0, style_tag="a")
         with pytest.raises(RangeOutOfBounds):
-            build_training_arrays([gen], [styled], clips)
+            build_training_arrays([gen], saved(tmp_path, [styled]), clips)
 
-    def test_row_naming_another_clip_rejected(self):
+    def test_row_naming_another_clip_rejected(self, tmp_path):
         rng = np.random.default_rng(15)
         clips = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
         styled = random_unit_set(rng, 10, 4, ids=np.arange(100, 110))
         gen = GeneratedPairSet(clip_ids=[103, 102], rows=[3, 1],
                                sims=[0.9, 0.8], threshold=0.0, style_tag="a")
         with pytest.raises(CountMismatch):
-            build_training_arrays([gen], [styled], clips)
+            build_training_arrays([gen], saved(tmp_path, [styled]), clips)
+
+    def test_reading_half_a_sets_rows_peaks_under_the_set(self, tmp_path):
+        # the rows are read back one block at a time: a whole-set load holds every row
+        rng = np.random.default_rng(24)
+        n, dim = 16384, 64
+        pool = random_unit_set(rng, n, dim)
+        styled = random_unit_set(rng, n, dim, ids=pool.ids)
+        kept = np.arange(0, n, 2)
+        gen = GeneratedPairSet(clip_ids=pool.ids[kept], rows=kept,
+                               sims=filter_sims(styled, pool, kept), threshold=-1.0,
+                               style_tag="a")
+        paths = saved(tmp_path, [styled])
+        whole_set = n * dim * 4
+        assert traced_peak(lambda: load_embeddings(paths[0])) > whole_set
+        assert traced_peak(lambda: build_training_arrays([gen], paths, pool)) < whole_set
 
 
 def test_adapter_copy_keeps_every_field_and_owns_its_heads():
