@@ -26,8 +26,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import container, evaluator, matcher, styler, synthgen, trainer
-from .embedcore import (EmbeddingSet, for_each, hold_freed_heap, load_embeddings,
-                        one_blas_thread, release_freed_heap, save_embeddings)
+from .embedcore import (for_each, hold_freed_heap, load_embeddings, one_blas_thread,
+                        release_freed_heap)
 from .errors import ConfigInvalid, StylePairError
 from .synthgen import SynthConfig, dataset_paths
 
@@ -241,11 +241,10 @@ def match_stage(queries, pool, outs, query_sets, clip_set,
     return results
 
 
-def stylize_stage(args, queries, pool, pairs, style_outs, styled_outs, tags,
-                  threads) -> list[EmbeddingSet]:
+def stylize_stage(args, queries, pool, pairs, style_outs, styled_outs, tags, threads) -> None:
     """Check each query set's pseudo pairs against it and the pool, fit one style per set and
-    save them all, then caption the pool in every style at once, its row blocks spread over
-    `threads` worker processes."""
+    save them all, then caption the pool in every style at once into the files `styled_outs`,
+    its row blocks spread over `threads` worker processes."""
     styles = []
     for style_queries, pseudo, tag in zip(queries, pairs, tags):
         styler.check_pair_sims(style_queries.data, style_queries.row_for_id(pseudo.query_ids),
@@ -256,11 +255,9 @@ def stylize_stage(args, queries, pool, pairs, style_outs, styled_outs, tags,
                                        noise_sigma=args.noise_sigma, style_tag=tag))
     for style, style_out in zip(styles, style_outs):
         styler.save_style(style, style_out)
-    styled_sets = styler.generate_styled_sets(pool, styles, seed=args.seed, workers=threads)
-    for styled, styled_out, tag in zip(styled_sets, styled_outs, tags):
-        save_embeddings(styled, styled_out)
-        log.info("stage=stylize tag=%s styled=%d", tag, styled.count)
-    return styled_sets
+    styler.generate_styled_sets(pool, styles, args.seed, styled_outs, workers=threads)
+    for tag in tags:
+        log.info("stage=stylize tag=%s styled=%d", tag, pool.count)
 
 
 def filter_stage(args, styled, pool, out, tag) -> styler.GeneratedPairSet:
@@ -403,8 +400,9 @@ def run_pipeline(args) -> dict:
     The run uses the synth config in the dataset's latent header. Every
     synth flag must match it, and so must --seed for the workdir's own
     dataset. A --data-dir without that file (real embeddings) is taken as
-    the flags describe it. The styled sets are dropped once filtered:
-    training reads the rows it uses back from their files.
+    the flags describe it. Stylize writes the styled sets straight to their
+    files; each is loaded, filtered and dropped in turn, and training reads
+    the rows it uses back from the files.
     """
     release_freed_heap()   # before any stage allocates; training holds the heap instead
     cfg = _from_options(SynthConfig, args)
@@ -438,13 +436,15 @@ def run_pipeline(args) -> dict:
                               [os.path.join(workdir, f"pseudo_pairs_{t}.jsonl") for t in tags],
                               [f"queries_{t}" for t in tags], "pool", args.threads)
     styled_paths = [os.path.join(workdir, f"styled_{t}.iemb") for t in tags]
-    styled_sets = stylize_stage(args, queries, pool, pseudo_sets,
-                                [os.path.join(workdir, f"style_{t}.iemb") for t in tags],
-                                styled_paths, tags, args.threads)
-    gen_sets = [filter_stage(args, styled, pool,
+    stylize_stage(args, queries, pool, pseudo_sets,
+                  [os.path.join(workdir, f"style_{t}.iemb") for t in tags],
+                  styled_paths, tags, args.threads)
+    del queries
+    # one styled set at a time, dropped once filtered: training reads only the rows it
+    # uses, back from the files
+    gen_sets = [filter_stage(args, load_embeddings(path), pool,
                              os.path.join(workdir, f"generated_pairs_{tag}.jsonl"), tag)
-                for tag, styled in zip(tags, styled_sets)]
-    del queries, styled_sets   # training reads only the rows it uses, back from the files
+                for tag, path in zip(tags, styled_paths)]
 
     modes = [trainer.MODE_IN_STYLE] + ([trainer.MODE_MIXED] if cfg.n_styles > 1 else [])
     trained = train_stage(args, pool, gen_sets, styled_paths, [

@@ -11,13 +11,15 @@ Pair, truth and latent files are JSON Lines: a header object whose "kind"
 names the file type, then one object per record. `write_records` and
 `read_records` hold that format; each module declares its keys' types.
 
-Every writer goes through `atomic_write`, so a failed or interrupted write
-leaves the previous file (or no file), never a half-written one.
+Every writer goes through a temp file beside its path (`atomic_write`,
+`mapped_containers`), so a failed or interrupted write leaves the previous
+file (or no file), never a half-written one.
 """
 
 import contextlib
 import json
 import math
+import mmap
 import os
 import struct
 from typing import BinaryIO
@@ -34,10 +36,14 @@ ADAPTER_CHUNK = b"ADPT"
 RECORDS_PER_WRITE = 4096   # records of a JSONL file formatted and written at once
 
 
+def _temp_path(path: str | os.PathLike) -> str:
+    return f"{os.fspath(path)}.{os.getpid()}.tmp"
+
+
 @contextlib.contextmanager
 def atomic_write(path: str | os.PathLike, mode: str = "wb", **kwargs):
     """Open a temp file beside `path`; it replaces `path` only if the block succeeds."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    tmp = _temp_path(path)
     try:
         with open(tmp, mode, **kwargs) as f:
             yield f
@@ -72,14 +78,58 @@ def write_array(f: BinaryIO, arr: np.ndarray, dtype: str) -> None:
     f.write(np.ascontiguousarray(arr, dtype=np.dtype(dtype)).view(np.uint8))
 
 
+def _write_head(f: BinaryIO, tag: bytes, fields: str, values, arrays) -> None:
+    f.write(MAGIC + struct.pack("<I", VERSION) + tag + struct.pack("<" + fields, *values))
+    for arr, dtype in arrays:
+        write_array(f, arr, dtype)
+
+
 def write_container(path: str | os.PathLike, tag: bytes, fields: str, values,
                     arrays) -> None:
     """Write magic, version, `tag`, `values` packed little-endian as the struct format
     `fields`, then each (array, dtype) of `arrays`."""
     with atomic_write(path) as f:
-        f.write(MAGIC + struct.pack("<I", VERSION) + tag + struct.pack("<" + fields, *values))
-        for arr, dtype in arrays:
-            write_array(f, arr, dtype)
+        _write_head(f, tag, fields, values, arrays)
+
+
+@contextlib.contextmanager
+def mapped_containers(paths, tag: bytes, fields: str, values, arrays, dtype: str,
+                      shape: tuple):
+    """Yield one writable `shape` array of `dtype` per path: the last array of its container.
+
+    Each path's temp file gets what write_container writes of `tag`,
+    `values` and `arrays`, and room for the last array, which the block
+    fills through a shared mapping of the file, so a process forked inside
+    the block writes the file too. After the block the list is emptied and
+    the mappings closed (the caller keeps no array of them), and every temp
+    replaces its path. If anything fails, every temp is removed and no path
+    is touched.
+    """
+    tmps, maps, rows = [_temp_path(path) for path in paths], [], []
+    nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+    try:
+        for tmp in tmps:
+            with open(tmp, "w+b") as f:
+                _write_head(f, tag, fields, values, arrays)
+                start = f.tell()
+                f.truncate(start + nbytes)
+                maps.append(mmap.mmap(f.fileno(), start + nbytes))
+            rows.append(np.ndarray(shape, dtype, maps[-1], start))
+        yield rows
+        rows.clear()   # drops the last export of each mapping, so it can close
+        for buf in maps:
+            buf.close()
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        rows.clear()
+        for buf in maps:
+            with contextlib.suppress(BufferError):   # an array a traceback holds keeps it open
+                buf.close()
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
 
 
 @contextlib.contextmanager
@@ -142,9 +192,9 @@ _INT64 = range(-2**63, 2**63)
 _DTYPES = {int: np.int64, float: np.float64, str: object}   # object keeps every str as read
 
 
-def _typed(path, line_no: int, line: bytes, schema: dict, kind: str | None = None) -> list:
+def _typed(line_no: int, line: bytes, schema: dict, kind: str | None = None) -> list:
     """The values, in `schema` order, of the JSON object on one line; see `read_records`."""
-    where = f"{os.fspath(path)} line {line_no}"
+    where = f"line {line_no}"
     try:   # UnicodeDecodeError and JSONDecodeError are ValueErrors
         obj = json.loads(line.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -168,20 +218,28 @@ def _typed(path, line_no: int, line: bytes, schema: dict, kind: str | None = Non
     return values
 
 
-def read_records(path: str | os.PathLike, kind: str, fields: dict | None,
-                 header_fields: dict) -> tuple[dict, dict | None]:
-    """(header, columns: int64, float64 or object arrays); with `fields` None, only the header.
+@contextlib.contextmanager
+def read_records(path: str | os.PathLike, kind: str, fields: dict | None, header_fields: dict):
+    """Yield (header, columns: int64, float64 or object arrays); with `fields` None, only the
+    header.
 
     `fields` and `header_fields` map keys to int, float or str. Another "kind" is a MagicMismatch;
     a missing or extra key, a bool or float for an int (or one past int64 in a record), or a
-    non-finite float is a CorruptField naming the file, line and key.
+    non-finite float is a CorruptField naming the line and key. The caller builds and checks
+    its object inside the block; any StylePairError raised in it, here or by the caller, gets
+    the path in front of its message.
     """
-    with open(path, "rb") as f:
-        schema = {"kind": str, **header_fields}
-        header = dict(zip(schema, _typed(path, 1, f.readline(), schema, kind)))
-        if fields is None:
-            return header, None
-        rows = [_typed(path, n, line, fields) for n, line in enumerate(f, start=2) if line.strip()]
-    columns = zip(*rows) if rows else [()] * len(fields)
-    return header, {key: np.array(col, dtype=_DTYPES[want])
-                    for (key, want), col in zip(fields.items(), columns)}
+    try:
+        with open(path, "rb") as f:
+            schema = {"kind": str, **header_fields}
+            header = dict(zip(schema, _typed(1, f.readline(), schema, kind)))
+            rows = None if fields is None else [
+                _typed(n, line, fields) for n, line in enumerate(f, start=2) if line.strip()]
+        if rows is None:
+            yield header, None
+        else:
+            columns = zip(*rows) if rows else [()] * len(fields)
+            yield header, {key: np.array(col, dtype=_DTYPES[want])
+                           for (key, want), col in zip(fields.items(), columns)}
+    except StylePairError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -354,6 +354,19 @@ def save_embeddings(emb: EmbeddingSet, path: str | os.PathLike) -> None:
                               [(emb.ids, "<u8"), (emb.data, "<f4")])
 
 
+@contextlib.contextmanager
+def mapped_embeddings(paths, ids: np.ndarray, dim: int):
+    """Yield one writable (len(ids), dim) float32 array per path, for normalized rows.
+
+    After the block each path holds the set of `ids` and its array's rows,
+    in the bytes save_embeddings writes; the rows live in a shared mapping
+    of the file (container.mapped_containers), not in this process's heap.
+    """
+    with container.mapped_containers(paths, b"", _FIELDS, (len(ids), dim, _FLAG_NORMALIZED),
+                                     [(ids, "<u8")], "<f4", (len(ids), dim)) as rows:
+        yield rows
+
+
 def _read_ids(f, count: int) -> np.ndarray:
     """The `count` ids at the file position, which must ascend and lie below 2**63."""
     ids = container.read_array(f, "<u8", count, "ids").astype(np.int64)

@@ -11,7 +11,11 @@ within it one column tile of the pool at a time, so memory holds one
 from its shortlist: every entry of its row, unclaimed when the block
 started, that is at least its threshold theta, the K-th best such entry of
 the first tile that holds K unclaimed clips (earlier tiles keep all their
-unclaimed entries). While the best unclaimed shortlist entry is at least
+unclaimed entries). Once the block's shortlists hold more than a fixed
+budget of entries per row, theta rises to a fixed rank among each row's
+held entries and the entries below it are dropped, so the shortlists stay
+bounded as the pool grows; theta never falls. Every entry not held is
+below theta. So while the best unclaimed shortlist entry is at least
 theta, it is the best unclaimed entry of the whole row, ties included.
 When it is not, the shortlists of the block's remaining queries are
 rebuilt from the same products with the current claims, so the bits and
@@ -33,6 +37,8 @@ HEADER_FIELDS = {"query_set": str, "clip_set": str, "policy": str}   # pair-file
 RECORD_FIELDS = {"query_id": int, "clip_id": int, "sim": float}
 SHORTLIST_K = 16   # rank, among a row's unclaimed entries of one tile, of its threshold
 THETA_ROWS = 64    # rows of a tile partitioned at once for their thresholds
+SHORTLIST_BUDGET = 160   # held entries per row, on average over a block, that start a compaction
+SHORTLIST_RANK = 64      # rank, among a row's held entries, that a compaction raises theta to
 
 
 @dataclass
@@ -66,6 +72,45 @@ def has_repeat(ids: np.ndarray) -> bool:
     return bool((ordered[1:] == ordered[:-1]).any())
 
 
+def _grouped(n: int, rows: list, cols: list, sims: list):
+    """(counts, cols, sims): the pieces of each field joined and grouped by row, each row's
+    entries kept in piece order.
+
+    One field at a time, and each list is emptied once joined: a join frees
+    its pieces, and each sorted copy frees its join, so no two fields are
+    held twice at once.
+    """
+    joined = np.concatenate(rows)
+    rows.clear()
+    order = np.argsort(joined, kind="stable")
+    counts = np.bincount(joined, minlength=n)
+    del joined
+    grouped = []
+    for field in (cols, sims):
+        joined = np.concatenate(field)
+        field.clear()
+        grouped.append(joined[order])
+        del joined
+    return counts, *grouped
+
+
+def _compact(n: int, rows: list, cols: list, sims: list, theta: np.ndarray) -> None:
+    """Raise the threshold of each row holding SHORTLIST_RANK entries or more to the
+    SHORTLIST_RANK-th best of them, and drop the entries below it; the pieces become one."""
+    counts, held_cols, held_sims = _grouped(n, rows, cols, sims)
+    keep = np.ones(len(held_sims), dtype=bool)
+    lo = 0
+    for k, count in enumerate(counts.tolist()):
+        if count >= SHORTLIST_RANK:
+            row = held_sims[lo:lo + count]
+            theta[k] = max(theta[k, 0], np.partition(row, count - SHORTLIST_RANK)[-SHORTLIST_RANK])
+            counts[k] = np.count_nonzero(np.greater_equal(row, theta[k], out=keep[lo:lo + count]))
+        lo += count
+    rows.append(np.repeat(np.arange(n, dtype=np.int32), counts))
+    cols.append(held_cols[keep])
+    sims.append(held_sims[keep])
+
+
 def _shortlists(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarray,
                 prod_buf: np.ndarray, keep_buf: np.ndarray):
     """Shortlists of rows start.. of a float64 query block against the pool.
@@ -75,14 +120,17 @@ def _shortlists(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarr
     theta[k]. Each column tile's product goes into the flat float64
     `prod_buf` and its keep mask into the flat bool `keep_buf`, each at
     least a block by the widest tile. Tiles before the one that sets the
-    thresholds keep every unclaimed entry, some of them below it. The
-    products cover the whole block, so they carry its bits whichever rows
-    are kept.
+    thresholds keep every unclaimed entry, some of them below it. Once the
+    rows hold more than SHORTLIST_BUDGET entries each on average, they are
+    compacted (_compact), so the held entries do not grow with the pool.
+    The products cover the whole block, so they carry its bits whichever
+    rows are kept.
     """
     n = block.shape[0] - start
     theta = np.full((n, 1), np.finfo(np.float64).min)   # keeps every unclaimed entry
     theta_set = False
     rows, cols, sims = [], [], []
+    held = 0
     for c0, c1 in column_tiles(pool.shape[0]):
         w = c1 - c0
         prod = np.matmul(block, pool[c0:c1].astype(np.float64).T,
@@ -92,24 +140,21 @@ def _shortlists(block: np.ndarray, start: int, pool: np.ndarray, taken: np.ndarr
         if not theta_set and w - np.count_nonzero(claimed) >= SHORTLIST_K:
             kth = w - SHORTLIST_K
             for r0 in range(0, n, THETA_ROWS):   # a partitioned copy of a slice, not the tile
-                theta[r0:r0 + THETA_ROWS] = np.partition(prod[r0:r0 + THETA_ROWS], kth,
-                                                         axis=1)[:, kth:kth + 1]
+                part = theta[r0:r0 + THETA_ROWS]   # a compaction may have raised it already
+                np.maximum(part, np.partition(prod[r0:r0 + THETA_ROWS], kth,
+                                              axis=1)[:, kth:kth + 1], out=part)
             theta_set = True
         flat = np.flatnonzero(np.greater_equal(prod, theta, out=keep_buf[:n * w].reshape(n, w)))
         row, col = np.divmod(flat, w)
         rows.append(row.astype(np.int32))
         cols.append((col + c0).astype(np.int32))
         sims.append(prod.ravel()[flat])
-    # one field at a time: each join frees its pieces as it is bound, and each
-    # sorted copy frees its join, so no two fields are held twice at once
-    rows = np.concatenate(rows)
-    order = np.argsort(rows, kind="stable")   # per row, tiles and columns stay ascending
-    ptr = [0, *np.cumsum(np.bincount(rows, minlength=n)).tolist()]
-    del rows
-    cols = np.concatenate(cols)
-    cols = cols[order]
-    sims = np.concatenate(sims)
-    sims = sims[order]
+        held += len(flat)
+        if held > SHORTLIST_BUDGET * n:
+            _compact(n, rows, cols, sims, theta)
+            held = len(rows[0])
+    counts, cols, sims = _grouped(n, rows, cols, sims)   # per row, columns stay ascending
+    ptr = [0, *np.cumsum(counts).tolist()]
     return ptr, cols, sims, theta.ravel().tolist()
 
 
@@ -167,12 +212,10 @@ def write_pseudo_pairs(pairs: PseudoPairSet, path: str | os.PathLike) -> None:
 
 
 def read_pseudo_pairs(path: str | os.PathLike) -> PseudoPairSet:
-    header, cols = container.read_records(path, "pseudo_pairs", RECORD_FIELDS, HEADER_FIELDS)
-    if header["policy"] != ORDER_QUERY_ID:
-        raise CorruptField(f"{path}: policy {header['policy']!r:.40} is not {ORDER_QUERY_ID!r}")
-    try:
+    with container.read_records(path, "pseudo_pairs", RECORD_FIELDS,
+                                HEADER_FIELDS) as (header, cols):
+        if header["policy"] != ORDER_QUERY_ID:
+            raise CorruptField(f"policy {header['policy']!r:.40} is not {ORDER_QUERY_ID!r}")
         return PseudoPairSet(query_ids=cols["query_id"], clip_ids=cols["clip_id"],
                              sims=cols["sim"], query_set=header["query_set"],
                              clip_set=header["clip_set"])
-    except DuplicateId as exc:
-        raise DuplicateId(f"{path}: {exc}") from exc

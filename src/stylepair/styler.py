@@ -3,22 +3,23 @@
 fit_style learns (W, b) from pseudo pairs so that W @ clip + b lands near
 the matched query embedding. generate_styled_sets maps the whole pool
 through every style in one pass (plus seeded Gaussian jitter, drawn once
-per clip), and filter_pairs keeps only rows whose styled caption stays
-similar enough to its own clip in the fixed judge space.
+per clip) straight into the styles' files, and filter_pairs keeps only
+rows whose styled caption stays similar enough to its own clip in the
+fixed judge space.
 """
 
 import ctypes
 import functools
 import logging
-import mmap
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import container
-from .embedcore import (BLOCK_ROWS, EmbeddingSet, aligned_dots, for_each, row_blocks,
-                        unit_block)
+from .embedcore import (BLOCK_ROWS, EmbeddingSet, aligned_dots, for_each, load_embeddings,
+                        mapped_embeddings, row_blocks, unit_block)
 from .errors import (ConfigInvalid, CorruptField, CountMismatch, DimMismatch, DuplicateId,
                      NotNormalized, SingularSystem)
 from .matcher import PseudoPairSet, has_repeat
@@ -298,9 +299,10 @@ def _state_loader(bit_generator: np.random.PCG64):
     return load
 
 
-def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform],
-                         seed: int, workers: int = 1) -> list[EmbeddingSet]:
-    """One styled caption set per style: normalize(W v + b + noise) for each clip v.
+def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform], seed: int,
+                         paths: list, workers: int = 1) -> None:
+    """Write one styled caption set per style, normalize(W v + b + noise) for each clip v,
+    to the embedding file at the style's path.
 
     Noise for row i comes from the PCG64 generator that spawn (i,) of the
     seed would seed, so any row partition reproduces the row-by-row output
@@ -309,14 +311,17 @@ def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform],
     block's states are derived and its noise drawn once, and then every
     style maps, jitters and normalizes the block. The row blocks run through
     embedcore.for_each on `workers` workers, each writing straight into the
-    styles' float32 outputs: anonymous shared mappings made before any
-    fork, so a forked worker sends nothing back. Styles must share dim_in
-    (the pool's) and dim_out (DimMismatch) and noise_sigma (ConfigInvalid).
-    A zero styled caption is a ZeroVectorRow naming its clip; the first
-    failing block in row order is the one reported.
+    styles' files through shared mappings made before any fork
+    (embedcore.mapped_embeddings), so a forked worker sends nothing back and
+    no set is held whole in memory. Styles must share dim_in (the pool's)
+    and dim_out (DimMismatch) and noise_sigma (ConfigInvalid). A zero styled
+    caption is a ZeroVectorRow naming its clip; the first failing block in
+    row order is the one reported, and any failure leaves no styled file.
     """
+    if len(paths) != len(styles):
+        raise ValueError("give one styled-set path per style")
     if not styles:
-        return []
+        return
     dim_out, sigma = styles[0].dim_out, styles[0].noise_sigma
     for style in styles:
         if style.dim_in != clips.dim or style.dim_out != dim_out:
@@ -324,9 +329,6 @@ def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform],
                               f"clips have dim {clips.dim}, style 0 maps to {dim_out}")
         if style.noise_sigma != sigma:
             raise ConfigInvalid(f"styles mix noise_sigma {sigma} and {style.noise_sigma}")
-    nbytes = 4 * clips.count * dim_out   # float32 rows; an anonymous mapping cannot be empty
-    outs = [np.ndarray((clips.count, dim_out), np.float32, mmap.mmap(-1, max(nbytes, 1)))
-            for _ in styles]
     noise = np.empty((min(clips.count, BLOCK_ROWS), dim_out))   # one per worker, after the fork
     rng = np.random.Generator(np.random.PCG64(0))
     load = _state_loader(rng.bit_generator)
@@ -347,13 +349,16 @@ def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform],
                 rows += jitter
             unit_block(clips.ids[lo:hi], rows, out[lo:hi])
 
-    for_each(row_blocks(clips.count), stylize_block, workers)
-    return [EmbeddingSet(ids=clips.ids.copy(), data=out, normalized=True) for out in outs]
+    with mapped_embeddings(paths, clips.ids, dim_out) as outs:
+        for_each(row_blocks(clips.count), stylize_block, workers)
 
 
 def generate_styled(clips: EmbeddingSet, style: StyleTransform, seed: int) -> EmbeddingSet:
-    """generate_styled_sets for one style."""
-    return generate_styled_sets(clips, [style], seed)[0]
+    """generate_styled_sets for one style, read back from a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "styled.iemb")
+        generate_styled_sets(clips, [style], seed, [path])
+        return load_embeddings(path)
 
 
 def _aligned_sims(styled: EmbeddingSet, clips: EmbeddingSet) -> np.ndarray:
@@ -436,10 +441,8 @@ def write_generated_pairs(pairs: GeneratedPairSet, path: str | os.PathLike) -> N
 
 
 def read_generated_pairs(path: str | os.PathLike) -> GeneratedPairSet:
-    header, cols = container.read_records(path, "generated_pairs", RECORD_FIELDS, HEADER_FIELDS)
-    try:
+    with container.read_records(path, "generated_pairs", RECORD_FIELDS,
+                                HEADER_FIELDS) as (header, cols):
         return GeneratedPairSet(clip_ids=cols["clip_id"], rows=cols["row"], sims=cols["sim"],
                                 threshold=header["threshold"], style_tag=header["style_tag"],
                                 total_candidates=header["total_candidates"])
-    except (CorruptField, DuplicateId) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc

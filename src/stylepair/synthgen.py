@@ -244,17 +244,17 @@ def read_latent_config(path: str | os.PathLike, flags: SynthConfig,
                        check_seed: bool) -> SynthConfig:
     """The SynthConfig in the latent header at `path`; ConfigInvalid names the first
     key, the seed only if `check_seed`, where `flags` differs from it."""
-    got, _ = container.read_records(path, "latent_record", None,
-                                    {f.name: f.type for f in fields(SynthConfig)})
-    for key, value in asdict(flags).items():
-        if got[key] != value and (check_seed or key != "seed"):
-            raise ConfigInvalid(f"{path} was generated with {key}={got[key]!r}, not {value!r}")
-    return SynthConfig(**{f.name: got[f.name] for f in fields(SynthConfig)})
+    with container.read_records(path, "latent_record", None,
+                                {f.name: f.type for f in fields(SynthConfig)}) as (got, _):
+        for key, value in asdict(flags).items():
+            if got[key] != value and (check_seed or key != "seed"):
+                raise ConfigInvalid(f"generated with {key}={got[key]!r}, not {value!r}")
+        return SynthConfig(**{f.name: got[f.name] for f in fields(SynthConfig)})
 
 
 def read_truth(path: str | os.PathLike) -> dict[int, int]:
-    _, cols = container.read_records(path, "retrieval_truth", TRUTH_FIELDS, {})
-    truth = dict(zip(cols["query_id"].tolist(), cols["candidate_id"].tolist()))
-    if len(truth) != len(cols["query_id"]):
-        raise DuplicateId(f"{path}: a query_id appears in more than one record")
-    return truth
+    with container.read_records(path, "retrieval_truth", TRUTH_FIELDS, {}) as (_, cols):
+        truth = dict(zip(cols["query_id"].tolist(), cols["candidate_id"].tolist()))
+        if len(truth) != len(cols["query_id"]):
+            raise DuplicateId("a query_id appears in more than one record")
+        return truth

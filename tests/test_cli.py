@@ -156,7 +156,7 @@ class TestStageCommands:
         assert rc == 1
         assert "error=NonFiniteValue detail=row id " in caplog.text
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not (tmp_path / "styled.iemb").exists()
+        assert not list(tmp_path.glob("styled.iemb*"))   # neither the file nor its temp
 
     def test_memory_error_exits_1_without_traceback(self, tmp_path, caplog, monkeypatch):
         # numpy raises a MemoryError subclass for a request it cannot allocate, e.g. at
@@ -678,20 +678,19 @@ class TestPipelineCommand:
         args = ["pipeline", "--styles", "2", "--seed", "7", "--epochs", "1"] + SMALL_SYNTH \
             + SMALL_TRAIN
         assert main(args + ["--workdir", str(tmp_path / "plain")]) == 0
-        load, stylize, train, evaluate = (cli.load_embeddings, cli.stylize_stage,
-                                          cli.train_stage, cli.eval_stage)
-        refs, trained, live_at_eval = [], [], []
+        load, train, evaluate = cli.load_embeddings, cli.train_stage, cli.eval_stage
+        refs, styled_refs, styled_live_at_load, trained, live_at_eval = [], [], [], [], []
 
         def loaded(path):
+            name = os.path.basename(path)
+            if name.startswith("styled"):   # at most one styled set is held at a time
+                styled_live_at_load.append(sum(ref() is not None for ref in styled_refs))
             emb = load(path)
-            if os.path.basename(path).startswith(("pool", "queries")):
+            if name.startswith(("pool", "queries", "styled")):
                 refs.append(weakref.ref(emb))
+            if name.startswith("styled"):
+                styled_refs.append(refs[-1])
             return emb
-
-        def stylized(*args, **kwargs):
-            styled_sets = stylize(*args, **kwargs)
-            refs.extend(weakref.ref(styled) for styled in styled_sets)
-            return styled_sets
 
         def training(*args, **kwargs):
             result = train(*args, **kwargs)
@@ -703,34 +702,45 @@ class TestPipelineCommand:
                 live_at_eval.append(sum(ref() is not None for ref in refs))
             return evaluate(*args, **kwargs)
 
-        for name, wrapper in [("load_embeddings", loaded), ("stylize_stage", stylized),
-                              ("train_stage", training), ("eval_stage", evaluated)]:
+        for name, wrapper in [("load_embeddings", loaded), ("train_stage", training),
+                              ("eval_stage", evaluated)]:
             monkeypatch.setattr(cli, name, wrapper)
         assert main(args + ["--workdir", str(tmp_path / "watched")]) == 0
         assert len(refs) == 5   # the pool, two query sets and two styled sets
+        assert styled_live_at_load == [0, 0]
         assert live_at_eval == [0] * 4   # two styles under each of two adapters
         assert (tmp_path / "watched" / "report.json").read_bytes() == \
             (tmp_path / "plain" / "report.json").read_bytes()
 
     def test_styled_sets_are_dropped_before_training(self, tmp_path, monkeypatch):
-        # training reads the rows it uses back from the styled files
-        stylize, train = cli.stylize_stage, cli.train_stage
-        refs, live_at_train = [], []
+        # stylize writes the styled sets to their files; the pipeline loads, filters and drops
+        # one at a time, and training reads the rows it uses back from the files
+        load, stylize, train = cli.load_embeddings, cli.stylize_stage, cli.train_stage
+        refs, live_at_load, live_at_train, stylized = [], [], [], []
 
-        def stylized(*args, **kwargs):
-            styled_sets = stylize(*args, **kwargs)
-            refs.extend(weakref.ref(styled) for styled in styled_sets)
-            return styled_sets
+        def loaded(path):
+            if not os.path.basename(path).startswith("styled"):
+                return load(path)
+            assert stylized   # written by stylize, not read before it
+            live_at_load.append(sum(ref() is not None for ref in refs))
+            emb = load(path)
+            refs.append(weakref.ref(emb))
+            return emb
+
+        def stylizing(*args, **kwargs):
+            assert stylize(*args, **kwargs) is None   # it hands back no set
+            stylized.append(True)
 
         def training(*args, **kwargs):
             live_at_train.append(sum(ref() is not None for ref in refs))
             return train(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "stylize_stage", stylized)
+        monkeypatch.setattr(cli, "load_embeddings", loaded)
+        monkeypatch.setattr(cli, "stylize_stage", stylizing)
         monkeypatch.setattr(cli, "train_stage", training)
         assert main(["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "2", "--seed",
                      "7", "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN) == 0
-        assert len(refs) == 2 and live_at_train == [0]
+        assert len(refs) == 2 and live_at_load == [0, 0] and live_at_train == [0]
 
     def test_default_two_style_golden_regression(self, tmp_path, capsys):
         rc = main(["pipeline", "--workdir", str(tmp_path / "w"), "--seed", "7"])

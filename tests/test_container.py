@@ -303,8 +303,10 @@ class TestRecordCodec:
             truth_bytes = pathlib.Path(paths["truth"]).read_bytes()
             latent_bytes = pathlib.Path(paths["latent"]).read_bytes()
             assert read_truth(paths["truth"]) == truth
-            _, cols = container.read_records(paths["latent"], "latent_record", LATENT_FIELDS,
-                                             {key: type(v) for key, v in asdict(cfg).items()})
+            with container.read_records(paths["latent"], "latent_record", LATENT_FIELDS,
+                                        {key: type(v) for key, v in asdict(cfg).items()}) \
+                    as (_, cols):
+                pass
         assert truth_bytes == per_record_reference(
             {"kind": "retrieval_truth"},
             [{"query_id": q, "candidate_id": truth[q]} for q in sorted(truth)])
@@ -366,13 +368,16 @@ class TestRecordCodec:
     def test_corrupt_field_names_file_line_and_key(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text('{"kind": "demo"}\n{"i": 1}\n\n{"i": true}\n')
-        with pytest.raises(CorruptField, match=r"p\.jsonl line 4: bad int 'i': True"):
-            container.read_records(path, "demo", {"i": int}, {})
+        with pytest.raises(CorruptField, match=r"p\.jsonl: line 4: bad int 'i': True"):
+            with container.read_records(path, "demo", {"i": int}, {}):
+                pass
         # a header-only read stops before the records
-        assert container.read_records(path, "demo", None, {}) == ({"kind": "demo"}, None)
+        with container.read_records(path, "demo", None, {}) as got:
+            assert got == ({"kind": "demo"}, None)
 
     def test_another_kind_is_a_magic_mismatch(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text('{"kind": "demo"}\n')
         with pytest.raises(MagicMismatch, match="other"):
-            container.read_records(path, "other", {}, {})
+            with container.read_records(path, "other", {}, {}):
+                pass

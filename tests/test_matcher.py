@@ -1,9 +1,12 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stylepair import matcher
+from stylepair import matcher, synthgen
 from stylepair.container import read_records
 from stylepair.embedcore import TILE_COLS, column_tiles
 from stylepair.errors import DimMismatch, PoolExhausted
@@ -173,9 +176,9 @@ class TestPairPersistence:
         assert np.array_equal(back.clip_ids, pairs.clip_ids)
         assert np.array_equal(back.sims, pairs.sims)
         assert (back.query_set, back.clip_set) == ("queries", "pool")
-        header, _ = read_records(path, "pseudo_pairs", None, {"query_set": str, "clip_set": str,
-                                                              "policy": str})
-        assert header["policy"] == "query_id"
+        with read_records(path, "pseudo_pairs", None, {"query_set": str, "clip_set": str,
+                                                       "policy": str}) as (header, _):
+            assert header["policy"] == "query_id"
 
     def test_duplicate_clip_rejected(self):
         with pytest.raises(Exception, match="clip"):
@@ -255,6 +258,11 @@ class TestTiledPool:
         assert np.array_equal(out.sims, vals)
 
 
+def few_distinct(rng, n, dim, kinds, lift):
+    """n rows drawn from `kinds` distinct small-integer vectors: most entries tie."""
+    return make_set(rng.integers(-1, 2, size=(kinds, dim))[rng.integers(0, kinds, n)] + lift)
+
+
 def whole_tile_thresholds(block, start, pool, taken):
     """Each row's threshold from one np.partition of the whole tile that sets it."""
     for c0, c1 in column_tiles(pool.shape[0]):
@@ -273,10 +281,8 @@ class TestThresholdSlices:
     def test_slices_give_the_whole_tile_thresholds(self, n_rows, start, claim_first_tile):
         rng = np.random.default_rng(n_rows + start)
         # few distinct vectors on each side: most entries of a row tie with many others
-        clips = make_set(rng.integers(-1, 2, size=(8, 6))[rng.integers(0, 8, 2 * TILE_COLS + 70)]
-                         + np.eye(6)[0] * 0.5)
-        queries = make_set(rng.integers(-1, 2, size=(5, 6))[rng.integers(0, 5, n_rows)]
-                           + np.eye(6)[1] * 0.5)
+        clips = few_distinct(rng, 2 * TILE_COLS + 70, 6, 8, np.eye(6)[0] * 0.5)
+        queries = few_distinct(rng, n_rows, 6, 5, np.eye(6)[1] * 0.5)
         taken = rng.random(clips.count) < 0.3
         if claim_first_tile:   # too few unclaimed clips left: the second tile sets the thresholds
             taken[:TILE_COLS - SHORTLIST_K // 2] = True
@@ -299,3 +305,99 @@ class TestThresholdSlices:
         q = random_unit_set(rng, 512, 64)
         c = random_unit_set(rng, n_clips, 64)
         assert traced_peak(lambda: match_exclusive(q, c)) < bound_mb * 1_000_000
+
+
+def load_benchmark_harness():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def compactions(monkeypatch):
+    """The number of shortlist compactions run."""
+    count = []
+    compact = matcher._compact
+
+    def counted(*args):
+        count.append(True)
+        return compact(*args)
+
+    monkeypatch.setattr(matcher, "_compact", counted)
+    return count
+
+
+class TestShortlistBound:
+    """Compacted shortlists keep the bits of the full-row argmax, and a bounded peak."""
+
+    @pytest.mark.parametrize("budget, rank", [(20, 4), (40, 16), (2, 1)])
+    @pytest.mark.parametrize("data", ["random", "ties", "tile_edge_ties"])
+    def test_forced_compaction_matches_the_masked_argmax(self, monkeypatch, compactions,
+                                                         budget, rank, data):
+        monkeypatch.setattr(matcher, "SHORTLIST_BUDGET", budget)
+        monkeypatch.setattr(matcher, "SHORTLIST_RANK", rank)
+        rng = np.random.default_rng(budget + rank)
+        if data == "random":
+            q = random_unit_set(rng, 300, 12)
+            c = random_unit_set(rng, 3 * TILE_COLS + SHORTLIST_K // 2, 12)
+        elif data == "ties":
+            c = few_distinct(rng, 2 * TILE_COLS + 70, 6, 8, np.eye(6)[0] * 0.5)
+            q = few_distinct(rng, 300, 6, 5, np.eye(6)[1] * 0.5)
+        else:   # a tied vector on both sides of each tile edge, and many queries that want it
+            raw = rng.normal(size=(3 * TILE_COLS + 40, 8))
+            for edge in (TILE_COLS, 2 * TILE_COLS):
+                raw[edge - 30:edge + 30] = raw[0]
+            queries = rng.normal(size=(400, 8))
+            queries[::3] = raw[0]
+            q, c = make_set(queries), make_set(raw)
+        assert_matches_oracle(q, c)
+        assert compactions   # the compaction ran
+
+    def test_compaction_raises_no_threshold_above_an_entry_it_keeps(self, monkeypatch):
+        # every row keeps at least `rank` entries, all at or above its threshold
+        monkeypatch.setattr(matcher, "SHORTLIST_BUDGET", 20)
+        monkeypatch.setattr(matcher, "SHORTLIST_RANK", 4)
+        rng = np.random.default_rng(25)
+        q = random_unit_set(rng, 64, 12)
+        c = random_unit_set(rng, 4 * TILE_COLS, 12)
+        block = q.data.astype(np.float64)
+        taken = np.zeros(c.count, dtype=bool)
+        size = 64 * TILE_COLS
+        ptr, cols, sims, theta = matcher._shortlists(block, 0, c.data, taken, np.empty(size),
+                                                     np.empty(size, dtype=bool))
+        full = block @ c.data.astype(np.float64).T
+        for k in range(64):
+            held = sims[ptr[k]:ptr[k + 1]]
+            assert len(held) >= 4 and held.min() >= theta[k]
+            # exactly the entries of the full row at or above the threshold, in column order
+            want = np.flatnonzero(full[k] >= theta[k])
+            assert np.array_equal(cols[ptr[k]:ptr[k + 1]], want)
+            assert np.array_equal(held, full[k, want])
+
+    def test_one_blocks_peak_stays_flat_as_the_pool_grows(self):
+        # 512 queries: one block, whose shortlists compact past 8,192 clips
+        rng = np.random.default_rng(26)
+        q = random_unit_set(rng, 512, 64)
+        peaks = []
+        for n_clips in (8192, 32_768, 65_536):
+            c = random_unit_set(rng, n_clips, 64)
+            peaks.append(traced_peak(lambda: match_exclusive(q, c)))
+            del c
+        assert max(peaks) - peaks[0] < 1_000_000
+
+    @pytest.mark.parametrize("workload", ["default", "match-heavy", "train-heavy"])
+    def test_benchmark_datasets_build_each_blocks_shortlists_once(self, shortlist_builds,
+                                                                   compactions, workload):
+        harness = load_benchmark_harness()
+        assert workload in harness.BENCH_WORKLOADS
+        cfg = harness.WORKLOADS[workload]
+        ds = synthgen.generate(synthgen.SynthConfig(
+            n_styles=cfg["styles"], queries_per_style=cfg["queries_per_style"],
+            pool_size=cfg["pool_size"], seed=harness.DATA_SEED))
+        for queries in ds.train_queries:
+            match_exclusive(queries, ds.pool_clips)
+        assert shortlist_builds == [0] * (cfg["styles"] * -(-cfg["queries_per_style"] // 512))
+        # 8,192 clips never compact; the wider pools do
+        assert bool(compactions) == (cfg["pool_size"] > 8192)

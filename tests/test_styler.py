@@ -1,10 +1,13 @@
+import os
+import pathlib
+import signal
 import warnings
 
 import numpy as np
 import pytest
 
 from stylepair import styler
-from stylepair.embedcore import EmbeddingSet, normalize
+from stylepair.embedcore import EmbeddingSet, load_embeddings, save_embeddings
 from stylepair.errors import (ConfigInvalid, CountMismatch, DimMismatch, NonFiniteValue,
                               SingularSystem, StylePairError, ZeroVectorRow)
 from stylepair.matcher import PseudoPairSet
@@ -24,8 +27,8 @@ from stylepair.styler import (
     write_generated_pairs,
 )
 
-from conftest import (at_blas_threads, make_set, needs_blas_controls, random_unit_set,
-                      traced_peak)
+from conftest import (at_blas_threads, forks_workers, make_set, needs_blas_controls,
+                      random_unit_set, traced_peak)
 
 
 def pairs_over(queries, clips):
@@ -212,32 +215,63 @@ def style_list(rng, k, sigma, dim_in=64, dim_out=64):
             for i in range(k)]
 
 
+def styled_paths(directory, k, name="styled"):
+    return [str(directory / f"{name}{i}.iemb") for i in range(k)]
+
+
+def generated(clips, styles, seed, directory, workers=1):
+    """The sets generate_styled_sets writes for `styles`, loaded back from `directory`."""
+    paths = styled_paths(directory, len(styles))
+    assert generate_styled_sets(clips, styles, seed, paths, workers) is None
+    return [load_embeddings(path) for path in paths]
+
+
 class TestGenerateStyledSets:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     @pytest.mark.parametrize("seed", [7, 2**130 + 1])
-    def test_each_set_has_the_bits_of_the_per_row_reference(self, k, sigma, seed):
+    def test_each_set_has_the_bits_of_the_per_row_reference(self, tmp_path, k, sigma, seed):
         rng = np.random.default_rng(k)
         clips = random_unit_set(rng, 1100, 64)   # three row blocks, the last one ragged
         styles = style_list(rng, k, sigma)
-        got = generate_styled_sets(clips, styles, seed)
+        got = generated(clips, styles, seed, tmp_path)
         assert len(got) == k
         for styled, style in zip(got, styles):
             assert np.array_equal(styled.ids, clips.ids) and styled.normalized
             assert styled.data.tobytes() == styled_reference(clips, style, seed).tobytes()
 
-    def test_one_style_is_generate_styled(self):
+    def test_files_have_the_bytes_save_embeddings_writes(self, tmp_path):
+        rng = np.random.default_rng(29)
+        clips = random_unit_set(rng, 700, 8)
+        styles = style_list(rng, 2, 0.1, 8, 8)
+        paths = styled_paths(tmp_path, 2)
+        generate_styled_sets(clips, styles, 3, paths)
+        for path in paths:
+            save_embeddings(load_embeddings(path), tmp_path / "saved.iemb")
+            assert (tmp_path / "saved.iemb").read_bytes() == pathlib.Path(path).read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["saved.iemb", "styled0.iemb",
+                                                               "styled1.iemb"]
+
+    def test_an_empty_pool_gives_empty_sets(self, tmp_path):
+        clips = EmbeddingSet(ids=np.zeros(0, dtype=np.int64), data=np.zeros((0, 4)),
+                             normalized=True)
+        [styled] = generated(clips, style_list(np.random.default_rng(0), 1, 0.1, 4, 4), 0,
+                             tmp_path)
+        assert styled.count == 0 and styled.dim == 4 and styled.normalized
+
+    def test_one_style_is_generate_styled(self, tmp_path):
         rng = np.random.default_rng(30)
         clips = random_unit_set(rng, 600, 8)
         style = style_list(rng, 1, 0.2, 8, 8)[0]
-        [styled] = generate_styled_sets(clips, [style], seed=4)
+        [styled] = generated(clips, [style], 4, tmp_path)
         assert styled.data.tobytes() == generate_styled(clips, style, seed=4).data.tobytes()
 
-    def test_no_style_gives_no_set(self):
-        assert generate_styled_sets(make_set([[1.0, 0.0]]), [], seed=0) == []
+    def test_no_style_gives_no_set(self, tmp_path):
+        assert generate_styled_sets(make_set([[1.0, 0.0]]), [], 0, []) is None
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("dims", [(3, 2), (2, 3)])   # (dim_in, dim_out) of the second style
-    def test_dim_mismatch_is_raised_before_any_row_is_drawn(self, monkeypatch, dims):
+    def test_dim_mismatch_is_raised_before_any_row_is_drawn(self, tmp_path, monkeypatch, dims):
         drawn = []
         monkeypatch.setattr("stylepair.styler._spawned_pcg64_states",
                             lambda *args: drawn.append(args) or [])
@@ -247,52 +281,85 @@ class TestGenerateStyledSets:
                   StyleTransform(weight=np.ones((dims[1], dims[0])), bias=np.zeros(dims[1]),
                                  ridge_lambda=0.0, noise_sigma=0.1)]
         with pytest.raises(DimMismatch):
-            generate_styled_sets(clips, styles, seed=0)
+            generate_styled_sets(clips, styles, 0, styled_paths(tmp_path, 2))
         assert drawn == []
+        assert not list(tmp_path.iterdir())
 
-    def test_styles_of_different_noise_are_a_typed_error(self):
+    def test_styles_of_different_noise_are_a_typed_error(self, tmp_path):
         clips = make_set([[1.0, 0.0], [0.0, 1.0]])
         styles = [StyleTransform(weight=np.eye(2), bias=np.zeros(2), ridge_lambda=0.0,
                                  noise_sigma=sigma) for sigma in (0.1, 0.2)]
         with pytest.raises(ConfigInvalid, match="noise_sigma"):
-            generate_styled_sets(clips, styles, seed=0)
+            generate_styled_sets(clips, styles, 0, styled_paths(tmp_path, 2))
+        assert not list(tmp_path.iterdir())
 
-    def test_zero_row_of_the_second_style_names_its_clip(self):
+    def test_zero_row_of_the_second_style_names_its_clip(self, tmp_path):
         clips = make_set([[1.0, 0.0], [0.0, 1.0]], ids=[41, 42])
         styles = [StyleTransform(weight=w, bias=np.zeros(2), ridge_lambda=0.0, noise_sigma=0.0)
                   for w in (np.eye(2), np.diag([1.0, 0.0]))]
         with pytest.raises(ZeroVectorRow, match="row id 42 "):
-            generate_styled_sets(clips, styles, seed=0)
+            generate_styled_sets(clips, styles, 0, styled_paths(tmp_path, 2))
+        assert not list(tmp_path.iterdir())   # not even the first style's file
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_workers_write_the_bits_of_one(self, workers):
+    def test_workers_write_the_bits_of_one(self, tmp_path, workers):
         # data of its own per case, so no freed output of an earlier call holds the rows
         rng = np.random.default_rng(32 + workers)
         clips = random_unit_set(rng, 1100, 16)   # three row blocks, the last one ragged
         styles = style_list(rng, 2, 0.05, 16, 16)
-        got = [s.data.tobytes() for s in generate_styled_sets(clips, styles, 5, workers)]
-        assert got == [s.data.tobytes() for s in generate_styled_sets(clips, styles, 5)]
+        files = []
+        for n, directory in [(workers, tmp_path / "many"), (1, tmp_path / "one")]:
+            directory.mkdir()
+            generate_styled_sets(clips, styles, 5, styled_paths(directory, 2), n)
+            files.append([pathlib.Path(p).read_bytes() for p in styled_paths(directory, 2)])
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_first_failing_block_in_row_order_is_raised(self, workers):
+    def test_first_failing_block_in_row_order_is_raised(self, tmp_path, workers):
         # rows 600 (block 1: a child's at 2 workers) and 1050 (block 2: the caller's) map to zero
         rng = np.random.default_rng(33)
         data = rng.normal(size=(1100, 4))
         data[[600, 1050]] = [1.0, 0.0, 0.0, 0.0]
         style = StyleTransform(weight=np.diag([0.0, 1.0, 1.0, 1.0]), bias=np.zeros(4),
                                ridge_lambda=0.0, noise_sigma=0.0)
+        (tmp_path / "styled0.iemb").write_bytes(b"an earlier run's file")
         with pytest.raises(ZeroVectorRow, match="row id 600 "):
-            generate_styled_sets(make_set(data), [style], seed=0, workers=workers)
+            generate_styled_sets(make_set(data), [style, style], 0, styled_paths(tmp_path, 2),
+                                 workers=workers)
+        # no temp file is left, and the earlier file stands
+        assert [p.name for p in tmp_path.iterdir()] == ["styled0.iemb"]
+        assert (tmp_path / "styled0.iemb").read_bytes() == b"an earlier run's file"
 
-    def test_peak_holds_the_float32_outputs_and_a_few_blocks(self):
+    @forks_workers
+    def test_a_worker_killed_by_a_signal_leaves_no_file(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        unit = styler.unit_block
+
+        def dies_in_a_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return unit(*args)
+
+        monkeypatch.setattr(styler, "unit_block", dies_in_a_child)
+        rng = np.random.default_rng(34)
+        clips = random_unit_set(rng, 1100, 8)
+        with pytest.raises(ChildProcessError, match="signal"):
+            generate_styled_sets(clips, style_list(rng, 2, 0.05, 8, 8), 0,
+                                 styled_paths(tmp_path, 2), workers=2)
+        assert not list(tmp_path.iterdir())
+
+    def test_peak_holds_the_float32_outputs_and_a_few_blocks(self, tmp_path):
         rng = np.random.default_rng(31)
         n, k = 8_000, 3
         clips = random_unit_set(rng, n, 64)
         styles = style_list(rng, k, 0.05)
-        peak = traced_peak(lambda: generate_styled_sets(clips, styles, seed=3))
+        peak = traced_peak(lambda: generate_styled_sets(clips, styles, 3,
+                                                        styled_paths(tmp_path, k)))
         outputs = k * n * (64 * 4 + 8)   # float32 rows and a copy of the ids per style
         block = 512 * 64 * 8             # one float64 row block
         assert peak < outputs + 8 * block
+        # the rows go to the files' mappings, which the heap does not hold
+        assert peak < 8 * block
 
 
 MASK64 = 2**64 - 1
