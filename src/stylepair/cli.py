@@ -205,6 +205,17 @@ def _validate_knobs(args) -> None:
             raise ConfigInvalid(f"{name} {value} must {rule}")
 
 
+def _validate_outputs(args) -> None:
+    """Reject two output paths of one command that name one file, before any input is read."""
+    named = {}
+    for name in ("out", "style_out", "styled_out", "loss_log", "ranks_csv"):
+        path = getattr(args, name, None)
+        if path is not None:
+            first = named.setdefault(os.path.realpath(path), name)
+            if first != name:
+                raise ConfigInvalid(f"{first} and {name} name one file: {path}")
+
+
 def _from_options(config_class, args):
     """The dataclass `config_class` built from the parsed options."""
     return config_class(**{f.name: getattr(args, _OPTION_NAME.get(f.name, f.name))
@@ -511,6 +522,7 @@ def main(argv=None) -> int:
         if args.config:   # its values become defaults, so explicit flags still win
             args = build_parser(defaults=_config_values(args.config)).parse_args(argv)
         _validate_knobs(args)
+        _validate_outputs(args)
         with one_blas_thread():
             return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:

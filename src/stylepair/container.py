@@ -3,23 +3,22 @@
 A container is the 4-byte magic "IEMB", a u32 format version, a 4-byte
 sub-chunk tag ("STYL", "ADPT"; none for embeddings), a block of scalar
 fields, then the arrays. Everything is little-endian, and a file must end
-where its last array ends. `write_container`/`read_container` are the
-only code that knows this framing; each artifact module names its fields
-and arrays.
+where its last array ends. `write_head` (which `write_container` calls)
+and `read_container` are the only code that knows this framing; each
+artifact module names its fields and arrays.
 
 Pair, truth and latent files are JSON Lines: a header object whose "kind"
 names the file type, then one object per record. `write_records` and
 `read_records` hold that format; each module declares its keys' types.
 
-Every writer goes through a temp file beside its path (`atomic_write`,
-`mapped_containers`), so a failed or interrupted write leaves the previous
-file (or no file), never a half-written one.
+Every writer goes through a temp file beside its path (`atomic_write`), so a
+failed or interrupted write leaves the previous file (or no file), never a
+half-written one.
 """
 
 import contextlib
 import json
 import math
-import mmap
 import os
 import struct
 from typing import BinaryIO
@@ -36,14 +35,10 @@ ADAPTER_CHUNK = b"ADPT"
 RECORDS_PER_WRITE = 4096   # records of a JSONL file formatted and written at once
 
 
-def _temp_path(path: str | os.PathLike) -> str:
-    return f"{os.fspath(path)}.{os.getpid()}.tmp"
-
-
 @contextlib.contextmanager
 def atomic_write(path: str | os.PathLike, mode: str = "wb", **kwargs):
     """Open a temp file beside `path`; it replaces `path` only if the block succeeds."""
-    tmp = _temp_path(path)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as f:
             yield f
@@ -78,7 +73,9 @@ def write_array(f: BinaryIO, arr: np.ndarray, dtype: str) -> None:
     f.write(np.ascontiguousarray(arr, dtype=np.dtype(dtype)).view(np.uint8))
 
 
-def _write_head(f: BinaryIO, tag: bytes, fields: str, values, arrays) -> None:
+def write_head(f: BinaryIO, tag: bytes, fields: str, values, arrays) -> None:
+    """Write magic, version, `tag`, `values` packed little-endian as the struct format
+    `fields`, then each (array, dtype) of `arrays`."""
     f.write(MAGIC + struct.pack("<I", VERSION) + tag + struct.pack("<" + fields, *values))
     for arr, dtype in arrays:
         write_array(f, arr, dtype)
@@ -86,50 +83,9 @@ def _write_head(f: BinaryIO, tag: bytes, fields: str, values, arrays) -> None:
 
 def write_container(path: str | os.PathLike, tag: bytes, fields: str, values,
                     arrays) -> None:
-    """Write magic, version, `tag`, `values` packed little-endian as the struct format
-    `fields`, then each (array, dtype) of `arrays`."""
+    """write_head's bytes, and nothing after them, atomically at `path`."""
     with atomic_write(path) as f:
-        _write_head(f, tag, fields, values, arrays)
-
-
-@contextlib.contextmanager
-def mapped_containers(paths, tag: bytes, fields: str, values, arrays, dtype: str,
-                      shape: tuple):
-    """Yield one writable `shape` array of `dtype` per path: the last array of its container.
-
-    Each path's temp file gets what write_container writes of `tag`,
-    `values` and `arrays`, and room for the last array, which the block
-    fills through a shared mapping of the file, so a process forked inside
-    the block writes the file too. After the block the list is emptied and
-    the mappings closed (the caller keeps no array of them), and every temp
-    replaces its path. If anything fails, every temp is removed and no path
-    is touched.
-    """
-    tmps, maps, rows = [_temp_path(path) for path in paths], [], []
-    nbytes = np.dtype(dtype).itemsize * math.prod(shape)
-    try:
-        for tmp in tmps:
-            with open(tmp, "w+b") as f:
-                _write_head(f, tag, fields, values, arrays)
-                start = f.tell()
-                f.truncate(start + nbytes)
-                maps.append(mmap.mmap(f.fileno(), start + nbytes))
-            rows.append(np.ndarray(shape, dtype, maps[-1], start))
-        yield rows
-        rows.clear()   # drops the last export of each mapping, so it can close
-        for buf in maps:
-            buf.close()
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
-    except BaseException:
-        rows.clear()
-        for buf in maps:
-            with contextlib.suppress(BufferError):   # an array a traceback holds keeps it open
-                buf.close()
-        for tmp in tmps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-        raise
+        write_head(f, tag, fields, values, arrays)
 
 
 @contextlib.contextmanager

@@ -152,7 +152,7 @@ def blas_thread_controls():
 def one_blas_thread():
     """Hold numpy's OpenBLAS at one thread for the block, then restore its count.
 
-    Without the thread controls nothing changes. Used as a decorator too.
+    Without the thread controls nothing changes.
     """
     blas = blas_thread_controls()
     if blas is None:
@@ -354,17 +354,23 @@ def save_embeddings(emb: EmbeddingSet, path: str | os.PathLike) -> None:
                               [(emb.ids, "<u8"), (emb.data, "<f4")])
 
 
-@contextlib.contextmanager
-def mapped_embeddings(paths, ids: np.ndarray, dim: int):
-    """Yield one writable (len(ids), dim) float32 array per path, for normalized rows.
+def embedding_rows_writer(f, ids: np.ndarray, dim: int):
+    """Write the head and ids of the normalized set of `ids` into the open file `f`, sized and
+    flushed for every row; return write(lo, rows), which puts float32 `rows` at row `lo`.
 
-    After the block each path holds the set of `ids` and its array's rows,
-    in the bytes save_embeddings writes; the rows live in a shared mapping
-    of the file (container.mapped_containers), not in this process's heap.
+    Each write opens the file by name, as forked workers share `f`'s offset. Once every row
+    is written, the file holds the bytes save_embeddings writes.
     """
-    with container.mapped_containers(paths, b"", _FIELDS, (len(ids), dim, _FLAG_NORMALIZED),
-                                     [(ids, "<u8")], "<f4", (len(ids), dim)) as rows:
-        yield rows
+    container.write_head(f, b"", _FIELDS, (len(ids), dim, _FLAG_NORMALIZED), [(ids, "<u8")])
+    start = f.tell()
+    f.truncate(start + 4 * len(ids) * dim)
+    f.flush()
+
+    def write(lo: int, rows: np.ndarray) -> None:
+        with open(f.name, "r+b") as out:
+            out.seek(start + 4 * lo * dim)
+            container.write_array(out, rows, "<f4")
+    return write
 
 
 def _read_ids(f, count: int) -> np.ndarray:

@@ -8,6 +8,7 @@ rows whose styled caption stays similar enough to its own clip in the
 fixed judge space.
 """
 
+import contextlib
 import ctypes
 import functools
 import logging
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .embedcore import (BLOCK_ROWS, EmbeddingSet, aligned_dots, for_each, load_embeddings,
-                        mapped_embeddings, row_blocks, unit_block)
+from .embedcore import (BLOCK_ROWS, EmbeddingSet, aligned_dots, embedding_rows_writer, for_each,
+                        load_embeddings, row_blocks, unit_block)
 from .errors import (ConfigInvalid, CorruptField, CountMismatch, DimMismatch, DuplicateId,
                      NotNormalized, SingularSystem)
 from .matcher import PseudoPairSet, has_repeat
@@ -310,10 +311,11 @@ def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform], seed
     generator (_state_loader). It does not depend on the style: each row
     block's states are derived and its noise drawn once, and then every
     style maps, jitters and normalizes the block. The row blocks run through
-    embedcore.for_each on `workers` workers, each writing straight into the
-    styles' files through shared mappings made before any fork
-    (embedcore.mapped_embeddings), so a forked worker sends nothing back and
-    no set is held whole in memory. Styles must share dim_in (the pool's)
+    embedcore.for_each on `workers` workers. Each worker normalizes a block
+    into one block's float32 buffer and writes it straight into each style's
+    temp file (container.atomic_write), at the block's offset
+    (embedcore.embedding_rows_writer), so a forked worker sends nothing back
+    and no set is held whole in memory. Styles must share dim_in (the pool's)
     and dim_out (DimMismatch) and noise_sigma (ConfigInvalid). A zero styled
     caption is a ZeroVectorRow naming its clip; the first failing block in
     row order is the one reported, and any failure leaves no styled file.
@@ -330,26 +332,30 @@ def generate_styled_sets(clips: EmbeddingSet, styles: list[StyleTransform], seed
         if style.noise_sigma != sigma:
             raise ConfigInvalid(f"styles mix noise_sigma {sigma} and {style.noise_sigma}")
     noise = np.empty((min(clips.count, BLOCK_ROWS), dim_out))   # one per worker, after the fork
+    unit = np.empty(noise.shape, dtype=np.float32)
     rng = np.random.Generator(np.random.PCG64(0))
     load = _state_loader(rng.bit_generator)
 
     def stylize_block(bounds):
         lo, hi = bounds
         block = clips.data[lo:hi].astype(np.float64)
-        jitter = noise[:hi - lo]
+        jitter, out = noise[:hi - lo], unit[:hi - lo]
         if sigma > 0.0:
             for row, words in zip(jitter, _spawned_pcg64_states(seed, lo, hi)):
                 load(words)
                 rng.standard_normal(out=row)
             with np.errstate(over="ignore"):   # unit_block reports an overflowed row
                 jitter *= sigma
-        for style, out in zip(styles, outs):
+        for style, write in zip(styles, writes):
             rows = block @ style.weight.T + style.bias
             if sigma > 0.0:
                 rows += jitter
-            unit_block(clips.ids[lo:hi], rows, out[lo:hi])
+            unit_block(clips.ids[lo:hi], rows, out)
+            write(lo, out)
 
-    with mapped_embeddings(paths, clips.ids, dim_out) as outs:
+    with contextlib.ExitStack() as stack:
+        writes = [embedding_rows_writer(stack.enter_context(container.atomic_write(path)),
+                                        clips.ids, dim_out) for path in paths]
         for_each(row_blocks(clips.count), stylize_block, workers)
 
 

@@ -28,6 +28,15 @@ def _one_blas_thread():
         yield
 
 
+@pytest.fixture(autouse=True)
+def _no_temp_file_left(tmp_path):
+    """Fail a test that leaves a `*.tmp` under its tmp_path: an atomic write's temp file must
+    be renamed over its path or removed."""
+    yield
+    leaked = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.tmp"))
+    assert not leaked, f"temp files left behind: {leaked}"
+
+
 def count_forks(monkeypatch, cpus, limit):
     """Give this process `cpus` CPUs and count the children forked; past `limit` a fork fails."""
     forks = []

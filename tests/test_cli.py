@@ -367,6 +367,23 @@ class TestStageCommands:
         assert main(args + ["--tau", "0"]) == 2
         assert main(args + ["--batch-size", "1"]) == 2
 
+    @pytest.mark.parametrize("command, inputs, outputs", [
+        ("stylize", ["--queries", "--pool", "--pairs"], ["--style-out", "--styled-out"]),
+        ("train", ["--pool", "--styled", "--pairs"], ["--out", "--loss-log"]),
+        ("eval", ["--captions", "--candidates", "--truth"], ["--out", "--ranks-csv"]),
+    ])
+    def test_two_outputs_at_one_path_exit_2_before_any_input_is_read(self, tmp_path, caplog,
+                                                                     command, inputs, outputs):
+        argv = [command]
+        for flag in inputs:
+            argv += [flag, str(tmp_path / "missing")]
+        # one file, spelled two ways
+        argv += [outputs[0], str(tmp_path / "out"), outputs[1], os.path.join(tmp_path, ".", "out")]
+        assert main(argv) == 2
+        first, second = (flag[2:].replace("-", "_") for flag in outputs)
+        assert f"error=ConfigInvalid detail={first} and {second} name one file" in caplog.text
+        assert not list(tmp_path.iterdir())
+
     def test_eval_writes_rank_csv(self, tmp_path, capsys):
         basis = make_set(np.eye(3))
         save_embeddings(basis, tmp_path / "caps.iemb")

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stylepair import styler
+from stylepair import embedcore, styler
 from stylepair.embedcore import EmbeddingSet, load_embeddings, save_embeddings
 from stylepair.errors import (ConfigInvalid, CountMismatch, DimMismatch, NonFiniteValue,
                               SingularSystem, StylePairError, ZeroVectorRow)
@@ -358,8 +358,32 @@ class TestGenerateStyledSets:
         outputs = k * n * (64 * 4 + 8)   # float32 rows and a copy of the ids per style
         block = 512 * 64 * 8             # one float64 row block
         assert peak < outputs + 8 * block
-        # the rows go to the files' mappings, which the heap does not hold
+        # the rows go to the files, which the heap does not hold
         assert peak < 8 * block
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+    def test_the_caller_holds_no_page_of_the_styled_sets(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(35)
+        clips = random_unit_set(rng, 65_536, 64)
+        rss = []
+
+        def vm_rss():
+            with open("/proc/self/status") as status:
+                return next(int(line.split()[1]) << 10 for line in status
+                            if line.startswith("VmRSS:"))
+
+        def sampled(items, run, threads):
+            def run_and_sample(item):
+                run(item)
+                rss.append(vm_rss())
+            return embedcore.for_each(items, run_and_sample, threads)
+
+        monkeypatch.setattr(styler, "for_each", sampled)
+        start = vm_rss()   # one worker, as the stylize command runs it
+        generate_styled_sets(clips, style_list(rng, 2, 0.05), 3, styled_paths(tmp_path, 2))
+        assert len(rss) == 128
+        # the two sets' 32 MiB of rows are written out, not held in this process's pages
+        assert max(rss) - start < 8 << 20
 
 
 MASK64 = 2**64 - 1
