@@ -205,15 +205,22 @@ def _validate_knobs(args) -> None:
             raise ConfigInvalid(f"{name} {value} must {rule}")
 
 
+_INPUTS = ("queries", "pool", "pairs", "styled", "captions", "candidates", "truth", "adapter",
+           "config")
+_OUTPUTS = ("out", "style_out", "styled_out", "loss_log", "ranks_csv")
+
+
 def _validate_outputs(args) -> None:
-    """Reject two output paths of one command that name one file, before any input is read."""
+    """Reject an output path of one command that names one of its inputs or another output,
+    before any input is read: writing it would replace that file."""
     named = {}
-    for name in ("out", "style_out", "styled_out", "loss_log", "ranks_csv"):
-        path = getattr(args, name, None)
-        if path is not None:
-            first = named.setdefault(os.path.realpath(path), name)
-            if first != name:
-                raise ConfigInvalid(f"{first} and {name} name one file: {path}")
+    for name in (*_INPUTS, *_OUTPUTS):
+        paths = getattr(args, name, None)
+        for path in paths if isinstance(paths, list) else [paths]:   # lists on train
+            if path is not None:
+                first = named.setdefault(os.path.realpath(path), name)
+                if first != name and name in _OUTPUTS:
+                    raise ConfigInvalid(f"{first} and {name} name one file: {path}")
 
 
 def _from_options(config_class, args):
@@ -355,10 +362,11 @@ def cmd_filter(args) -> int:
 
 
 def _threshold_grid(text: str) -> list[float]:
-    """The --thresholds grid: a non-empty ascending list of valid --threshold values."""
+    """The --thresholds grid: a non-empty ascending list of valid --threshold values, with no
+    empty entry."""
     ok, rule = _KNOB_RULES["threshold"]
     try:
-        grid = [float(v) for v in text.split(",") if v.strip()]
+        grid = [float(v) for v in text.split(",")]   # an empty entry is a ValueError
     except ValueError as exc:
         raise ConfigInvalid(f"thresholds {text!r}: {exc}") from exc
     if not grid or grid != sorted(grid) or not all(map(ok, grid)):

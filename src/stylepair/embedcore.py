@@ -27,7 +27,7 @@ from .errors import (CorruptField, DimMismatch, DuplicateId, NonFiniteValue, Not
 NORM_FLAG_TOL = 1e-4   # how far a "normalized" row may drift from unit norm
 _FLAG_NORMALIZED = 1
 BLOCK_ROWS = 512       # fixed row block of every row-wise float64 pass
-TILE_COLS = 1024       # column tile of a streamed block product
+TILE_COLS = 512        # column tile of a streamed block product
 _PR_SET_PDEATHSIG = 1  # Linux prctl option: a signal for when the parent dies
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc mallopt parameters
 

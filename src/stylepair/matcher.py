@@ -35,7 +35,7 @@ from .errors import (CorruptField, DimMismatch, DuplicateId, EmptyStyleSet, NotN
 ORDER_QUERY_ID = "query_id"   # the one processing order; recorded in pair-file headers
 HEADER_FIELDS = {"query_set": str, "clip_set": str, "policy": str}   # pair-file keys and types
 RECORD_FIELDS = {"query_id": int, "clip_id": int, "sim": float}
-SHORTLIST_K = 16   # rank, among a row's unclaimed entries of one tile, of its threshold
+SHORTLIST_K = 8    # rank, among a row's unclaimed entries of one tile, of its threshold
 THETA_ROWS = 64    # rows of a tile partitioned at once for their thresholds
 SHORTLIST_BUDGET = 160   # held entries per row, on average over a block, that start a compaction
 SHORTLIST_RANK = 64      # rank, among a row's held entries, that a compaction raises theta to

@@ -144,14 +144,17 @@ def info_nce_loss(
     averages the text-to-video and video-to-text softmax cross-entropies
     over the batch; queue entries add negative columns in both directions.
 
-    Each direction holds one (B, C) matrix, C = B + queue length:
-    E = exp(l - rowmax) of its logits l = (rows / tau) @ cols.T, with row
-    sums z; row i's loss term is log z_i - (l_ii - max_i). With
+    The directions hold one (B, C) matrix at a time, C = B + queue length:
+    E = exp(l - rowmax) of a direction's logits l = (rows / tau) @ cols.T,
+    with row sums z; row i's loss term is log z_i - (l_ii - max_i). With
     a = 1 / (2 B tau) and s = 1 / z, the gradients with respect to the
     unit projections x (texts) and y (videos) scale only (B, p) rows:
 
         d_x = a [(E_tv @ cols_v) s_tv + E_vt[:, :B].T @ (y s_vt) - 2 y]
         d_y = a [(E_vt @ cols_t) s_vt + E_tv[:, :B].T @ (x s_tv) - 2 x]
+
+    so a direction's E is read only by its own two products, and it is
+    dropped before the other direction's is made.
     """
     texts = np.asarray(batch_texts, dtype=np.float64)
     videos = np.asarray(batch_videos, dtype=np.float64)
@@ -169,7 +172,7 @@ def info_nce_loss(
     cols_t, cols_v = queue.columns(x, y) if queue is not None else (x, y)
 
     log_diag = []
-    exps = []   # (E, s) of text -> video, then of video -> text
+    full, cross = [], []   # (E @ cols) s, and E[:, :B].T @ (rows s) for the other side
     for rows, cols in ((x, cols_v), (y, cols_t)):
         with np.errstate(over="ignore", invalid="ignore"):   # an overflow makes the loss NaN
             e = (rows / tau) @ cols.T
@@ -178,16 +181,20 @@ def info_nce_loss(
         np.exp(e, out=e)
         z = e.sum(axis=1)
         log_diag.append((shifted_diag - np.log(z)).sum())
-        exps.append((e, 1.0 / z))
+        if not np.isfinite(log_diag[-1]):   # before a product reads a non-finite E
+            raise NonFiniteLoss("contrastive loss is non-finite")
+        s = 1.0 / z
+        full.append((e @ cols) * s[:, None])
+        cross.append(e[:, :b].T @ (rows * s[:, None]))
+        del e   # freed before the other direction's E is made
     # + 0.0 canonicalizes the -0.0 that the B=1 case would otherwise produce
     loss = float(-(log_diag[0] + log_diag[1]) / (2.0 * b) + 0.0)
     if not np.isfinite(loss):
         raise NonFiniteLoss("contrastive loss is non-finite")
 
-    (e_tv, s_tv), (e_vt, s_vt) = exps
     a = 1.0 / (2.0 * b * tau)
-    d_x = a * ((e_tv @ cols_v) * s_tv[:, None] + e_vt[:, :b].T @ (y * s_vt[:, None]) - 2.0 * y)
-    d_y = a * ((e_vt @ cols_t) * s_vt[:, None] + e_tv[:, :b].T @ (x * s_tv[:, None]) - 2.0 * x)
+    d_x = a * (full[0] + cross[1] - 2.0 * y)
+    d_y = a * (full[1] + cross[0] - 2.0 * x)
 
     # back through the renormalization x = u / ||u||
     d_u = (d_x - (d_x * x).sum(axis=1, keepdims=True) * x) / x_norms[:, None]

@@ -384,6 +384,31 @@ class TestStageCommands:
         assert f"error=ConfigInvalid detail={first} and {second} name one file" in caplog.text
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, clash", [
+        (["match", "--queries", "queries_style0.iemb", "--pool", "pool.iemb",
+          "--out", "pool.iemb"], "pool and out"),
+        (["filter", "--styled", "pool.iemb", "--pool", "pool.iemb", "--out", "pool.iemb"],
+         "pool and out"),
+        (["eval", "--captions", "test_captions_style0.iemb", "--candidates", "test_clips.iemb",
+          "--truth", "truth.jsonl", "--out", "truth.jsonl"], "truth and out"),
+        (["stylize", "--queries", "queries_style0.iemb", "--pool", "pool.iemb",
+          "--pairs", "pairs.jsonl", "--style-out", "style.iemb",
+          "--styled-out", "pairs.jsonl"], "pairs and styled_out"),
+        (["sweep", "--styled", "pool.iemb", "--pool", "pool.iemb", "--config", "c.json",
+          "--out", "c.json"], "config and out"),
+    ])
+    def test_an_output_at_an_input_path_exits_2_and_keeps_the_input(self, data_dir, caplog,
+                                                                    argv, clash):
+        assert main(["match", "--queries", str(data_dir / "queries_style0.iemb"),
+                     "--pool", str(data_dir / "pool.iemb"),
+                     "--out", str(data_dir / "pairs.jsonl")]) == 0
+        (data_dir / "c.json").write_text("{}")
+        before = tree_hashes(data_dir)
+        argv = [argv[0], *(a if a.startswith("--") else str(data_dir / a) for a in argv[1:])]
+        assert main(argv) == 2
+        assert f"error=ConfigInvalid detail={clash} name one file" in caplog.text
+        assert tree_hashes(data_dir) == before
+
     def test_eval_writes_rank_csv(self, tmp_path, capsys):
         basis = make_set(np.eye(3))
         save_embeddings(basis, tmp_path / "caps.iemb")
@@ -453,7 +478,7 @@ class TestStageCommands:
         assert counts == sorted(counts, reverse=True)
 
     @pytest.mark.parametrize("grid", ["0.3,abc", "0.3,0.2", "nan", "", ",", "0.2,inf",
-                                      "-1,0.5", "0.5,1"])
+                                      "-1,0.5", "0.5,1", "0.26,,0.28", "0.3,", ",0.3"])
     def test_bad_sweep_grid_exits_2_before_any_input_is_read(self, tmp_path, caplog, capsys,
                                                              grid):
         missing = str(tmp_path / "missing.iemb")
@@ -480,7 +505,7 @@ print((faults[-1] - faults[0]) / (len(faults) - 1), len(faults))
                     or getattr(ctypes.CDLL(None), "mallopt", None) is None,
                     reason="glibc malloc on Linux")
 def test_standalone_train_does_not_fault_in_its_step_matrices_every_step(tmp_path):
-    # each step makes two (128, 128 + 1,024) float64 matrices of 1.2 MB
+    # each step makes two (128, 128 + 1,024) float64 matrices of 1.2 MB, one at a time
     w = tmp_path / "w"
     assert main(["pipeline", "--workdir", str(w), "--seed", "7", "--epochs", "1",
                  "--queries-per-style", "256", "--pool-size", "4096"]) == 0

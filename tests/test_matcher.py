@@ -295,12 +295,12 @@ class TestThresholdSlices:
         assert np.array_equal(np.array(theta).view(np.int64), want.view(np.int64))
         assert len(set(theta)) < len(theta) / 10   # tie-heavy: the rows share few thresholds
 
-    @pytest.mark.parametrize("n_clips, bound_mb", [(8192, 9), (32_768, 14)])
+    @pytest.mark.parametrize("n_clips, bound_mb", [(8192, 6), (32_768, 7)])
     def test_one_block_peaks_below_a_fixed_bound(self, n_clips, bound_mb):
-        # one 512-query block: a 512 x 1,024 float64 product tile (4.2 MB), its keep mask
-        # and the shortlists, but no partitioned copy of the whole tile. At 32,768 clips the
-        # shortlists set the peak: joined one field at a time, ~28 B an entry (13.6 MB in
-        # all); with every field's pieces, joins and sorted copies held at once, ~36 B (14.6 MB)
+        # one 512-query block: a 512 x 512 float64 product tile (2.1 MB), its keep mask and
+        # the shortlists, but no partitioned copy of the whole tile. The shortlists are joined
+        # one field at a time, ~28 B an entry: ~128 entries a row at 8,192 clips (4.8 MB in
+        # all), and compaction holds them near its budget of 160 a row at 32,768 (5.5 MB)
         rng = np.random.default_rng(24)
         q = random_unit_set(rng, 512, 64)
         c = random_unit_set(rng, n_clips, 64)
@@ -341,7 +341,9 @@ class TestShortlistBound:
         rng = np.random.default_rng(budget + rank)
         if data == "random":
             q = random_unit_set(rng, 300, 12)
-            c = random_unit_set(rng, 3 * TILE_COLS + SHORTLIST_K // 2, 12)
+            # about SHORTLIST_K entries a row per tile: enough tiles to pass the budget
+            n_tiles = budget // SHORTLIST_K + 2
+            c = random_unit_set(rng, n_tiles * TILE_COLS + SHORTLIST_K // 2, 12)
         elif data == "ties":
             c = few_distinct(rng, 2 * TILE_COLS + 70, 6, 8, np.eye(6)[0] * 0.5)
             q = few_distinct(rng, 300, 6, 5, np.eye(6)[1] * 0.5)

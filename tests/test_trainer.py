@@ -1,6 +1,7 @@
 import argparse
 import csv
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -261,7 +262,7 @@ class TestQueuedLoss:
         # one step's matrices (freed when it returns) plus the queue's column buffers
         assert short < 5 * matrix_bytes
 
-    def test_one_call_peaks_under_three_step_matrices(self):
+    def test_one_call_holds_one_step_matrix_at_a_time(self):
         rng = np.random.default_rng(24)
         b, capacity, dim = 64, 512, 8
         model = init_adapter(dim)
@@ -275,8 +276,23 @@ class TestQueuedLoss:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # E of each direction, plus (B, p) rows and the (B, B) operand of a backward product
-        assert peak < 3 * matrix_bytes
+        # one direction's E at a time, plus (B, p) rows and the (B, B) operand of a backward
+        # product; both directions' E at once read ~2.27 matrices
+        assert peak < 1.6 * matrix_bytes
+
+    @pytest.mark.parametrize("fill", [0, 40])
+    def test_a_subnormal_tau_is_non_finite_before_a_product_warns(self, fill):
+        # rows / tau overflows, so a direction's E holds NaN: the step must stop at its loss
+        # term, before a backward product reads that E (at tau 1e-300 the loss is still finite)
+        rng = np.random.default_rng(26)
+        dim, b = 8, 16
+        model = init_adapter(dim, tau=3e-309)
+        queue = filled_queue(rng, model, dim, fill, b) if fill else None
+        t, v = unit_rows(rng, b, dim), unit_rows(rng, b, dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteLoss, match="non-finite"):
+                info_nce_loss(model, t, v, queue)
 
 
 class TestGradCheck:
