@@ -120,14 +120,6 @@ def unit_block(ids: np.ndarray, rows64: np.ndarray, out: np.ndarray) -> None:
     out[:] = rows64 / norms[:, None]
 
 
-def normalize(emb: EmbeddingSet) -> EmbeddingSet:
-    """Return a copy whose rows are rescaled to unit L2 norm, one row block at a time."""
-    out = np.empty_like(emb.data)
-    for lo, hi in row_blocks(emb.count):
-        unit_block(emb.ids[lo:hi], emb.data[lo:hi].astype(np.float64), out[lo:hi])
-    return EmbeddingSet(ids=emb.ids.copy(), data=out, normalized=True)
-
-
 @functools.cache
 def blas_thread_controls():
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
@@ -300,9 +292,7 @@ def _serve_share(parent: int, write_end: int, run, items, indices) -> None:
         os._exit(status)
 
 
-# quoted, so numpy.random does not load with this module: loaded that early, it
-# raised the peak RSS of a process that imports stylepair by 0.2-0.4 MB
-def keyed_rng(seed: int, *key: int) -> "np.random.Generator":
+def keyed_rng(seed: int, *key: int) -> np.random.Generator:
     """The generator of `seed`'s SeedSequence child at spawn key `key`."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stylepair.embedcore import EmbeddingSet, blas_thread_controls, normalize, one_blas_thread
+from stylepair.embedcore import EmbeddingSet, blas_thread_controls, one_blas_thread, unit_block
 from stylepair.trainer import info_nce_loss
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -81,7 +81,11 @@ def make_set(rows, ids=None, unit=True) -> EmbeddingSet:
     if ids is None:
         ids = np.arange(data.shape[0], dtype=np.int64)
     es = EmbeddingSet(ids=np.asarray(ids, dtype=np.int64), data=data)
-    return normalize(es) if unit else es
+    if not unit:
+        return es
+    out = np.empty_like(es.data)
+    unit_block(es.ids, es.data.astype(np.float64), out)
+    return EmbeddingSet(ids=es.ids, data=out, normalized=True)
 
 
 def random_unit_set(rng, count, dim, ids=None) -> EmbeddingSet:
@@ -89,18 +93,14 @@ def random_unit_set(rng, count, dim, ids=None) -> EmbeddingSet:
 
 
 def golden(name: str, computed: dict, rel_tol: float = 1e-9) -> dict:
-    """Load a recorded fixture, writing `computed` on the first run.
+    """Load the recorded fixture `name`; numeric fields of `computed` must match it within
+    rel_tol, and a missing fixture fails the test.
 
-    Returns the recorded values; numeric fields of `computed` must match
-    them within rel_tol on later runs.
+    Returns the recorded values.
     """
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
     path = os.path.join(GOLDEN_DIR, f"{name}.json")
     if not os.path.exists(path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(computed, f, indent=2, sort_keys=True)
-            f.write("\n")
-        return computed
+        pytest.fail(f"golden fixture {path} is missing")
     with open(path, "r", encoding="utf-8") as f:
         recorded = json.load(f)
     assert set(recorded) == set(computed), f"{name}: fixture keys changed"

@@ -543,6 +543,31 @@ def test_pipeline_never_imports_numpy_ma(tmp_path):
     assert out.splitlines()[-1] == "False"
 
 
+PACKAGE_DIR = os.path.dirname(embedcore.__file__)
+MODULES = sorted(name[:-3] for name in os.listdir(PACKAGE_DIR)
+                 if name.endswith(".py") and name != "__init__.py")
+
+
+def imports_in_a_fresh_interpreter(code):
+    """stdout of `code` run by a new interpreter that finds the package on its path."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE_DIR)},
+                          check=True).stdout
+
+
+def test_importing_the_package_root_loads_none_of_its_modules():
+    out = imports_in_a_fresh_interpreter(
+        "import sys, stylepair; print(sorted(m for m in sys.modules"
+        " if m.startswith('stylepair.') or m == 'numpy'))")
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    # the root no longer imports its modules in a fixed order, which hid any import cycle
+    assert imports_in_a_fresh_interpreter(f"import stylepair.{module}; print('ok')") == "ok\n"
+
+
 NO_LIBC_BY_NAME = """
 import ctypes, sys
 real = ctypes.CDLL

@@ -17,11 +17,11 @@ from stylepair.embedcore import (
     column_tiles,
     for_each,
     load_embeddings,
-    normalize,
     pairwise_dots,
     read_rows,
     row_blocks,
     save_embeddings,
+    unit_block,
 )
 from stylepair.errors import (
     DimMismatch,
@@ -102,46 +102,53 @@ class TestEmbeddingSet:
             es.data[0, 0] = 2.0
 
 
+def unit_rows(ids, raw):
+    """raw's float32 rows rescaled to unit L2 norm by one unit_block call."""
+    raw = np.asarray(raw, np.float32)
+    out = np.empty_like(raw)
+    unit_block(np.asarray(ids), raw.astype(np.float64), out)
+    return out
+
+
 class TestNormalize:
+    """unit_block, the block normalizer of synthesis and stylize."""
+
     def test_three_four_five(self):
-        es = normalize(EmbeddingSet(ids=np.array([0]),
-                                    data=np.array([[3.0, 4.0]], np.float32)))
-        assert es.data[0] == pytest.approx([0.6, 0.8], abs=1e-7)
-        assert es.normalized
+        out = unit_rows([0], [[3.0, 4.0]])
+        assert out[0] == pytest.approx([0.6, 0.8], abs=1e-7)
+        assert EmbeddingSet(ids=np.array([0]), data=out, normalized=True).normalized
 
     def test_already_unit(self):
-        es = normalize(EmbeddingSet(ids=np.array([0]),
-                                    data=np.array([[1.0, 0.0]], np.float32)))
-        assert es.data[0] == pytest.approx([1.0, 0.0], abs=0)
+        assert unit_rows([0], [[1.0, 0.0]])[0] == pytest.approx([1.0, 0.0], abs=0)
 
     def test_random_matrix_row_norms(self):
         rng = np.random.default_rng(0)
         raw = rng.normal(size=(10, 8)).astype(np.float32)
-        es = normalize(EmbeddingSet(ids=np.arange(10), data=raw))
-        norms = np.linalg.norm(es.data.astype(np.float64), axis=1)
+        out = unit_rows(np.arange(10), raw)
+        norms = np.linalg.norm(out.astype(np.float64), axis=1)
         assert np.abs(norms - 1.0).max() < 1e-6
         # direction preserved
         for i in range(10):
-            assert cosine_oracle(raw[i], es.data[i]) == pytest.approx(1.0, abs=1e-6)
+            assert cosine_oracle(raw[i], out[i]) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_row_reports_id(self):
-        data = np.array([[1.0, 0.0], [0.0, 0.0]], np.float32)
         with pytest.raises(ZeroVectorRow, match="7"):
-            normalize(EmbeddingSet(ids=np.array([3, 7]), data=data))
+            unit_rows([3, 7], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_zero_row_in_a_later_block_reports_its_id(self):
         data = np.ones((1100, 3), np.float32)
         data[1050] = 0.0
         with pytest.raises(ZeroVectorRow, match="row id 2050 "):
-            normalize(EmbeddingSet(ids=np.arange(1000, 2100), data=data))
+            unit_rows(np.arange(1000, 2100), data)
 
     def test_bits_equal_the_whole_array_float64_code(self):
-        # three row blocks, the last one ragged
+        # three row blocks, the last one ragged, each through its own call
         raw = np.random.default_rng(5).normal(size=(1100, 64)).astype(np.float32)
         data64 = raw.astype(np.float64)
         want = (data64 / np.linalg.norm(data64, axis=1)[:, None]).astype(np.float32)
-        got = normalize(EmbeddingSet(ids=np.arange(1100), data=raw))
-        assert got.data.tobytes() == want.tobytes()
+        got = np.concatenate([unit_rows(np.arange(lo, hi), raw[lo:hi])
+                              for lo, hi in row_blocks(1100)])
+        assert got.tobytes() == want.tobytes()
 
 
 def copied_block_dots(a, b):
@@ -217,13 +224,6 @@ class TestForRowBlocks:
 
 class TestRowBlockMemory:
     """Row-wise passes widen one block to float64, never the whole set."""
-
-    def test_normalize_peak_grows_by_the_float32_rows(self):
-        raw = np.random.default_rng(6).normal(size=(40_000, 64)).astype(np.float32)
-        parts = [EmbeddingSet(ids=np.arange(n), data=raw[:n]) for n in (20_000, 40_000)]
-        peaks = [traced_peak(lambda: normalize(part)) for part in parts]
-        # 20,000 float32 rows added, plus a quarter of one float64 copy of them
-        assert peaks[1] - peaks[0] < 20_000 * 64 * 4 * 3 // 2
 
     def test_building_a_set_peaks_under_one_megabyte(self):
         # the checks hold one block's bool and float64 arrays, not a whole-set bool array
