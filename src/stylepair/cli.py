@@ -278,8 +278,8 @@ def stylize_stage(args, queries, pool, pairs, style_outs, styled_outs, tags, thr
         log.info("stage=stylize tag=%s styled=%d", tag, pool.count)
 
 
-def filter_stage(args, styled, pool, out, tag) -> styler.GeneratedPairSet:
-    gen = styler.filter_pairs(styled, pool, args.threshold)
+def filter_stage(args, styled_path, pool_path, out, tag) -> styler.GeneratedPairSet:
+    gen = styler.filter_pairs(styled_path, pool_path, args.threshold)
     gen.style_tag = tag
     if len(gen) == 0:
         log.warning("stage=filter warning=empty_generated_pair_set tag=%s threshold=%g",
@@ -288,19 +288,20 @@ def filter_stage(args, styled, pool, out, tag) -> styler.GeneratedPairSet:
     return gen
 
 
-def train_stage(args, pool, gen_sets, styled_paths, runs, threads):
+def train_stage(args, pool_path, gen_sets, styled_paths, runs, threads):
     """Train one fresh adapter per (mode, adapter path, loss-log path or None) in `runs`.
 
-    Each pair's styled row is read from its style's file at `styled_paths`
+    Each pair's styled row is read from its style's file at `styled_paths`,
+    and each clip a pair uses from the pool file at `pool_path`
     (trainer.build_training_arrays). The runs share only read-only inputs, so
     they train at once on `threads` forked workers; files and log lines
     follow in `runs` order when all are done.
     """
-    gather = trainer.build_training_arrays(gen_sets, styled_paths, pool)
+    gather, dim = trainer.build_training_arrays(gen_sets, styled_paths, pool_path)
     config = _from_options(trainer.TrainConfig, args)
 
     def fit(mode):
-        return trainer.train_epochs(trainer.init_adapter(dim=pool.dim, tau=config.tau), gen_sets,
+        return trainer.train_epochs(trainer.init_adapter(dim=dim, tau=config.tau), gen_sets,
                                     gather, mode=mode, config=config, seed=args.seed)
 
     hold_freed_heap()   # else each step's matrices may fault in afresh
@@ -357,7 +358,7 @@ def cmd_stylize(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    filter_stage(args, load_embeddings(args.styled), load_embeddings(args.pool), args.out, "")
+    filter_stage(args, args.styled, args.pool, args.out, "")
     return 0
 
 
@@ -376,10 +377,7 @@ def _threshold_grid(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    grid = _threshold_grid(args.thresholds)
-    styled = load_embeddings(args.styled)
-    pool = load_embeddings(args.pool)
-    rows = styler.threshold_sweep(styled, pool, grid)
+    rows = styler.threshold_sweep(args.styled, args.pool, _threshold_grid(args.thresholds))
     _emit_json({"rows": [asdict(r) for r in rows]}, args.out)
     return 0
 
@@ -387,11 +385,10 @@ def cmd_sweep(args) -> int:
 def cmd_train(args) -> int:
     if len(args.pairs) != len(args.styled):
         raise ConfigInvalid("--pairs and --styled must be given once per style, in order")
-    pool = load_embeddings(args.pool)
     gen_sets = [styler.read_generated_pairs(path) for path in args.pairs]
     for i, gen in enumerate(gen_sets):
         gen.style_tag = gen.style_tag or f"style{i}"
-    train_stage(args, pool, gen_sets, args.styled, [(args.mode, args.out, args.loss_log)],
+    train_stage(args, args.pool, gen_sets, args.styled, [(args.mode, args.out, args.loss_log)],
                 threads=1)
     return 0
 
@@ -420,8 +417,9 @@ def run_pipeline(args) -> dict:
     synth flag must match it, and so must --seed for the workdir's own
     dataset. A --data-dir without that file (real embeddings) is taken as
     the flags describe it. Stylize writes the styled sets straight to their
-    files; each is loaded, filtered and dropped in turn, and training reads
-    the rows it uses back from the files.
+    files, and then the pool and query sets are dropped: filter streams the
+    styled and pool files block by block, and training reads back only the
+    rows its pairs use.
     """
     release_freed_heap()   # before any stage allocates; training holds the heap instead
     cfg = _from_options(SynthConfig, args)
@@ -458,18 +456,15 @@ def run_pipeline(args) -> dict:
     stylize_stage(args, queries, pool, pseudo_sets,
                   [os.path.join(workdir, f"style_{t}.iemb") for t in tags],
                   styled_paths, tags, args.threads)
-    del queries
-    # one styled set at a time, dropped once filtered: training reads only the rows it
-    # uses, back from the files
-    gen_sets = [filter_stage(args, load_embeddings(path), pool,
+    del queries, pool   # filter and training read the rows they use from the files
+    gen_sets = [filter_stage(args, path, paths["pool"],
                              os.path.join(workdir, f"generated_pairs_{tag}.jsonl"), tag)
                 for tag, path in zip(tags, styled_paths)]
 
     modes = [trainer.MODE_IN_STYLE] + ([trainer.MODE_MIXED] if cfg.n_styles > 1 else [])
-    trained = train_stage(args, pool, gen_sets, styled_paths, [
+    trained = train_stage(args, paths["pool"], gen_sets, styled_paths, [
         (mode, os.path.join(workdir, f"adapter_{mode}.iemb"),
          os.path.join(workdir, f"loss_{mode}.csv")) for mode in modes], args.threads)
-    del pool   # the evals below read only the test sets
 
     report = {
         # the options, the dataset's synth config over them, and the run's own seed

@@ -70,13 +70,19 @@ class EmbeddingSet:
 
     def row_for_id(self, wanted: np.ndarray) -> np.ndarray:
         """Map ids to row indices by bisection; an id not in the set is an UnknownCandidate."""
-        wanted = np.asarray(wanted, dtype=np.int64)
-        rows = np.searchsorted(self.ids, wanted)
-        known = np.asarray(rows < len(self.ids))
-        known[known] = self.ids[rows[known]] == wanted[known]
-        if not known.all():
-            raise UnknownCandidate(f"id {int(wanted[~known].flat[0])} is not in the set")
-        return rows
+        return row_for_id(self.ids, wanted)
+
+
+def row_for_id(ids: np.ndarray, wanted: np.ndarray, where: str = "the set") -> np.ndarray:
+    """The rows of the ascending `ids` that hold `wanted`; an id not among them is an
+    UnknownCandidate naming `where`."""
+    wanted = np.asarray(wanted, dtype=np.int64)
+    rows = np.searchsorted(ids, wanted)
+    known = np.asarray(rows < len(ids))
+    known[known] = ids[rows[known]] == wanted[known]
+    if not known.all():
+        raise UnknownCandidate(f"id {int(wanted[~known].flat[0])} is not in {where}")
+    return rows
 
 
 def _check_ids(ids: np.ndarray) -> None:
@@ -378,29 +384,44 @@ def load_embeddings(path: str | os.PathLike) -> EmbeddingSet:
         return EmbeddingSet(ids=ids, data=data, normalized=bool(flags & _FLAG_NORMALIZED))
 
 
-def read_rows(path: str | os.PathLike, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Copy rows `rows` of the set saved at `path` into `out`, in order; return the set's ids.
+def read_blocks(path: str | os.PathLike):
+    """Yield the ids, dim and normalized flag of the set saved at `path`, then the float32 rows
+    of each block of row_blocks, checked as load_embeddings checks them.
 
-    The file is read one block of row_blocks at a time, and each block is
-    checked as load_embeddings checks the whole set, so a read holds `out`,
-    the ids and one block, never every row. A row outside the set is a
-    RangeOutOfBounds, rows of another dim than `out`'s a DimMismatch, and
-    every error names the file.
+    Once the last block is taken the file must end, so a caller that takes
+    every block reads the file to its end; one that may stop early closes
+    the generator (contextlib.closing). A read holds the ids and one block,
+    never every row, and every error raised here names the file.
     """
-    rows = np.asarray(rows, dtype=np.int64)
     with container.read_container(path, b"", _FIELDS, "embeddings") as (f, (count, dim, flags)):
         ids = _read_ids(f, count)
         _check_ids(ids)
+        normalized = bool(flags & _FLAG_NORMALIZED)
+        yield ids, dim, normalized
+        for lo, hi in row_blocks(count):
+            block = container.read_array(f, "<f4", (hi - lo) * dim, "rows").reshape(hi - lo, dim)
+            _check_block(block, normalized)
+            yield block
+
+
+def read_rows(path: str | os.PathLike, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy rows `rows` of the set saved at `path` into `out`, in order; return the set's ids.
+
+    The file is read to its end through read_blocks, so a read holds `out`,
+    the ids and one block. A row outside the set is a RangeOutOfBounds, rows
+    of another dim than `out`'s a DimMismatch, and every error names the file.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    with contextlib.closing(read_blocks(path)) as blocks:
+        ids, dim, _ = next(blocks)
         if dim != out.shape[1]:
-            raise DimMismatch(f"rows of dim {dim}, not {out.shape[1]}")
-        if len(rows) and (rows.min() < 0 or rows.max() >= count):
-            raise RangeOutOfBounds(f"a row lies outside 0..{count - 1}")
+            raise DimMismatch(f"{path}: rows of dim {dim}, not {out.shape[1]}")
+        if len(rows) and (rows.min() < 0 or rows.max() >= len(ids)):
+            raise RangeOutOfBounds(f"{path}: a row lies outside 0..{len(ids) - 1}")
         order = np.argsort(rows, kind="stable")
         ranked = rows[order]
         first = 0
-        for lo, hi in row_blocks(count):
-            block = container.read_array(f, "<f4", (hi - lo) * dim, "rows").reshape(hi - lo, dim)
-            _check_block(block, bool(flags & _FLAG_NORMALIZED))
+        for (lo, hi), block in zip(row_blocks(len(ids)), blocks, strict=True):
             last = int(np.searchsorted(ranked, hi))
             out[order[first:last]] = block[ranked[first:last] - lo]
             first = last

@@ -5,7 +5,8 @@ the matched query embedding. generate_styled_sets maps the whole pool
 through every style in one pass (plus seeded Gaussian jitter, drawn once
 per clip) straight into the styles' files, and filter_pairs keeps only
 rows whose styled caption stays similar enough to its own clip in the
-fixed judge space.
+fixed judge space, streaming the styled file and the pool file block by
+block.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import container
 from .embedcore import (BLOCK_ROWS, EmbeddingSet, aligned_dots, embedding_rows_writer, for_each,
-                        load_embeddings, row_blocks, unit_block)
+                        load_embeddings, read_blocks, row_blocks, unit_block)
 from .errors import (ConfigInvalid, CorruptField, CountMismatch, DimMismatch, DuplicateId,
                      NotNormalized, SingularSystem)
 from .matcher import PseudoPairSet, has_repeat
@@ -68,7 +69,7 @@ class StyleTransform:
 class GeneratedPairSet:
     """Clip/styled-caption pairs that survived threshold filtering.
 
-    `rows` are row indices into the styled EmbeddingSet the filter ran on;
+    `rows` are row indices into the styled set the filter ran on;
     retention statistics keep the pre-filter candidate count around.
     """
 
@@ -367,42 +368,69 @@ def generate_styled(clips: EmbeddingSet, style: StyleTransform, seed: int) -> Em
         return load_embeddings(path)
 
 
-def _aligned_sims(styled: EmbeddingSet, clips: EmbeddingSet) -> np.ndarray:
-    if not np.array_equal(styled.ids, clips.ids):
-        raise CountMismatch(f"the {styled.count} styled rows were not made from these "
-                            f"{clips.count} clips: their ids differ")
-    if styled.dim != clips.dim:
-        raise DimMismatch(f"dims differ: {styled.dim} vs {clips.dim}")
-    if not styled.normalized or not clips.normalized:
-        raise NotNormalized("filtering requires normalized sets")
-    return aligned_dots(styled.data, clips.data)
+def _aligned_sims(styled_path: str | os.PathLike,
+                  pool_path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
+    """The pool's ids, and the cosine of each styled row with its own clip's row.
+
+    Both files are read to their ends, one checked block of row_blocks at a
+    time (read_blocks), so no whole set is held; every error names its file.
+    """
+    with contextlib.closing(read_blocks(styled_path)) as styled, \
+            contextlib.closing(read_blocks(pool_path)) as clips:
+        ids, dim, normalized = next(styled)
+        clip_ids, clip_dim, clips_normalized = next(clips)
+        if not np.array_equal(ids, clip_ids):
+            raise CountMismatch(f"{styled_path}: its {len(ids)} styled rows were not made from "
+                                f"the {len(clip_ids)} clips of {pool_path}: their ids differ")
+        if dim != clip_dim:
+            raise DimMismatch(f"{styled_path}: dim {dim}, but the clips of {pool_path} have "
+                              f"dim {clip_dim}")
+        for path, flagged in ((styled_path, normalized), (pool_path, clips_normalized)):
+            if not flagged:
+                raise NotNormalized(f"{path}: filtering requires normalized sets")
+        sims = np.empty(len(ids))
+        for (lo, hi), texts, videos in zip(row_blocks(len(ids)), styled, clips, strict=True):
+            sims[lo:hi] = aligned_dots(texts, videos)
+    return clip_ids, sims
 
 
-def filter_pairs(styled: EmbeddingSet, clips: EmbeddingSet, th: float) -> GeneratedPairSet:
-    """Keep row i only when cos(styled_i, clip_i) is strictly above th."""
-    sims = _aligned_sims(styled, clips)
+def _median(values: np.ndarray) -> float:
+    """The median of `values`, NaN if there are none; not np.median, which imports numpy.ma."""
+    n = len(values)
+    if n == 0:
+        return float("nan")
+    middle = np.partition(values, [(n - 1) // 2, n // 2])
+    return float((middle[(n - 1) // 2] + middle[n // 2]) / 2)
+
+
+def filter_pairs(styled_path: str | os.PathLike, pool_path: str | os.PathLike,
+                 th: float) -> GeneratedPairSet:
+    """Keep row i of the styled set saved at `styled_path` only when its cosine with row i of
+    the pool saved at `pool_path` is strictly above th."""
+    clip_ids, sims = _aligned_sims(styled_path, pool_path)
     keep = np.flatnonzero(sims > th)
     result = GeneratedPairSet(
-        clip_ids=clips.ids[keep],
+        clip_ids=clip_ids[keep],
         rows=keep,
         sims=sims[keep],
         threshold=float(th),
-        total_candidates=styled.count,
+        total_candidates=len(sims),
     )
-    log.info("stage=filter threshold=%g kept=%d total=%d rate=%.4f",
-             th, len(result), styled.count, result.retention_rate)
+    log.info("stage=filter threshold=%g kept=%d total=%d rate=%.4f median_sim=%.4f",
+             th, len(result), len(sims), result.retention_rate, _median(sims))
     return result
 
 
 def threshold_sweep(
-    styled: EmbeddingSet,
-    clips: EmbeddingSet,
+    styled_path: str | os.PathLike,
+    pool_path: str | os.PathLike,
     thresholds: list[float],
 ) -> list[RetentionRow]:
-    """Retention count per threshold; thresholds must come sorted ascending."""
+    """Retention count per threshold of the files filter_pairs reads; thresholds must come
+    sorted ascending."""
     if list(thresholds) != sorted(thresholds):
         raise ValueError("thresholds must be sorted ascending")
-    sims = _aligned_sims(styled, clips)
+    _, sims = _aligned_sims(styled_path, pool_path)
     total = len(sims)
     rows = []
     for th in thresholds:

@@ -10,6 +10,7 @@ All loss and gradient math runs in float64 with fixed-order reductions,
 so training is bit-deterministic for any worker count.
 """
 
+import contextlib
 import csv
 import os
 from collections.abc import Callable, Iterable
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import container
-from .embedcore import EmbeddingSet, keyed_rng, read_rows
+from .embedcore import keyed_rng, read_blocks, read_rows, row_for_id
 from .errors import (
     BatchTooLarge,
     ConfigInvalid,
@@ -210,6 +211,11 @@ def batch_projections(model: AdapterModel, batch_texts, batch_videos):
     return project(model.text_head, batch_texts)[0], project(model.video_head, batch_videos)[0]
 
 
+def _kept(gen: GeneratedPairSet) -> str:
+    return (f"the filter kept {len(gen)} of its {gen.total_candidates} candidates at "
+            f"threshold {gen.threshold:g}")
+
+
 def plan_epoch(
     style_sets: list[GeneratedPairSet],
     batch_size: int,
@@ -238,17 +244,17 @@ def plan_epoch(
     tags = [s.style_tag for s in style_sets]
     if len(set(tags)) != len(tags):
         raise ConfigInvalid(f"style tags must be distinct, got {tags}")
-    for tag, size in zip(tags, sizes):
-        if size == 0:
-            raise EmptyStyleSet(f"style set {tag!r} is empty")
+    for gen in style_sets:
+        if len(gen) == 0:
+            raise EmptyStyleSet(f"style set {gen.style_tag!r} is empty: {_kept(gen)}")
 
     offsets = [sum(sizes[:s]) for s in range(len(sizes))]
     batches: list[tuple[str, np.ndarray]] = []
     if mode == MODE_IN_STYLE:
         if batch_size > min(sizes):
-            raise BatchTooLarge(
-                f"batch_size {batch_size} exceeds smallest set ({min(sizes)} pairs)"
-            )
+            smallest = style_sets[sizes.index(min(sizes))]
+            raise BatchTooLarge(f"batch_size {batch_size} exceeds the smallest set, style set "
+                                f"{smallest.style_tag!r}: {_kept(smallest)}")
         per_set: list[list[np.ndarray]] = []
         for s, size in enumerate(sizes):
             perm = keyed_rng(seed, s).permutation(size) + offsets[s]
@@ -336,25 +342,37 @@ def train(
 def build_training_arrays(
     gen_sets: list[GeneratedPairSet],
     styled_paths: list[str | os.PathLike],
-    clips: EmbeddingSet,
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Read every pair's styled row into one float32 array; return the gather of a batch's rows.
+    pool_path: str | os.PathLike,
+) -> tuple[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], int]:
+    """Read the rows the pairs use into two float32 arrays; return the gather of a batch's rows
+    and the rows' dim, which the pool file sets.
 
     Pair p of the concatenated sets, laid out as in plan_epoch, owns row p
-    of that array: its row of its style's set, read back from the file at
-    `styled_paths` one row block at a time (embedcore.read_rows), so the
-    read holds the pairs' rows and one block, never a whole set. Every
-    pair's row must hold the styled caption of that pair's clip, and the
-    pair's recorded similarity must be that caption's cosine with the clip's
-    row in `clips`, so a pool other than the filter's is rejected; each
-    error names the file. The gather maps global pair indices to the batch's
-    float64 (texts, videos), one fancy index per side; widening float32 is
-    exact, so a batch holds the file's bits.
+    of the texts: its row of its style's set, read back from the file at
+    `styled_paths`. The clips array holds each pool clip some pair names,
+    once, read from the pool file at `pool_path`, and a per-pair index points
+    pair p at its clip's row. Every file is read one row block at a time
+    (embedcore.read_rows), so the reads hold the used rows and one block,
+    never a whole set. Every pair's row must hold the styled caption of that
+    pair's clip, and the pair's recorded similarity must be that caption's
+    cosine with the clip's pool row, so a pool other than the filter's is
+    rejected; each error names the file. The gather maps global pair indices
+    to the batch's float64 (texts, videos), one fancy index per side;
+    widening float32 is exact, so a batch holds the files' bits.
     """
     if not gen_sets or len(gen_sets) != len(styled_paths):
         raise CountMismatch("one styled set per generated-pair set, and at least one, required")
-    texts = np.empty((sum(len(gen) for gen in gen_sets), clips.dim), dtype=np.float32)
-    clip_rows = np.empty(len(texts), dtype=np.int64)
+    with contextlib.closing(read_blocks(pool_path)) as pool_head:
+        pool_ids, dim, _ = next(pool_head)
+    pair_clips = np.concatenate([gen.clip_ids for gen in gen_sets])
+    ordered = np.sort(pair_clips)   # not np.unique, which imports numpy.ma
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    used = ordered[first]
+    clip_rows = np.searchsorted(used, pair_clips)
+    clips = np.empty((len(used), dim), dtype=np.float32)
+    read_rows(pool_path, row_for_id(pool_ids, used, os.fspath(pool_path)), clips)
+    texts = np.empty((len(clip_rows), dim), dtype=np.float32)
     lo = 0
     for gen, path in zip(gen_sets, styled_paths):
         hi = lo + len(gen)
@@ -362,16 +380,15 @@ def build_training_arrays(
         ids = read_rows(path, gen.rows, texts[lo:hi])
         if not np.array_equal(ids[gen.rows], gen.clip_ids):
             raise CountMismatch(f"{what}: a row holds another clip than its pair names")
-        clip_rows[lo:hi] = clips.row_for_id(gen.clip_ids)
-        check_pair_sims(texts[lo:hi], np.arange(len(gen)), clips.data, clip_rows[lo:hi],
-                        gen.sims, what)
+        check_pair_sims(texts[lo:hi], np.arange(len(gen)), clips, clip_rows[lo:hi], gen.sims,
+                        what)
         lo = hi
 
     def rows(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (texts[indices].astype(np.float64),
-                clips.data[clip_rows[indices]].astype(np.float64))
+                clips[clip_rows[indices]].astype(np.float64))
 
-    return rows
+    return rows, dim
 
 
 def _epoch_seed(seed: int, epoch: int) -> int:
@@ -388,8 +405,8 @@ def train_epochs(
 ) -> tuple[AdapterModel, list[StepRecord]]:
     """A fresh plan for each of `config.epochs` epochs; the loss log runs on across them.
 
-    `rows` maps a batch's global pair indices to its (texts, videos), as
-    build_training_arrays returns it; each batch is gathered as it is trained.
+    `rows` maps a batch's global pair indices to its (texts, videos), as the
+    gather build_training_arrays returns; each batch is gathered as it is trained.
     A queue empties every epoch, so its capacity is capped at the pairs.
     """
     if config.epochs < 1:

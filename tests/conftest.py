@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stylepair.embedcore import EmbeddingSet, blas_thread_controls, one_blas_thread, unit_block
+from stylepair.embedcore import (EmbeddingSet, blas_thread_controls, one_blas_thread,
+                                 save_embeddings, unit_block)
 from stylepair.trainer import info_nce_loss
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -90,6 +91,15 @@ def make_set(rows, ids=None, unit=True) -> EmbeddingSet:
 
 def random_unit_set(rng, count, dim, ids=None) -> EmbeddingSet:
     return make_set(rng.normal(size=(count, dim)), ids=ids)
+
+
+def saved(directory, sets, name="styled"):
+    """Each set saved to its own file, `name`_i.iemb in `directory`, as the stages write them;
+    the paths, in order."""
+    paths = [directory / f"{name}_{i}.iemb" for i in range(len(sets))]
+    for emb, path in zip(sets, paths):
+        save_embeddings(emb, path)
+    return paths
 
 
 def golden(name: str, computed: dict, rel_tol: float = 1e-9) -> dict:

@@ -20,7 +20,7 @@ from stylepair.matcher import match_exclusive
 from stylepair.styler import threshold_sweep
 from stylepair.trainer import NegativeQueue, batch_projections, info_nce_loss, init_adapter
 
-from conftest import golden, grad_check, random_unit_set
+from conftest import golden, grad_check, random_unit_set, saved
 
 
 @contextmanager
@@ -147,12 +147,11 @@ def test_criterion_5_multi_style_scheduling_advantage(tmp_path):
         )
 
 
-def test_criterion_6_filter_monotonicity_and_boundary(default_k1_run):
+def test_criterion_6_filter_monotonicity_and_boundary(default_k1_run, tmp_path):
     _, _, workdir = default_k1_run
     with criterion(6, "filter threshold sweep monotone, boundary strict"):
-        styled = load_embeddings(workdir / "styled_style0.iemb")
-        pool = load_embeddings(workdir / "data" / "pool.iemb")
-        rows = threshold_sweep(styled, pool, [0.26, 0.27, 0.28, 0.29, 0.30])
+        rows = threshold_sweep(workdir / "styled_style0.iemb", workdir / "data" / "pool.iemb",
+                               [0.26, 0.27, 0.28, 0.29, 0.30])
         counts = [r.kept for r in rows]
         assert counts == sorted(counts, reverse=True)
         assert counts[0] > counts[-1] > 0   # the grid actually separates
@@ -166,7 +165,7 @@ def test_criterion_6_filter_monotonicity_and_boundary(default_k1_run):
         clips_x = EmbeddingSet(ids=np.arange(3),
                                data=np.array([[1.0, 0.0]] * 3, np.float32),
                                normalized=True)
-        boundary = threshold_sweep(styled_x, clips_x, [0.28125])
+        boundary = threshold_sweep(*saved(tmp_path, [styled_x, clips_x]), [0.28125])
         assert boundary[0].kept == 1   # the pair at exactly 0.28125 is dropped
 
 

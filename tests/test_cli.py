@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import pathlib
+import re
 import struct
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from stylepair.styler import GeneratedPairSet, read_generated_pairs, write_gener
 from stylepair.synthgen import SynthConfig
 from stylepair.trainer import TrainConfig, init_adapter, save_adapter
 
-from conftest import (count_forks, forks_workers, golden, make_set, needs_blas_controls,
+from conftest import (GOLDEN_DIR, count_forks, forks_workers, golden, make_set, needs_blas_controls,
                       random_unit_set)
 
 
@@ -746,17 +747,14 @@ class TestPipelineCommand:
             + SMALL_TRAIN
         assert main(args + ["--workdir", str(tmp_path / "plain")]) == 0
         load, train, evaluate = cli.load_embeddings, cli.train_stage, cli.eval_stage
-        refs, styled_refs, styled_live_at_load, trained, live_at_eval = [], [], [], [], []
+        refs, names, trained, live_at_eval = [], [], [], []
 
         def loaded(path):
             name = os.path.basename(path)
-            if name.startswith("styled"):   # at most one styled set is held at a time
-                styled_live_at_load.append(sum(ref() is not None for ref in styled_refs))
+            names.append(name)
             emb = load(path)
             if name.startswith(("pool", "queries", "styled")):
                 refs.append(weakref.ref(emb))
-            if name.startswith("styled"):
-                styled_refs.append(refs[-1])
             return emb
 
         def training(*args, **kwargs):
@@ -773,41 +771,63 @@ class TestPipelineCommand:
                               ("eval_stage", evaluated)]:
             monkeypatch.setattr(cli, name, wrapper)
         assert main(args + ["--workdir", str(tmp_path / "watched")]) == 0
-        assert len(refs) == 5   # the pool, two query sets and two styled sets
-        assert styled_live_at_load == [0, 0]
+        assert len(refs) == 3   # the pool and two query sets
+        assert not [name for name in names if name.startswith("styled")]   # never loaded whole
         assert live_at_eval == [0] * 4   # two styles under each of two adapters
         assert (tmp_path / "watched" / "report.json").read_bytes() == \
             (tmp_path / "plain" / "report.json").read_bytes()
 
-    def test_styled_sets_are_dropped_before_training(self, tmp_path, monkeypatch):
-        # stylize writes the styled sets to their files; the pipeline loads, filters and drops
-        # one at a time, and training reads the rows it uses back from the files
-        load, stylize, train = cli.load_embeddings, cli.stylize_stage, cli.train_stage
-        refs, live_at_load, live_at_train, stylized = [], [], [], []
+    def test_no_whole_pool_query_or_styled_set_is_live_after_stylize(self, tmp_path,
+                                                                      monkeypatch):
+        # stylize writes the styled sets to their files; filter streams them and the pool
+        # file, and training reads back only the rows its pairs use
+        load, stylize, filtering, train = (cli.load_embeddings, cli.stylize_stage,
+                                           cli.filter_stage, cli.train_stage)
+        refs, names, live_after_stylize = [], [], []
 
         def loaded(path):
-            if not os.path.basename(path).startswith("styled"):
-                return load(path)
-            assert stylized   # written by stylize, not read before it
-            live_at_load.append(sum(ref() is not None for ref in refs))
+            names.append(os.path.basename(path))
             emb = load(path)
-            refs.append(weakref.ref(emb))
+            if names[-1].startswith(("pool", "queries")):
+                refs.append(weakref.ref(emb))
             return emb
 
         def stylizing(*args, **kwargs):
             assert stylize(*args, **kwargs) is None   # it hands back no set
-            stylized.append(True)
 
-        def training(*args, **kwargs):
-            live_at_train.append(sum(ref() is not None for ref in refs))
-            return train(*args, **kwargs)
+        def watched(stage):
+            def run(*args, **kwargs):
+                live_after_stylize.append(sum(ref() is not None for ref in refs))
+                return stage(*args, **kwargs)
+            return run
 
         monkeypatch.setattr(cli, "load_embeddings", loaded)
         monkeypatch.setattr(cli, "stylize_stage", stylizing)
-        monkeypatch.setattr(cli, "train_stage", training)
+        monkeypatch.setattr(cli, "filter_stage", watched(filtering))
+        monkeypatch.setattr(cli, "train_stage", watched(train))
         assert main(["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "2", "--seed",
                      "7", "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN) == 0
-        assert len(refs) == 2 and live_at_load == [0, 0] and live_at_train == [0]
+        assert len(refs) == 3 and live_after_stylize == [0, 0, 0]   # two filters, one train
+        assert not [name for name in names if name.startswith("styled")]
+
+    def test_a_style_set_too_small_to_train_is_named_with_its_filter_counts(self, tmp_path,
+                                                                            caplog):
+        # at the paper's width the synthetic sims fall below the default threshold, so the
+        # filter keeps no pair; the error must say which style, how many of how many
+        # candidates and at what threshold, and each filter line the median of every sim
+        caplog.set_level(logging.INFO)
+        w = tmp_path / "w"
+        assert main(["pipeline", "--workdir", str(w), "--dim", "512", "--queries-per-style",
+                     "128", "--pool-size", "2048"]) == 1
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines[-1] == ("error=EmptyStyleSet detail=style set 'style0' is empty: the "
+                             "filter kept 0 of its 2048 candidates at threshold 0.28")
+        filtered = [line for line in lines if line.startswith("stage=filter threshold=")]
+        assert len(filtered) == 2
+        for line in filtered:
+            assert re.fullmatch(r"stage=filter threshold=0\.28 kept=0 total=2048 "
+                                r"rate=0\.0000 median_sim=0\.\d{4}", line), line
+        assert not list(w.glob("adapter_*")) and not (w / "report.json").exists()
 
     def test_default_two_style_golden_regression(self, tmp_path, capsys):
         rc = main(["pipeline", "--workdir", str(tmp_path / "w"), "--seed", "7"])
@@ -999,3 +1019,26 @@ class TestPipelineCommand:
         config = json.loads((w / "report.json").read_text())["config"]
         assert config["seed"] == 11 and config["data_seed"] is None
         assert not (data / "latent.jsonl").exists()
+
+
+# every file of a small `pipeline` workdir except these, whose bytes move with the OpenBLAS
+# kernel (style maps through the LAPACK solve, loss logs and final_loss through training)
+KERNEL_MOVED = ("style_*.iemb", "loss_*.csv", "report.json")
+PINNED_RUNS = {
+    "two_styles": ["--styles", "2", "--seed", "7", "--epochs", "1"] + SMALL_SYNTH + SMALL_TRAIN,
+    # a ragged last row block and column tile, and a queue that is no whole number of batches
+    "three_styles_blocked_queue": ["--styles", "3", "--seed", "7", "--epochs", "2",
+                                   "--queue-capacity", "40"]
+                                  + SMALL_SYNTH + BLOCKED_POOL + SMALL_TRAIN,
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_pipeline_writes_the_pinned_bytes(self, tmp_path, name):
+        w = tmp_path / "w"
+        assert main(["pipeline", "--workdir", str(w)] + PINNED_RUNS[name]) == 0
+        hashes = {path: digest for path, digest in tree_hashes(w).items()
+                  if not any(pathlib.PurePath(path).match(kind) for kind in KERNEL_MOVED)}
+        with open(os.path.join(GOLDEN_DIR, "pipeline_bytes.json"), encoding="utf-8") as f:
+            assert hashes == json.load(f)[name]

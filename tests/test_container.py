@@ -43,7 +43,7 @@ from stylepair.synthgen import (
 )
 from stylepair.trainer import AdapterModel, load_adapter, save_adapter
 
-from conftest import make_set, traced_peak
+from conftest import make_set, saved, traced_peak
 
 
 def dying_columns(n_good):
@@ -106,9 +106,10 @@ class TestAtomicWrites:
         assert os.listdir(tmp_path) == ["set.iemb"]
 
     @pytest.mark.parametrize("th", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_header_float_is_refused_before_any_byte(self, tmp_path, monkeypatch, th):
+    def test_non_finite_header_float_is_refused_before_any_byte(self, tmp_path, tmp_path_factory,
+                                                               monkeypatch, th):
         clips = make_set([[1.0, 0.0], [0.6, 0.8]])
-        pairs = filter_pairs(clips, clips, th)
+        pairs = filter_pairs(*saved(tmp_path_factory.mktemp("sets"), [clips, clips]), th)
         seen = failures_inside_atomic_write(monkeypatch, tmp_path)
         with pytest.raises(NonFiniteValue, match="'threshold'"):
             write_generated_pairs(pairs, tmp_path / "generated.jsonl")

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import signal
 import warnings
 
@@ -9,7 +10,8 @@ import pytest
 from stylepair import embedcore, styler
 from stylepair.embedcore import EmbeddingSet, load_embeddings, save_embeddings
 from stylepair.errors import (ConfigInvalid, CountMismatch, DimMismatch, NonFiniteValue,
-                              SingularSystem, StylePairError, ZeroVectorRow)
+                              NotNormalized, SingularSystem, StylePairError, TrailingBytes,
+                              TruncatedFile, ZeroVectorRow)
 from stylepair.matcher import PseudoPairSet
 from stylepair.styler import (
     GeneratedPairSet,
@@ -28,7 +30,7 @@ from stylepair.styler import (
 )
 
 from conftest import (at_blas_threads, forks_workers, make_set, needs_blas_controls,
-                      random_unit_set, traced_peak)
+                      random_unit_set, saved, traced_peak)
 
 
 def pairs_over(queries, clips):
@@ -511,25 +513,23 @@ def exact_sim_fixture():
 
 
 class TestFilterPairs:
-    def test_strict_boundary(self):
-        styled, clips = exact_sim_fixture()
-        kept = filter_pairs(styled, clips, th=0.28125)
+    def test_strict_boundary(self, tmp_path):
+        kept = filter_pairs(*saved(tmp_path, exact_sim_fixture()), th=0.28125)
         # the pair sitting exactly on the threshold is dropped
         assert list(kept.clip_ids) == [1]
         assert kept.sims[0] == 0.3125
 
-    def test_threshold_below_everything_keeps_all(self):
-        styled, clips = exact_sim_fixture()
-        kept = filter_pairs(styled, clips, th=-1.0)
+    def test_threshold_below_everything_keeps_all(self, tmp_path):
+        kept = filter_pairs(*saved(tmp_path, exact_sim_fixture()), th=-1.0)
         assert len(kept) == 3
         assert kept.retention_rate == 1.0
 
-    def test_matches_scalar_loop_oracle(self):
+    def test_matches_scalar_loop_oracle(self, tmp_path):
         rng = np.random.default_rng(11)
         styled = random_unit_set(rng, 40, 6)
         clips = random_unit_set(rng, 40, 6)
         th = 0.28
-        kept = filter_pairs(styled, clips, th)
+        kept = filter_pairs(*saved(tmp_path, [styled, clips]), th)
         expect = []
         for i in range(40):
             s = float(styled.data[i].astype(np.float64) @ clips.data[i].astype(np.float64))
@@ -537,68 +537,122 @@ class TestFilterPairs:
                 expect.append((int(clips.ids[i]), i))
         assert list(zip(kept.clip_ids.tolist(), kept.rows.tolist())) == expect
 
-    def test_sims_equal_the_whole_array_float64_code(self):
+    def test_sims_equal_the_whole_array_float64_code(self, tmp_path):
         rng = np.random.default_rng(20)
         styled = random_unit_set(rng, 1100, 64)   # three row blocks, the last one ragged
         clips = random_unit_set(rng, 1100, 64)
         want = np.einsum("ij,ij->i", styled.data.astype(np.float64),
                          clips.data.astype(np.float64))
-        kept = filter_pairs(styled, clips, th=-2.0)
+        kept = filter_pairs(*saved(tmp_path, [styled, clips]), th=-2.0)
         assert kept.sims.tobytes() == want.tobytes()
 
-    def test_peak_grows_by_less_than_a_quarter_of_the_float32_rows(self):
+    def test_peak_grows_by_less_than_a_quarter_of_the_float32_rows(self, tmp_path):
         rng = np.random.default_rng(21)
         styled = random_unit_set(rng, 40_000, 64)
         clips = random_unit_set(rng, 40_000, 64)
-        parts = [(EmbeddingSet(ids=styled.ids[:n], data=styled.data[:n], normalized=True),
-                  EmbeddingSet(ids=clips.ids[:n], data=clips.data[:n], normalized=True))
+        parts = [saved(tmp_path, [EmbeddingSet(ids=styled.ids[:n], data=styled.data[:n],
+                                               normalized=True),
+                                  EmbeddingSet(ids=clips.ids[:n], data=clips.data[:n],
+                                               normalized=True)], f"rows{n}")
                  for n in (20_000, 40_000)]
         peaks = [traced_peak(lambda: filter_pairs(s, c, 0.28)) for s, c in parts]
         # a quarter of one float64 copy of the 20,000 rows added
         assert peaks[1] - peaks[0] < 20_000 * 64 * 8 // 4
 
-    def test_count_mismatch(self):
+    def test_count_mismatch(self, tmp_path):
         rng = np.random.default_rng(12)
+        paths = saved(tmp_path, [random_unit_set(rng, 3, 4), random_unit_set(rng, 4, 4)])
         with pytest.raises(CountMismatch):
-            filter_pairs(random_unit_set(rng, 3, 4), random_unit_set(rng, 4, 4), 0.0)
+            filter_pairs(*paths, 0.0)
 
-    def test_subset_monotonicity(self):
+    def test_subset_monotonicity(self, tmp_path):
         rng = np.random.default_rng(13)
-        styled = random_unit_set(rng, 60, 5)
-        clips = random_unit_set(rng, 60, 5)
-        low = set(filter_pairs(styled, clips, 0.1).clip_ids)
-        high = set(filter_pairs(styled, clips, 0.3).clip_ids)
+        paths = saved(tmp_path, [random_unit_set(rng, 60, 5), random_unit_set(rng, 60, 5)])
+        low = set(filter_pairs(*paths, 0.1).clip_ids)
+        high = set(filter_pairs(*paths, 0.3).clip_ids)
         assert high <= low
 
 
+STREAMED = {"filter": lambda styled, pool: filter_pairs(styled, pool, 0.0),
+            "sweep": lambda styled, pool: threshold_sweep(styled, pool, [0.0])}
+
+
+def damaged(path, damage):
+    """Append one byte to the file at `path`, or cut its last byte off."""
+    raw = path.read_bytes()
+    path.write_bytes(raw + b"\0" if damage == "append" else raw[:-1])
+
+
+@pytest.mark.parametrize("command", sorted(STREAMED))
+class TestStreamedFilterErrors:
+    """Filter and sweep read both files to their ends, a block at a time; each error keeps
+    the type a whole-set load raised and names its file."""
+
+    @staticmethod
+    def sets(rng, dim=6, ids=None, normalized=True):
+        emb = random_unit_set(rng, 1100, dim, ids=ids)   # three row blocks, the last ragged
+        return EmbeddingSet(ids=emb.ids, data=emb.data, normalized=normalized)
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["styled", "pool"])
+    @pytest.mark.parametrize("damage, error", [("append", TrailingBytes),
+                                               ("cut", TruncatedFile)])
+    def test_a_damaged_file_is_named(self, tmp_path, command, bad, damage, error):
+        rng = np.random.default_rng(30)
+        paths = saved(tmp_path, [self.sets(rng), self.sets(rng)])
+        STREAMED[command](*paths)
+        damaged(paths[bad], damage)
+        with pytest.raises(error, match=re.escape(str(paths[bad]))) as caught:
+            STREAMED[command](*paths)
+        assert str(paths[1 - bad]) not in str(caught.value)
+
+    def test_ids_of_another_pool(self, tmp_path, command):
+        rng = np.random.default_rng(31)
+        styled, pool = saved(tmp_path, [self.sets(rng),
+                                        self.sets(rng, ids=np.arange(1, 1101))])
+        with pytest.raises(CountMismatch, match=re.escape(str(styled))):
+            STREAMED[command](styled, pool)
+
+    def test_another_dim(self, tmp_path, command):
+        rng = np.random.default_rng(32)
+        styled, pool = saved(tmp_path, [self.sets(rng), self.sets(rng, dim=5)])
+        with pytest.raises(DimMismatch, match=re.escape(str(styled))):
+            STREAMED[command](styled, pool)
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["styled", "pool"])
+    def test_a_set_not_flagged_normalized(self, tmp_path, command, bad):
+        rng = np.random.default_rng(33)
+        paths = saved(tmp_path, [self.sets(rng, normalized=bad != 0),
+                                 self.sets(rng, normalized=bad != 1)])
+        with pytest.raises(NotNormalized, match=re.escape(str(paths[bad]))) as caught:
+            STREAMED[command](*paths)
+        assert str(paths[1 - bad]) not in str(caught.value)
+
+
 class TestThresholdSweep:
-    def test_monotone_counts(self):
+    def test_monotone_counts(self, tmp_path):
         rng = np.random.default_rng(14)
-        styled = random_unit_set(rng, 80, 6)
-        clips = random_unit_set(rng, 80, 6)
-        rows = threshold_sweep(styled, clips, [0.26, 0.27, 0.28, 0.29, 0.30])
+        paths = saved(tmp_path, [random_unit_set(rng, 80, 6), random_unit_set(rng, 80, 6)])
+        rows = threshold_sweep(*paths, [0.26, 0.27, 0.28, 0.29, 0.30])
         counts = [r.kept for r in rows]
         assert counts == sorted(counts, reverse=True)
 
-    def test_threshold_below_min_keeps_total(self):
-        styled, clips = exact_sim_fixture()
-        rows = threshold_sweep(styled, clips, [-1.0, 0.5])
+    def test_threshold_below_min_keeps_total(self, tmp_path):
+        rows = threshold_sweep(*saved(tmp_path, exact_sim_fixture()), [-1.0, 0.5])
         assert rows[0].kept == 3
         assert rows[0].rate == 1.0
 
-    def test_consistent_with_filter_pairs(self):
+    def test_consistent_with_filter_pairs(self, tmp_path):
         rng = np.random.default_rng(15)
-        styled = random_unit_set(rng, 50, 4)
-        clips = random_unit_set(rng, 50, 4)
+        paths = saved(tmp_path, [random_unit_set(rng, 50, 4), random_unit_set(rng, 50, 4)])
         grid = [0.0, 0.2, 0.4, 0.6]
-        rows = threshold_sweep(styled, clips, grid)
+        rows = threshold_sweep(*paths, grid)
         for row in rows:
-            assert row.kept == len(filter_pairs(styled, clips, row.threshold))
+            assert row.kept == len(filter_pairs(*paths, row.threshold))
 
-    def test_unsorted_grid_rejected(self):
-        styled, clips = exact_sim_fixture()
+    def test_unsorted_grid_rejected(self, tmp_path):
+        paths = saved(tmp_path, exact_sim_fixture())
         with pytest.raises(ValueError):
-            threshold_sweep(styled, clips, [0.3, 0.2])
+            threshold_sweep(*paths, [0.3, 0.2])
 
 
 class TestPersistence:
@@ -617,9 +671,8 @@ class TestPersistence:
 
     def test_generated_pairs_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
-        styled = random_unit_set(rng, 30, 5)
-        clips = random_unit_set(rng, 30, 5)
-        gen = filter_pairs(styled, clips, 0.0)
+        gen = filter_pairs(*saved(tmp_path, [random_unit_set(rng, 30, 5),
+                                             random_unit_set(rng, 30, 5)]), 0.0)
         gen.style_tag = "msr"
         path = tmp_path / "gen.jsonl"
         write_generated_pairs(gen, path)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stylepair import cli, trainer
-from stylepair.embedcore import load_embeddings, save_embeddings
+from stylepair.embedcore import EmbeddingSet, load_embeddings
 from stylepair.errors import (
     BatchTooLarge,
     ConfigInvalid,
@@ -17,7 +17,7 @@ from stylepair.errors import (
     NonFiniteLoss,
     RangeOutOfBounds,
 )
-from stylepair.styler import GeneratedPairSet
+from stylepair.styler import GeneratedPairSet, write_generated_pairs
 from stylepair.trainer import (
     AdapterModel,
     NegativeQueue,
@@ -35,7 +35,7 @@ from stylepair.trainer import (
     write_loss_log,
 )
 
-from conftest import golden, grad_check, random_unit_set, traced_peak
+from conftest import golden, grad_check, random_unit_set, saved, traced_peak
 
 
 def unit_rows(rng, n, dim):
@@ -56,7 +56,7 @@ def filter_sims(styled, clips, rows):
 
 
 def row_gather(texts, videos):
-    """The batch gather of row-aligned arrays, in the form build_training_arrays returns."""
+    """The batch gather of row-aligned arrays, in the form of build_training_arrays's gather."""
     return lambda idx: (texts[idx], videos[idx])
 
 
@@ -434,6 +434,19 @@ class TestPlanEpoch:
         with pytest.raises(BatchTooLarge):
             plan_epoch([gen_set("a", 2)], 4, mode="mixed", seed=0)
 
+    def test_a_set_too_small_to_train_is_named_with_its_filter_counts(self):
+        small = GeneratedPairSet(clip_ids=[4, 9, 11], rows=[4, 9, 11], sims=[0.9] * 3,
+                                 threshold=0.28, style_tag="b", total_candidates=2048)
+        empty = GeneratedPairSet(clip_ids=[], rows=[], sims=[], threshold=0.28,
+                                 style_tag="c", total_candidates=2048)
+        with pytest.raises(BatchTooLarge, match=r"batch_size 4 exceeds the smallest set, style "
+                           r"set 'b': the filter kept 3 of its 2048 candidates at threshold "
+                           r"0\.28$"):
+            plan_epoch([gen_set("a", 8), small], 4, mode="in_style", seed=0)
+        with pytest.raises(EmptyStyleSet, match=r"style set 'c' is empty: the filter kept 0 of "
+                           r"its 2048 candidates at threshold 0\.28$"):
+            plan_epoch([gen_set("a", 8), empty], 4, seed=0)
+
     def test_tiny_batch_rejected(self):
         with pytest.raises(ConfigInvalid):
             plan_epoch([gen_set("a", 4)], 1, seed=0)
@@ -650,14 +663,6 @@ def unaligned_style_sets(rng, dim=12):
     return pool, gen_sets, styled_sets
 
 
-def saved(tmp_path, styled_sets):
-    """Each styled set saved to its own file, as stylize writes it; the paths, in order."""
-    paths = [tmp_path / f"styled_{i}.iemb" for i in range(len(styled_sets))]
-    for styled, path in zip(styled_sets, paths):
-        save_embeddings(styled, path)
-    return paths
-
-
 def copy_path_rows(gen_sets, styled_sets, clips):
     """The float32 copy of every pair that training gathered its batches from before.
 
@@ -683,8 +688,10 @@ class TestBuildTrainingArrays:
         gen = GeneratedPairSet(clip_ids=[103, 101, 108], rows=[3, 1, 8],
                                sims=filter_sims(styled, clips, [3, 1, 8]), threshold=-1.0,
                                style_tag="a")
-        texts, videos = build_training_arrays([gen], saved(tmp_path, [styled]), clips)(
-            np.array([0, 1, 2]))
+        gather, dim = build_training_arrays([gen], saved(tmp_path, [styled]),
+                                            saved(tmp_path, [clips], "pool")[0])
+        texts, videos = gather(np.array([0, 1, 2]))
+        assert dim == 4
         assert texts.dtype == videos.dtype == np.float64
         assert np.array_equal(texts, styled.data[[3, 1, 8]].astype(np.float64))
         assert np.array_equal(videos, clips.data[[3, 1, 8]].astype(np.float64))
@@ -693,8 +700,9 @@ class TestBuildTrainingArrays:
         pool, gen_sets, styled_sets = unaligned_style_sets(np.random.default_rng(21))
         offsets = [0, len(gen_sets[0])]
         picks = [(1, 5), (0, 2), (1, 0), (0, 2), (0, 17)]   # (set, pair), a pair repeated
-        texts, videos = build_training_arrays(gen_sets, saved(tmp_path, styled_sets), pool)(
-            np.array([offsets[s] + i for s, i in picks]))
+        gather, _ = build_training_arrays(gen_sets, saved(tmp_path, styled_sets),
+                                          saved(tmp_path, [pool], "pool")[0])
+        texts, videos = gather(np.array([offsets[s] + i for s, i in picks]))
         for row, (s, i) in enumerate(picks):
             gen = gen_sets[s]
             assert np.array_equal(texts[row], styled_sets[s].data[gen.rows[i]])
@@ -706,7 +714,8 @@ class TestBuildTrainingArrays:
         args = argparse.Namespace(learning_rate=0.3, momentum=0.9, queue_capacity=24,
                                   tau=0.05, epochs=2, batch_size=16, seed=5)
         modes = ["in_style", "mixed"]
-        cli.train_stage(args, pool, gen_sets, saved(tmp_path, styled_sets), [
+        cli.train_stage(args, saved(tmp_path, [pool], "pool")[0], gen_sets,
+                        saved(tmp_path, styled_sets), [
             (mode, tmp_path / f"adapter_{mode}.iemb", tmp_path / f"loss_{mode}.csv")
             for mode in modes], threads)
         config = TrainConfig(batch_size=16, learning_rate=0.3, momentum=0.9, epochs=2,
@@ -730,15 +739,16 @@ class TestBuildTrainingArrays:
                                      sims=filter_sims(styled, pool, np.arange(n)),
                                      threshold=-1.0, style_tag=tag)
                     for tag, styled in zip(("a", "b"), styled_sets)]
-        paths = saved(tmp_path, styled_sets)
+        paths, [pool_path] = saved(tmp_path, styled_sets), saved(tmp_path, [pool], "pool")
         copies = 2 * 2 * n * dim * 4   # the float32 texts and videos of every pair
+        pool_rows = n * dim * 4   # the loaded pool the copies were gathered from, now read here
 
         def rows_and_one_epoch():
-            rows = build_training_arrays(gen_sets, paths, pool)
+            rows, _ = build_training_arrays(gen_sets, paths, pool_path)
             train_epochs(init_adapter(dim), gen_sets, rows, mode="mixed",
                          config=TrainConfig(batch_size=64, epochs=1, queue_capacity=128), seed=1)
 
-        assert traced_peak(rows_and_one_epoch) < copies
+        assert traced_peak(rows_and_one_epoch) < copies + pool_rows
 
     def test_pool_with_same_ids_but_other_rows_rejected(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -748,10 +758,11 @@ class TestBuildTrainingArrays:
         gen = GeneratedPairSet(clip_ids=[103, 101], rows=[3, 1],
                                sims=filter_sims(styled, clips, [3, 1]), threshold=-1.0,
                                style_tag="a")
-        paths = saved(tmp_path, [styled])
-        build_training_arrays([gen], paths, clips)
+        paths, [clips_path, other_path] = saved(tmp_path, [styled]), saved(tmp_path,
+                                                                            [clips, other], "pool")
+        build_training_arrays([gen], paths, clips_path)
         with pytest.raises(CountMismatch, match="similarity"):
-            build_training_arrays([gen], paths, other)
+            build_training_arrays([gen], paths, other_path)
 
     @pytest.mark.parametrize("drifted", [0, 511, 512, 1099])
     def test_a_drifted_pair_in_any_row_block_is_rejected(self, tmp_path, drifted):
@@ -764,7 +775,8 @@ class TestBuildTrainingArrays:
         gen = GeneratedPairSet(clip_ids=rows, rows=rows, sims=sims, threshold=-2.0,
                                style_tag="a")
         with pytest.raises(CountMismatch, match="similarity"):
-            build_training_arrays([gen], saved(tmp_path, [styled]), clips)
+            build_training_arrays([gen], saved(tmp_path, [styled]),
+                                  saved(tmp_path, [clips], "pool")[0])
 
     @pytest.mark.parametrize("bad_row", [10, 1_000_000, -1])
     def test_row_outside_styled_set_rejected(self, tmp_path, bad_row):
@@ -774,7 +786,8 @@ class TestBuildTrainingArrays:
         gen = GeneratedPairSet(clip_ids=[103, 109], rows=[3, bad_row],
                                sims=[0.9, 0.8], threshold=0.0, style_tag="a")
         with pytest.raises(RangeOutOfBounds):
-            build_training_arrays([gen], saved(tmp_path, [styled]), clips)
+            build_training_arrays([gen], saved(tmp_path, [styled]),
+                                  saved(tmp_path, [clips], "pool")[0])
 
     def test_row_naming_another_clip_rejected(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -783,7 +796,8 @@ class TestBuildTrainingArrays:
         gen = GeneratedPairSet(clip_ids=[103, 102], rows=[3, 1],
                                sims=[0.9, 0.8], threshold=0.0, style_tag="a")
         with pytest.raises(CountMismatch):
-            build_training_arrays([gen], saved(tmp_path, [styled]), clips)
+            build_training_arrays([gen], saved(tmp_path, [styled]),
+                                  saved(tmp_path, [clips], "pool")[0])
 
     def test_reading_half_a_sets_rows_peaks_under_the_set(self, tmp_path):
         # the rows are read back one block at a time: a whole-set load holds every row
@@ -795,10 +809,41 @@ class TestBuildTrainingArrays:
         gen = GeneratedPairSet(clip_ids=pool.ids[kept], rows=kept,
                                sims=filter_sims(styled, pool, kept), threshold=-1.0,
                                style_tag="a")
-        paths = saved(tmp_path, [styled])
+        paths, [pool_path] = saved(tmp_path, [styled]), saved(tmp_path, [pool], "pool")
         whole_set = n * dim * 4
+        used_clips = len(kept) * dim * 4   # the pool rows the pairs use, read back as well
         assert traced_peak(lambda: load_embeddings(paths[0])) > whole_set
-        assert traced_peak(lambda: build_training_arrays([gen], paths, pool)) < whole_set
+        assert traced_peak(lambda: build_training_arrays([gen], paths, pool_path)) \
+            < whole_set + used_clips
+
+
+def test_train_peak_grows_with_the_used_clips_not_with_unused_pool_rows(tmp_path):
+    # the same pairs against pools of 4,096 and 16,384 clips: only the clips the pairs use
+    # are read in, so the 12,288 unused rows add their ids but none of their floats
+    rng = np.random.default_rng(26)
+    n, dim, extra = 4096, 64, 12_288
+    styled = random_unit_set(rng, n, dim)
+    pool = random_unit_set(rng, n + extra, dim)
+    kept = np.arange(0, n, 2)
+    gen = GeneratedPairSet(clip_ids=kept, rows=kept, sims=filter_sims(styled, pool, kept),
+                           threshold=-1.0, style_tag="a", total_candidates=n)
+    write_generated_pairs(gen, tmp_path / "pairs.jsonl")
+    [styled_path] = saved(tmp_path, [styled])
+    peaks = []
+    for size in (n, n + extra):
+        [pool_path] = saved(tmp_path, [EmbeddingSet(ids=pool.ids[:size], data=pool.data[:size],
+                                                    normalized=True)], f"pool{size}")
+        argv = ["train", "--pool", str(pool_path), "--styled", str(styled_path), "--pairs",
+                str(tmp_path / "pairs.jsonl"), "--out", str(tmp_path / f"adapter{size}.iemb"),
+                "--batch-size", "64", "--epochs", "1"]
+
+        def train_command():
+            assert cli.main(argv) == 0
+
+        peaks.append(traced_peak(train_command))
+    pair_rows = 2 * len(kept) * dim * 4   # each pair's float32 styled row and clip row
+    assert peaks[0] > pair_rows
+    assert peaks[1] - peaks[0] < extra * dim * 4 // 4
 
 
 def test_adapter_copy_keeps_every_field_and_owns_its_heads():
