@@ -26,8 +26,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import container, evaluator, matcher, styler, synthgen, trainer
-from .embedcore import (for_each, hold_freed_heap, load_embeddings, one_blas_thread,
-                        release_freed_heap)
+from .embedcore import for_each, hold_freed_heap, load_embeddings, one_blas_thread
 from .errors import ConfigInvalid, StylePairError
 from .synthgen import SynthConfig, dataset_paths
 
@@ -305,10 +304,7 @@ def train_stage(args, pool_path, gen_sets, styled_paths, runs, threads):
                                     gather, mode=mode, config=config, seed=args.seed)
 
     hold_freed_heap()   # else each step's matrices may fault in afresh
-    try:
-        results = for_each([mode for mode, _, _ in runs], fit, threads)
-    finally:
-        release_freed_heap()   # later stages' freed blocks go back again
+    results = for_each([mode for mode, _, _ in runs], fit, threads)
     for (mode, out, loss_log), (model, rows) in zip(runs, results):
         trainer.save_adapter(model, out)
         if loss_log:
@@ -421,7 +417,6 @@ def run_pipeline(args) -> dict:
     styled and pool files block by block, and training reads back only the
     rows its pairs use.
     """
-    release_freed_heap()   # before any stage allocates; training holds the heap instead
     cfg = _from_options(SynthConfig, args)
     cfg.validate()
     workdir = args.workdir

@@ -175,40 +175,20 @@ def _libc():
         return None
 
 
-def _fix_malloc_thresholds(mmap_bytes: int) -> None:
-    """Fix glibc malloc's mmap threshold at `mmap_bytes` and its trim threshold at twice that.
+def hold_freed_heap() -> None:
+    """Fix glibc malloc's mmap and trim thresholds at 32 and 64 MiB for the rest of the process.
 
-    A block of at least `mmap_bytes` is then mapped on its own and unmapped
-    when freed, and free heap past twice that is trimmed off the heap top.
-    Fixed, neither follows glibc's dynamic threshold, which rises to the
-    size of each freed mapped block (up to 32 MiB) and so keeps later blocks
-    of that size in the heap. Without mallopt (another C library, or none
-    to open), nothing changes.
+    Those are where glibc's dynamic thresholds stop, and nothing sets them
+    back. Below them, a freed block of a megabyte or so goes back to the
+    kernel (unmapped, or trimmed off the heap top) and faults in zero-filled
+    on its next use, as a training step's matrices did on every step.
+    Without mallopt (another C library, or none to open), nothing changes.
     """
     mallopt = getattr(_libc(), "mallopt", None)
     if mallopt:
         mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
-        mallopt(_M_MMAP_THRESHOLD, mmap_bytes)
-        mallopt(_M_TRIM_THRESHOLD, 2 * mmap_bytes)
-
-
-def hold_freed_heap() -> None:
-    """Fix the malloc thresholds at 32 MiB and 64 MiB, where glibc's dynamic ones stop.
-
-    Below them, a freed block of a megabyte or so goes back to the kernel
-    (unmapped, or trimmed off the heap top) and faults in zero-filled on its
-    next use, as a training step's matrices did on every step.
-    """
-    _fix_malloc_thresholds(32 << 20)
-
-
-def release_freed_heap() -> None:
-    """Fix the malloc thresholds at 1 MiB and 2 MiB: a freed block past them goes back.
-
-    So a stage's product tiles and blocks are returned when freed, whatever
-    an earlier stage freed, and do not pile up in the heap.
-    """
-    _fix_malloc_thresholds(1 << 20)
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def for_each(items, run, threads: int = 1) -> list:
