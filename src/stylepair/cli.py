@@ -412,10 +412,13 @@ def run_pipeline(args) -> dict:
     The run uses the synth config in the dataset's latent header. Every
     synth flag must match it, and so must --seed for the workdir's own
     dataset. A --data-dir without that file (real embeddings) is taken as
-    the flags describe it. Stylize writes the styled sets straight to their
-    files, and then the pool and query sets are dropped: filter streams the
-    styled and pool files block by block, and training reads back only the
-    rows its pairs use.
+    the flags describe it. The test sets and the truth are loaded, and
+    checked, before any stage writes, but every eval, zero-shot included,
+    runs after training, so no eval's products sit under training's rows.
+    Stylize writes the styled sets straight to their files, and then the
+    pool and query sets are dropped: filter streams the styled and pool
+    files block by block, and training reads back only the rows its pairs
+    use.
     """
     cfg = _from_options(SynthConfig, args)
     cfg.validate()
@@ -437,12 +440,13 @@ def run_pipeline(args) -> dict:
     truth = synthgen.read_truth(paths["truth"])
     queries = [load_embeddings(p) for p in paths["queries"]]
     test_captions = [load_embeddings(p) for p in paths["test_captions"]]
+    for tc in test_captions:   # eval runs last, so its inputs are checked before any stage
+        evaluator.truth_columns(tc, test_clips, truth)
 
     def evaluate(model=None) -> dict:
         return _mean_section([eval_stage(tc, test_clips, truth, model)
                               for tc in test_captions])
 
-    zero_shot = evaluate()
     tags = [f"style{s}" for s in range(len(queries))]
     pseudo_sets = match_stage(queries, pool,
                               [os.path.join(workdir, f"pseudo_pairs_{t}.jsonl") for t in tags],
@@ -470,7 +474,7 @@ def run_pipeline(args) -> dict:
             "pseudo": [len(p) for p in pseudo_sets],
             "generated": [len(g) for g in gen_sets],
         },
-        "zero_shot": zero_shot,
+        "zero_shot": evaluate(),
     }
     for mode, (model, rows) in zip(modes, trained):
         section = evaluate(model)

@@ -398,11 +398,11 @@ def read_rows(path: str | os.PathLike, rows: np.ndarray, out: np.ndarray) -> np.
             raise DimMismatch(f"{path}: rows of dim {dim}, not {out.shape[1]}")
         if len(rows) and (rows.min() < 0 or rows.max() >= len(ids)):
             raise RangeOutOfBounds(f"{path}: a row lies outside 0..{len(ids) - 1}")
-        order = np.argsort(rows, kind="stable")
-        ranked = rows[order]
+        order = np.argsort(rows, kind="stable")   # rows are searched through it, not copied sorted
         first = 0
         for (lo, hi), block in zip(row_blocks(len(ids)), blocks, strict=True):
-            last = int(np.searchsorted(ranked, hi))
-            out[order[first:last]] = block[ranked[first:last] - lo]
+            last = int(np.searchsorted(rows, hi, sorter=order))
+            taken = order[first:last]
+            out[taken] = block[rows[taken] - lo]
             first = last
         return ids

@@ -27,6 +27,32 @@ class RetrievalReport:
         return out
 
 
+def truth_columns(
+    queries: EmbeddingSet,
+    candidates: EmbeddingSet,
+    truth: dict[int, int],
+    model: AdapterModel | None = None,
+) -> np.ndarray:
+    """The candidate row of each query's ground truth, once the sets can be ranked.
+
+    Queries, candidates and the adapter, if given, must share one dim, both
+    sets must be normalized, and every query must have a truth among the
+    candidates; an empty query set is EmptyRanks.
+    """
+    if queries.dim != candidates.dim:
+        raise DimMismatch(f"dims differ: {queries.dim} vs {candidates.dim}")
+    if not queries.normalized or not candidates.normalized:
+        raise NotNormalized("retrieval expects normalized sets")
+    if model is not None and model.dim != queries.dim:
+        raise DimMismatch(f"adapter dim {model.dim} vs embedding dim {queries.dim}")
+    if not queries.count:
+        raise EmptyRanks("no queries to rank")
+    missing = [qid for qid in queries.ids.tolist() if qid not in truth]
+    if missing:
+        raise MissingTruth(f"no ground truth for query {missing[0]}")
+    return candidates.row_for_id([truth[qid] for qid in queries.ids.tolist()])
+
+
 def rank_queries(
     queries: EmbeddingSet,
     candidates: EmbeddingSet,
@@ -40,19 +66,9 @@ def rank_queries(
     model is given and raw cosine otherwise. The rank counts every strictly
     better candidate plus every equal-similarity candidate with a smaller
     id, i.e. ties are broken against the ground truth by ascending
-    candidate id.
+    candidate id. The sets are checked as truth_columns checks them.
     """
-    if queries.dim != candidates.dim:
-        raise DimMismatch(f"dims differ: {queries.dim} vs {candidates.dim}")
-    if not queries.normalized or not candidates.normalized:
-        raise NotNormalized("retrieval expects normalized sets")
-    if model is not None and model.dim != queries.dim:
-        raise DimMismatch(f"adapter dim {model.dim} vs embedding dim {queries.dim}")
-    missing = [qid for qid in queries.ids.tolist() if qid not in truth]
-    if missing:
-        raise MissingTruth(f"no ground truth for query {missing[0]}")
-    truth_cols = candidates.row_for_id([truth[qid] for qid in queries.ids.tolist()])
-
+    truth_cols = truth_columns(queries, candidates, truth, model)
     if model is None:
         q_rows, c_rows = queries.data, candidates.data
     else:

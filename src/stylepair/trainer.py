@@ -364,14 +364,20 @@ def build_training_arrays(
         raise CountMismatch("one styled set per generated-pair set, and at least one, required")
     with contextlib.closing(read_blocks(pool_path)) as pool_head:
         pool_ids, dim, _ = next(pool_head)
+    # each index temporary is dropped once used, so none sits beside the row arrays
     pair_clips = np.concatenate([gen.clip_ids for gen in gen_sets])
     ordered = np.sort(pair_clips)   # not np.unique, which imports numpy.ma
     first = np.ones(len(ordered), dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
     used = ordered[first]
+    del ordered, first
     clip_rows = np.searchsorted(used, pair_clips)
-    clips = np.empty((len(used), dim), dtype=np.float32)
-    read_rows(pool_path, row_for_id(pool_ids, used, os.fspath(pool_path)), clips)
+    del pair_clips
+    pool_rows = row_for_id(pool_ids, used, os.fspath(pool_path))
+    del pool_ids, used
+    clips = np.empty((len(pool_rows), dim), dtype=np.float32)
+    read_rows(pool_path, pool_rows, clips)
+    del pool_rows
     texts = np.empty((len(clip_rows), dim), dtype=np.float32)
     lo = 0
     for gen, path in zip(gen_sets, styled_paths):

@@ -20,7 +20,7 @@ from stylepair.cli import _emit_json, _from_options, build_parser, main
 from stylepair.embedcore import blas_thread_controls, save_embeddings
 from stylepair.errors import SingularSystem
 from stylepair.styler import GeneratedPairSet, read_generated_pairs, write_generated_pairs
-from stylepair.synthgen import SynthConfig
+from stylepair.synthgen import SynthConfig, read_truth
 from stylepair.trainer import TrainConfig, init_adapter, save_adapter
 
 from conftest import (GOLDEN_DIR, count_forks, forks_workers, golden, make_set, needs_blas_controls,
@@ -748,7 +748,8 @@ class TestPipelineCommand:
             assert get() == 2
         finally:
             set_(saved)
-        assert len(seen) == 2 * 3 + 2 + 1 and set(seen) == {1}   # zero-shot, two adapters; fit
+        # zero-shot and two adapters, after training; the run whose fit fails reaches no eval
+        assert len(seen) == 2 * 3 + 1 and set(seen) == {1}
 
     def test_single_style_report_sections(self, tmp_path, capsys):
         rc = main(["pipeline", "--workdir", str(tmp_path / "w"), "--styles", "1",
@@ -778,8 +779,8 @@ class TestPipelineCommand:
 
     def test_post_training_evals_run_after_the_pool_and_styled_sets_are_freed(self, tmp_path,
                                                                              monkeypatch):
-        # the evals after training read only the test sets, so their products must not
-        # sit on top of the pool, the query sets and the styled sets
+        # every eval, zero-shot included, runs after training and reads only the test sets,
+        # so its products must not sit on top of the pool, the query sets or the styled sets
         args = ["pipeline", "--styles", "2", "--seed", "7", "--epochs", "1"] + SMALL_SYNTH \
             + SMALL_TRAIN
         assert main(args + ["--workdir", str(tmp_path / "plain")]) == 0
@@ -799,9 +800,8 @@ class TestPipelineCommand:
             trained.append(True)
             return result
 
-        def evaluated(*args, **kwargs):
-            if trained:
-                live_at_eval.append(sum(ref() is not None for ref in refs))
+        def evaluated(*args, **kwargs):   # an eval before training records None
+            live_at_eval.append(sum(ref() is not None for ref in refs) if trained else None)
             return evaluate(*args, **kwargs)
 
         for name, wrapper in [("load_embeddings", loaded), ("train_stage", training),
@@ -810,7 +810,7 @@ class TestPipelineCommand:
         assert main(args + ["--workdir", str(tmp_path / "watched")]) == 0
         assert len(refs) == 3   # the pool and two query sets
         assert not [name for name in names if name.startswith("styled")]   # never loaded whole
-        assert live_at_eval == [0] * 4   # two styles under each of two adapters
+        assert live_at_eval == [0] * 6   # two styles under zero-shot and each of two adapters
         assert (tmp_path / "watched" / "report.json").read_bytes() == \
             (tmp_path / "plain" / "report.json").read_bytes()
 
@@ -1013,6 +1013,30 @@ class TestPipelineCommand:
                    flag, value] + SMALL_SYNTH + SMALL_TRAIN)
         assert rc == 2
         assert "error=ConfigInvalid" in caplog.text
+        assert tree_hashes(w) == {}
+
+    @pytest.mark.parametrize("spoil,error", [
+        (lambda data: write_truth(data / "truth.jsonl",
+                                  dict(list(read_truth(data / "truth.jsonl").items())[1:])),
+         "MissingTruth"),
+        (lambda data: write_truth(data / "truth.jsonl", {
+            q: c + 10**6 for q, c in read_truth(data / "truth.jsonl").items()}),
+         "UnknownCandidate"),
+        (lambda data: save_embeddings(make_set(np.zeros((0, 16))),
+                                      data / "test_captions_style1.iemb"),
+         "EmptyRanks"),
+    ], ids=["truth_misses_a_query", "truth_names_an_unknown_clip", "empty_test_set"])
+    def test_a_test_set_eval_cannot_rank_exits_1_before_any_stage_writes(self, tmp_path, caplog,
+                                                                         spoil, error):
+        # every eval runs after training, but its inputs are checked before matching
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "7"] + SMALL_SYNTH) == 0
+        spoil(data)
+        w = tmp_path / "w"
+        rc = main(["pipeline", "--workdir", str(w), "--data-dir", str(data), "--epochs", "1"]
+                  + SMALL_SYNTH + SMALL_TRAIN)
+        assert rc == 1
+        assert f"error={error}" in caplog.text
         assert tree_hashes(w) == {}
 
     def test_reuses_existing_data_dir(self, tmp_path, capsys):

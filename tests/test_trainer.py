@@ -816,6 +816,29 @@ class TestBuildTrainingArrays:
         assert traced_peak(lambda: build_training_arrays([gen], paths, pool_path)) \
             < whole_set + used_clips
 
+    def test_peak_beyond_the_rows_grows_by_at_most_16_bytes_a_pair(self, tmp_path):
+        # every index temporary is freed before the row arrays are made, so past them a
+        # pair adds its clip index and, while its style is read, its place in the read order
+        rng = np.random.default_rng(27)
+        n, dim = 16384, 64
+        pool = random_unit_set(rng, n, dim)
+        styled_sets = [random_unit_set(rng, n, dim, ids=pool.ids) for _ in range(2)]
+        paths, [pool_path] = saved(tmp_path, styled_sets), saved(tmp_path, [pool], "pool")
+        kept = [np.sort(rng.choice(n, n * 3 // 4, replace=False)) for _ in styled_sets]
+
+        def beyond_the_rows(step):
+            gen_sets = [GeneratedPairSet(clip_ids=pool.ids[rows[::step]], rows=rows[::step].copy(),
+                                         sims=filter_sims(styled, pool, rows[::step]),
+                                         threshold=-1.0, style_tag=tag)
+                        for tag, styled, rows in zip(("a", "b"), styled_sets, kept)]
+            pairs = sum(len(gen) for gen in gen_sets)
+            used = len(np.unique(np.concatenate([gen.clip_ids for gen in gen_sets])))
+            peak = traced_peak(lambda: build_training_arrays(gen_sets, paths, pool_path))
+            return peak - (pairs + used) * dim * 4, pairs
+
+        (quarter, few), (whole, many) = beyond_the_rows(4), beyond_the_rows(1)
+        assert (whole - quarter) / (many - few) <= 16
+
 
 def test_train_peak_grows_with_the_used_clips_not_with_unused_pool_rows(tmp_path):
     # the same pairs against pools of 4,096 and 16,384 clips: only the clips the pairs use
