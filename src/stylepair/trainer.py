@@ -452,6 +452,8 @@ def save_adapter(model: AdapterModel, path: str | os.PathLike) -> None:
 def load_adapter(path: str | os.PathLike) -> AdapterModel:
     with container.read_container(path, container.ADAPTER_CHUNK, _FIELDS,
                                   "adapter") as (f, (proj_dim, dim, tau, step_count)):
+        if proj_dim == 0 or dim == 0:
+            raise CorruptField(f"heads of shape ({proj_dim}, {dim}) hold no weight")
         w_t = container.read_array(f, "<f4", proj_dim * dim, "text head")
         w_v = container.read_array(f, "<f4", proj_dim * dim, "video head")
         if not 0.0 < tau < np.inf:

@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from stylepair import cli, embedcore, evaluator, styler
+from stylepair import cli, container, embedcore, evaluator, styler
 from stylepair.cli import _emit_json, _from_options, build_parser, main
 from stylepair.embedcore import blas_thread_controls, save_embeddings
 from stylepair.errors import SingularSystem
@@ -438,6 +438,23 @@ class TestStageCommands:
                    "--truth", str(tmp_path / "truth.jsonl"), "--adapter", str(adapter)])
         assert rc == 1
         assert "error=TrailingBytes" in caplog.text
+        assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 16), (16, 0)])   # (proj_dim, dim)
+    def test_eval_rejects_an_adapter_with_empty_heads(self, tmp_path, caplog, shape):
+        basis = make_set(np.eye(3))
+        save_embeddings(basis, tmp_path / "caps.iemb")
+        save_embeddings(basis, tmp_path / "cands.iemb")
+        write_truth(tmp_path / "truth.jsonl", {i: i for i in range(3)})
+        adapter = tmp_path / "adapter.iemb"
+        head = (np.zeros(shape), "<f4")
+        container.write_container(adapter, container.ADAPTER_CHUNK, "IIdQ",
+                                  (*shape, 0.07, 0), [head, head])
+        rc = main(["eval", "--captions", str(tmp_path / "caps.iemb"),
+                   "--candidates", str(tmp_path / "cands.iemb"),
+                   "--truth", str(tmp_path / "truth.jsonl"), "--adapter", str(adapter)])
+        assert rc == 1
+        assert f"error=CorruptField detail={adapter}: heads of shape {shape}" in caplog.text
         assert "Traceback" not in caplog.text
 
     def test_eval_zero_shot_on_identity_fixture(self, tmp_path, capsys):

@@ -2,7 +2,6 @@ import os
 import pathlib
 import re
 import signal
-import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +15,7 @@ from stylepair.matcher import PseudoPairSet
 from stylepair.styler import (
     GeneratedPairSet,
     StyleTransform,
-    _pcg64_seeded,
-    _spawned_pcg64_states,
+    _spawned_seed_words,
     filter_pairs,
     fit_style,
     generate_styled,
@@ -275,7 +273,7 @@ class TestGenerateStyledSets:
     @pytest.mark.parametrize("dims", [(3, 2), (2, 3)])   # (dim_in, dim_out) of the second style
     def test_dim_mismatch_is_raised_before_any_row_is_drawn(self, tmp_path, monkeypatch, dims):
         drawn = []
-        monkeypatch.setattr("stylepair.styler._spawned_pcg64_states",
+        monkeypatch.setattr("stylepair.styler._spawned_seed_words",
                             lambda *args: drawn.append(args) or [])
         clips = make_set([[1.0, 0.0], [0.0, 1.0]])
         styles = [StyleTransform(weight=np.eye(2), bias=np.zeros(2), ridge_lambda=0.0,
@@ -388,22 +386,14 @@ class TestGenerateStyledSets:
         assert max(rss) - start < 8 << 20
 
 
-MASK64 = 2**64 - 1
-PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's 128-bit LCG multiplier
-
-
-def spawned_states(seed, n_rows):
-    """Derived PCG64 state words of rows 0..n_rows-1, a 512-row block at a time."""
-    return np.concatenate([_spawned_pcg64_states(seed, lo, min(lo + 512, n_rows))
+def spawned_words(seed, n_rows):
+    """Derived seed words of rows 0..n_rows-1, a 512-row block at a time."""
+    return np.concatenate([_spawned_seed_words(seed, lo, min(lo + 512, n_rows))
                            for lo in range(0, n_rows, 512)])
 
 
-def state_words(state):
-    """numpy's PCG64 state dict as the four words (state_lo, state_hi, inc_lo, inc_hi)."""
-    assert state["bit_generator"] == "PCG64" and not state["has_uint32"]
-    words = state["state"]
-    return [words["state"] & MASK64, words["state"] >> 64, words["inc"] & MASK64,
-            words["inc"] >> 64]
+def seed_words(seed, i):
+    return np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)
 
 
 def styled_reference(clips, style, seed):
@@ -426,43 +416,24 @@ class TestSpawnedNoise:
     SEEDS = [0, 7, 2**32, 2**64 + 3, 2**130 + 1]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_states_equal_numpy_spawned_pcg64(self, seed):
+    def test_words_equal_numpy_spawned_seed_sequences(self, seed):
         n_rows = 1100
-        states = spawned_states(seed, n_rows)
-        assert states.shape == (n_rows, 4) and states.dtype == np.uint64
-        for i in (0, 511, 512, n_rows - 1):
+        words = spawned_words(seed, n_rows)
+        assert words.shape == (n_rows, 4) and words.dtype == np.uint64
+        for i in (0, 511, 512, 1023, 1024, n_rows - 1):   # each block's first and last row
+            assert words[i].tolist() == seed_words(seed, i).tolist(), i
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words_give_the_spawned_pcg64_state(self, seed):
+        # PCG64 seeded through _SeedWords starts where the spawned SeedSequence starts it
+        words = spawned_words(seed, 600)
+        for i in (0, 511, 512, 599):
+            got = np.random.PCG64(styler._SeedWords(words[i])).state
             want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))).state
-            assert states[i].tolist() == state_words(want), i
+            assert got == want, i
 
-    def test_limb_seeding_equals_the_python_int_step(self):
-        rng = np.random.default_rng(40)
-        words = rng.integers(0, 2**64, size=(2000, 4), dtype=np.uint64, endpoint=False)
-        edges = [MASK64, MASK64 - 1, 2**63, 2**63 - 1, 2**32, 2**32 - 1, 1, 0]
-        words = np.concatenate([words, np.array([[a, b, c, d] for a in edges[:3]
-                                                 for b in edges for c in edges[::3]
-                                                 for d in edges], dtype=np.uint64)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # the wraparound is the modulus, never a warning
-            got = _pcg64_seeded(words)
-        carries_sum = carries_step = 0
-        for (s_hi, s_lo, i_hi, i_lo), row in zip(words.tolist(), got.tolist()):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & (2**128 - 1)
-            seeded = (s_hi << 64 | s_lo) + inc
-            product = seeded * PCG_MULT & (2**128 - 1)
-            state = (product + inc) & (2**128 - 1)
-            carries_sum += (s_lo + (inc & MASK64)) > MASK64
-            carries_step += ((product & MASK64) + (inc & MASK64)) > MASK64
-            assert row == [state & MASK64, state >> 64, inc & MASK64, inc >> 64]
-        assert carries_sum > 500 and carries_step > 500   # both low-word carries are exercised
-
-    @pytest.mark.parametrize("raw", [True, False])
     @pytest.mark.parametrize("seed", [7, 2**130 + 1])
-    def test_noisy_output_equals_per_row_generators(self, monkeypatch, seed, raw):
-        # once with the state words written raw, once through the dict setter
-        if not raw:
-            monkeypatch.setattr(styler, "raw_pcg64_states", lambda: False)
-        elif not styler.raw_pcg64_states():
-            pytest.skip("numpy's PCG64 struct has another layout here")
+    def test_noisy_output_equals_per_row_generators(self, seed):
         rng = np.random.default_rng(11)
         clips = random_unit_set(rng, 1100, 5)   # three row blocks
         style = StyleTransform(weight=rng.normal(size=(6, 5)), bias=rng.normal(size=6),
@@ -470,30 +441,15 @@ class TestSpawnedNoise:
         got = generate_styled(clips, style, seed=seed)
         assert got.data.tobytes() == styled_reference(clips, style, seed).tobytes()
 
-    def test_words_that_read_back_otherwise_go_through_the_dict_setter(self, monkeypatch):
-        # a layout that stores the words in another order, as a big-endian host would
-        raw_words = styler._raw_words
-        monkeypatch.setattr(styler, "_raw_words", lambda bit_generator:
-                            raw_words(bit_generator)[::-1])
-        monkeypatch.setattr(styler, "raw_pcg64_states", styler.raw_pcg64_states.__wrapped__)
-        assert styler.raw_pcg64_states() is False
-        rng = np.random.default_rng(12)
-        clips = random_unit_set(rng, 600, 5)
-        style = StyleTransform(weight=rng.normal(size=(6, 5)), bias=rng.normal(size=6),
-                               ridge_lambda=0.0, noise_sigma=0.2)
-        got = generate_styled(clips, style, seed=7)
-        assert got.data.tobytes() == styled_reference(clips, style, 7).tobytes()
-
     def test_spawn_key_must_fit_one_word(self):
-        last = _spawned_pcg64_states(7, 2**32 - 1, 2**32)
-        want = np.random.PCG64(np.random.SeedSequence(7, spawn_key=(2**32 - 1,))).state
-        assert last.tolist() == [state_words(want)]
+        last = _spawned_seed_words(7, 2**32 - 1, 2**32)
+        assert last.tolist() == [seed_words(7, 2**32 - 1).tolist()]
         with pytest.raises(ValueError, match="spawn key"):
-            _spawned_pcg64_states(7, 2**32 - 1, 2**32 + 1)
+            _spawned_seed_words(7, 2**32 - 1, 2**32 + 1)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            _spawned_pcg64_states(-1, 0, 4)
+            _spawned_seed_words(-1, 0, 4)
 
 
 def exact_sim_fixture():
